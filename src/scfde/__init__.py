@@ -31,7 +31,7 @@ from .constellation import (
     qam_modulate,
     qpsk_anchors,
 )
-from .errors import ConvergenceError, DegenerateBinError, PilotLossError, ReceiverError
+from .errors import DegenerateBinError, PilotLossError, ReceiverError
 from .frame import Frame, FrameConfig, build_frame, extract_data, random_payload
 from .harness import BerPoint, SimulationConfig, residual_trace, run_trial, sweep
 from .matrixkit import (

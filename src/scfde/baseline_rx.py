@@ -36,6 +36,8 @@ class OfdmPilotConfig:
     def __post_init__(self):
         if not 0 < self.pilot_fraction <= 1:
             raise ValueError(f"pilot fraction must be in (0, 1], got {self.pilot_fraction}")
+        if self.L_trunc < 1:
+            raise ValueError(f"interpolator must keep >= 1 tap, got {self.L_trunc}")
         if self.n_pilots < self.L_trunc:
             raise ValueError(
                 f"{self.n_pilots} pilots cannot resolve {self.L_trunc} taps"

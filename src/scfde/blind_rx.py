@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import Constellation, get_constellation, qam_demodulate
-from .errors import ConvergenceError, DegenerateBinError, PilotLossError, ReceiverError
+from .errors import DegenerateBinError, PilotLossError, ReceiverError
 from .frame import FrameConfig
 from .matrixkit import dft_first_columns, regularized_ls, top_left_singular_vector
 
@@ -45,7 +45,7 @@ class BlindConfig:
             raise ValueError(f"L_est must be >= 1, got {self.L_est}")
         if not 0 < self.mu < 1:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        if self.eps <= 0:
+        if not self.eps > 0:  # also rejects NaN
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -56,7 +56,7 @@ class ReceiverEstimate:
     """Output of the alternating minimization.
 
     lambda_hat: length-P diagonal of the estimated data spectrum.
-    H_t_hat: L_est x Nr tap estimate; H_n_hat = F_{L_est} @ H_t_hat per bin.
+    H_t_hat: L_est x Nr tap estimate (per-bin channel F_{L_est} @ H_t_hat).
     residual_trace: relative residual ||Yf - diag(lambda) F H_t||_F / ||Yf||_F
     after each iteration; converged marks whether the eps target was met
     before the iteration cap.
@@ -64,7 +64,6 @@ class ReceiverEstimate:
 
     lambda_hat: np.ndarray = field(repr=False)
     H_t_hat: np.ndarray = field(repr=False)
-    H_n_hat: np.ndarray = field(repr=False)
     iterations: int
     residual_trace: np.ndarray = field(repr=False)
     converged: bool
@@ -97,24 +96,44 @@ def mrc_combine(Yf: np.ndarray, H: np.ndarray) -> np.ndarray:
     return num / den
 
 
+def _am_step(
+    Yf: np.ndarray,
+    lam: np.ndarray,
+    F_L: np.ndarray,
+    F_conj: np.ndarray,
+    mu: float,
+    energy: float,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One AM iteration: the ridge channel solve given the spectrum lam, then
+    the per-bin MRC update of the spectrum given that channel.
+
+    Works in P x L arrays (two streaming passes over Yf): with
+    G = Yf @ H_t^H the MRC numerator is sum_l conj(F) * G per bin, the
+    denominator is the diagonal of F (H_t H_t^H) F^H, and the post-update
+    residual follows from MRC optimality,
+    ||Yf - diag(lam) F H_t||^2 = ||Yf||^2 - sum_p |num_p|^2 / den_p.
+
+    Returns (updated lam, H_t, relative residual); energy is ||Yf||_F^2.
+    Raises DegenerateBinError where the per-bin channel vanishes.
+    """
+    H_t = regularized_ls(lam[:, None] * F_L, Yf, mu)
+    H_h = H_t.conj().T
+    num = ((Yf @ H_h) * F_conj).sum(axis=1)
+    den = ((F_L @ (H_t @ H_h)) * F_conj).real.sum(axis=1)
+    if not den.all():
+        raise DegenerateBinError(int(np.flatnonzero(den == 0.0)[0]))
+    fit = float(((num.real**2 + num.imag**2) / den).sum())
+    return num / den, H_t, np.sqrt(max(energy - fit, 0.0) / energy)
+
+
 def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstimate:
     """Jointly estimate the data spectrum and channel taps from Yf.
 
     Initializes the spectrum with the dominant left singular vector of Yf,
-    then alternates (a) the ridge channel solve given the spectrum with
-    (b) the per-bin MRC spectrum update given the channel, stopping when the
-    relative reconstruction residual drops below cfg.eps or at cfg.max_iter.
-
-    The loop keeps its working set in P x L arrays (two streaming passes
-    over Yf per iteration): with G = Yf @ H_t^H the MRC numerator is
-    sum_l conj(F)*G per bin, the denominator is the diagonal of
-    F (H_t H_t^H) F^H, and the post-update residual follows from MRC
-    optimality, ||Yf - diag(lam) F H_t||^2 = ||Yf||^2 - sum_p |num_p|^2/den_p.
-    The per-bin channel F @ H_t is materialized once on return.
-
-    An initializer that stops early on a near-tied spectrum is accepted
-    as-is: the starting point only has to avoid the orthogonal complement
-    of the dominant subspace, not certify it.
+    then repeats _am_step, which alternates (a) the ridge channel solve
+    given the spectrum with (b) the per-bin MRC spectrum update given the
+    channel, stopping when the relative reconstruction residual drops below
+    cfg.eps or at cfg.max_iter.
     """
     Yf = np.asarray(Yf, dtype=complex)
     P, Nr = Yf.shape
@@ -126,26 +145,13 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     F_L = dft_first_columns(P, cfg.L_est)
     F_conj = F_L.conj()
     energy = float(np.linalg.norm(Yf) ** 2)
-    try:
-        lam = top_left_singular_vector(Yf)
-    except ConvergenceError as err:
-        lam = err.estimate
+    lam = top_left_singular_vector(Yf)
 
     trace = []
     converged = False
     H_t = np.zeros((cfg.L_est, Nr), dtype=complex)
     for _ in range(cfg.max_iter):
-        A = lam[:, None] * F_L
-        H_t = regularized_ls(A, Yf, cfg.mu)
-        G = Yf @ H_t.conj().T
-        num = np.einsum("pl,pl->p", G, F_conj)
-        den = np.einsum("pl,pl->p", F_L @ (H_t @ H_t.conj().T), F_conj).real
-        dead = np.flatnonzero(den == 0.0)
-        if dead.size:
-            raise DegenerateBinError(int(dead[0]))
-        lam = num / den
-        fit = float(np.sum(np.abs(num) ** 2 / den))
-        residual = np.sqrt(max(energy - fit, 0.0) / energy)
+        lam, H_t, residual = _am_step(Yf, lam, F_L, F_conj, cfg.mu, energy)
         trace.append(residual)
         if residual < cfg.eps:
             converged = True
@@ -154,7 +160,6 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     return ReceiverEstimate(
         lambda_hat=lam,
         H_t_hat=H_t,
-        H_n_hat=F_L @ H_t,
         iterations=len(trace),
         residual_trace=np.asarray(trace),
         converged=converged,

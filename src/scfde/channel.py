@@ -9,7 +9,10 @@ fixes the SNR convention used everywhere in the package:
 
 Propagation is P-point circular convolution (the frame's zero padding makes
 the physical linear convolution circular), applied per receive antenna, with
-independent noise per antenna and sample.
+independent noise per antenna and sample. The simulator forms the receive
+matrix directly in the frequency domain, where the convolution is a per-bin
+product with the channel's frequency response; ``convolve_channel`` and
+``apply_channel`` are the time-domain reference for that model.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .matrixkit import dft_first_columns
 
 
 class PowerDelayProfile:
@@ -78,9 +83,36 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
 
 
 def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, variance) samples (always consumes the stream, even at 0)."""
-    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return w * np.sqrt(variance / 2.0)
+    """i.i.d. CN(0, variance) samples (always consumes the stream, even at 0).
+
+    The real parts take the first block of draws and the imaginary parts the
+    second, so a given stream yields the same samples as
+    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * sigma``.
+    """
+    w = np.empty(shape, dtype=complex)
+    w.real = rng.standard_normal(shape)
+    w.imag = rng.standard_normal(shape)
+    w *= np.sqrt(variance / 2.0)
+    return w
+
+
+def frequency_response(ch: ChannelRealization, P: int) -> np.ndarray:
+    """P x Nr per-bin channel gains: the unnormalized P-point DFT of each
+    antenna's taps, sqrt(P) * F_L @ taps with F_L the first L columns of
+    the unitary DFT."""
+    if ch.L > P:
+        raise ValueError(f"channel has {ch.L} taps but the frame only {P} samples")
+    return np.sqrt(P) * (dft_first_columns(P, ch.L) @ ch.taps)
+
+
+def receive_spectrum(Xf: np.ndarray, Hf: np.ndarray, Nf: np.ndarray) -> np.ndarray:
+    """Frequency-domain receive matrix Yf = diag(Xf) Hf + Nf.
+
+    Xf is the unitary DFT of the transmitted block, Hf its channel's
+    frequency response and Nf the unitary DFT of the time-domain noise, so
+    Yf equals the unitary DFT of ``convolve_channel(x, ch) + noise``.
+    """
+    return np.asarray(Xf, dtype=complex).ravel()[:, None] * Hf + Nf
 
 
 def convolve_channel(x: np.ndarray, ch: ChannelRealization) -> np.ndarray:

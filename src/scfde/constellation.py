@@ -63,6 +63,25 @@ class Constellation:
         self._scale = scale
         self._m = m
 
+    def _bracketing_indices(self, z: np.ndarray) -> np.ndarray:
+        """N x 4 point indices, ascending per row, of the grid cell around
+        each sample: per axis the two adjacent levels that bracket it
+        (the two outermost levels for samples beyond the grid edge)."""
+        half = self.bits_per_symbol // 2
+        m = self._m
+
+        def ranks(coord):
+            # level (m-1) - 2r has rank r; NaN falls to the first pair
+            t = np.floor(((m - 1) - coord / self._scale) / 2.0)
+            lo = np.fmin(np.fmax(t, 0.0), m - 2).astype(np.int64)
+            pair = np.stack([lo, lo + 1], axis=-1)
+            return pair ^ (pair >> 1)  # Gray code of each rank
+
+        gray_i = ranks(z.real) << half
+        gray_q = ranks(z.imag)
+        cells = gray_i[:, :, None] | gray_q[:, None, :]
+        return np.sort(cells.reshape(-1, 4), axis=1)
+
     # -- quadrant geometry -------------------------------------------------
 
     def quadrant_of(self, z: np.ndarray) -> np.ndarray:
@@ -130,11 +149,18 @@ def qam_demodulate(symbols: np.ndarray, order: int) -> tuple[np.ndarray, np.ndar
     Returns ``(bits, hard_points)`` where bits is the flat MSB-first bit
     sequence and hard_points the decided constellation points. Distance ties
     resolve to the smaller point index (argmin order of ``points``).
+
+    O(N): each axis is sliced to the two levels that bracket the sample, and
+    only the 2 x 2 points they span are compared, with the same squared
+    distance |symbol - point|^2 as an exhaustive search. Any other point is
+    at least one level spacing farther away, so for finite inputs the
+    decisions equal the exhaustive search's, ties and rounding included.
     """
     const = get_constellation(order)
     symbols = np.asarray(symbols, dtype=complex).ravel()
-    d2 = np.abs(symbols[:, None] - const.points[None, :]) ** 2
-    index = d2.argmin(axis=1)
+    candidates = const._bracketing_indices(symbols)
+    d2 = np.abs(symbols[:, None] - const.points[candidates]) ** 2
+    index = candidates[np.arange(symbols.size), d2.argmin(axis=1)]
     k = const.bits_per_symbol
     bits = (index[:, None] >> np.arange(k - 1, -1, -1)) & 1
     return bits.ravel(), const.points[index]

@@ -28,16 +28,3 @@ class PilotLossError(ReceiverError):
     Signals a catastrophic estimate: the global complex scale cannot be
     resolved from an annihilated pilot.
     """
-
-
-class ConvergenceError(ReceiverError):
-    """Power iteration did not meet its tolerance within the iteration cap.
-
-    Indicates a degenerate or near-tied singular spectrum. The last unit
-    vector produced is attached as ``estimate`` so callers that only need
-    a starting point (not a certified singular vector) can proceed.
-    """
-
-    def __init__(self, message: str, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate

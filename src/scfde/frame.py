@@ -30,6 +30,7 @@ class FrameConfig:
     M: int
 
     def __post_init__(self):
+        get_constellation(self.M)  # rejects unsupported orders
         if self.L < 1:
             raise ValueError(f"tap count must be >= 1, got {self.L}")
         if self.N < 2:

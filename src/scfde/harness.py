@@ -9,14 +9,15 @@ are enabled; the three blind variants share one factorization on literally
 the same received samples, and the OFDM baseline sees the same channel and
 noise realization applied to its own transmit block.
 
-Frames on which a receiver raises (degenerate MRC bin, annihilated pilot,
-initializer breakdown) are excluded from the error counts and reported in
-the ``frames_failed`` column instead of being silently mixed in.
+Frames on which a receiver raises (degenerate MRC bin, annihilated pilot)
+are excluded from the error counts and reported in the ``frames_failed``
+column instead of being silently mixed in.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -24,13 +25,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .baseline_rx import OfdmPilotConfig, ofdm_mrc_receive, ofdm_time_signal, ofdm_transmit
+from .baseline_rx import OfdmPilotConfig, ofdm_mrc_receive, ofdm_transmit
 from .blind_rx import BlindConfig, alternating_minimization, decode_frame
 from .channel import (
     PowerDelayProfile,
     complex_noise,
-    convolve_channel,
     draw_channel,
+    frequency_response,
+    receive_spectrum,
     snr_db_to_noise_variance,
 )
 from .errors import ReceiverError
@@ -86,6 +88,19 @@ class SimulationConfig:
             raise ValueError("at least one receiver must be selected")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not all(math.isfinite(snr) for snr in self.snr_db_list):
+            raise ValueError(f"SNRs must be finite, got {self.snr_db_list}")
+        if self.Nr < 1:
+            raise ValueError(f"antenna count must be >= 1, got {self.Nr}")
+        # build every per-P plan now, so an invalid combination is reported
+        # before any trial runs
+        PowerDelayProfile.geometric(self.L, self.pdp_ratio)
+        self.blind_config()
+        for P in self.seq_lengths:
+            FrameConfig(P=P, L=self.L, M=self.M)
+            self.ofdm_config(P)
+            if P <= 2 * self.L_est:
+                raise ValueError(f"need P > 2*L_est, got P={P}, L_est={self.L_est}")
 
     def blind_config(self) -> BlindConfig:
         return BlindConfig(L_est=self.L_est, mu=self.mu, eps=self.eps, max_iter=self.max_iter)
@@ -158,36 +173,73 @@ def _substream(seed: int, P: int, snr_db: float, trial_index: int) -> np.random.
     return np.random.default_rng(np.random.SeedSequence([seed, P, snr_key, trial_index]))
 
 
-def run_trial(cfg: SimulationConfig, snr_db: float, trial_index: int, P: int | None = None) -> TrialRecord:
-    """One frame end to end for every selected receiver.
+@dataclass(frozen=True)
+class TrialDraw:
+    """The random draws of one trial, with the channel and noise already in
+    the frequency domain (Hf: P x Nr frequency response, Nf: unitary DFT of
+    the time-domain noise)."""
 
-    Deterministic in (cfg.seed, P, snr_db, trial_index). The draw order is
-    fixed (blind payload, OFDM payload, channel, noise) independent of the
-    receiver selection, so enabling extra receivers never changes results.
+    frame_cfg: FrameConfig
+    payload: np.ndarray = field(repr=False)
+    ofdm_cfg: OfdmPilotConfig
+    ofdm_payload: np.ndarray = field(repr=False)
+    Hf: np.ndarray = field(repr=False)
+    Nf: np.ndarray = field(repr=False)
+
+    def received(self, Xf: np.ndarray) -> np.ndarray:
+        """Receive matrix of a block whose unitary DFT is Xf."""
+        return receive_spectrum(Xf, self.Hf, self.Nf)
+
+    def blind_received(self) -> np.ndarray:
+        """Receive matrix of the blind receivers' zero-padded pilot frame."""
+        frame = build_frame(self.frame_cfg, self.payload)
+        return self.received(DftOperator(self.frame_cfg.P).forward(frame.time_symbols))
+
+
+def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -> TrialDraw:
+    """Deterministic draws of one trial, shared by run_trial and trace_trial.
+
+    The order is fixed (blind payload, OFDM payload, channel, noise)
+    independent of the receiver selection, so enabling extra receivers
+    never changes results.
     """
-    if P is None:
-        P = cfg.seq_lengths[0]
     rng = _substream(cfg.seed, P, snr_db, trial_index)
-    noise_var = snr_db_to_noise_variance(snr_db)
-
     frame_cfg = FrameConfig(P=P, L=cfg.L, M=cfg.M)
     payload = rng.integers(0, 2, size=frame_cfg.payload_bits)
     ofdm_cfg = cfg.ofdm_config(P)
     ofdm_payload = rng.integers(0, 2, size=ofdm_cfg.payload_bits)
     ch = draw_channel(PowerDelayProfile.geometric(cfg.L, cfg.pdp_ratio), cfg.Nr, rng)
-    noise = complex_noise((P, cfg.Nr), noise_var, rng)
+    noise = complex_noise((P, cfg.Nr), snr_db_to_noise_variance(snr_db), rng)
+    return TrialDraw(
+        frame_cfg=frame_cfg,
+        payload=payload,
+        ofdm_cfg=ofdm_cfg,
+        ofdm_payload=ofdm_payload,
+        Hf=frequency_response(ch, P),
+        Nf=DftOperator(P).forward(noise),
+    )
 
+
+def run_trial(cfg: SimulationConfig, snr_db: float, trial_index: int, P: int | None = None) -> TrialRecord:
+    """One frame end to end for every selected receiver.
+
+    Deterministic in (cfg.seed, P, snr_db, trial_index); see draw_trial.
+    The three blind variants share one factorization of the same receive
+    matrix, and the OFDM baseline sees the same channel and noise applied
+    to its own block, whose symbols are already its unitary DFT.
+    """
+    if P is None:
+        P = cfg.seq_lengths[0]
+    draw = draw_trial(cfg, P, snr_db, trial_index)
+    frame_cfg, payload = draw.frame_cfg, draw.payload
     record = TrialRecord(P=P, snr_db=snr_db, trial_index=trial_index)
     selected = cfg.selected()
-    dft = DftOperator(P)
 
     blind_selected = [r for r in selected if r != "mrc_ofdm"]
     if blind_selected:
-        frame = build_frame(frame_cfg, payload)
-        Y = convolve_channel(frame.time_symbols, ch) + noise
         modes = tuple(_BLIND_MODE[r] for r in blind_selected)
         try:
-            decoded = decode_frame(dft.forward(Y), frame_cfg, cfg.blind_config(), modes)
+            decoded = decode_frame(draw.blind_received(), frame_cfg, cfg.blind_config(), modes)
         except ReceiverError as err:
             for name in blind_selected:
                 record.results[name] = ReceiverTrial(failed=True, failure=str(err))
@@ -210,10 +262,10 @@ def run_trial(cfg: SimulationConfig, snr_db: float, trial_index: int, P: int | N
                 )
 
     if "mrc_ofdm" in selected:
-        x_time = ofdm_time_signal(ofdm_transmit(ofdm_payload, ofdm_cfg))
-        Y = convolve_channel(x_time, ch) + noise
+        ofdm_cfg, ofdm_payload = draw.ofdm_cfg, draw.ofdm_payload
+        Yf = draw.received(ofdm_transmit(ofdm_payload, ofdm_cfg))
         try:
-            bits, _ = ofdm_mrc_receive(dft.forward(Y), ofdm_cfg)
+            bits, _ = ofdm_mrc_receive(Yf, ofdm_cfg)
             record.results["mrc_ofdm"] = ReceiverTrial(
                 bits=ofdm_payload.size,
                 errors=int(np.count_nonzero(bits != ofdm_payload)),
@@ -397,20 +449,10 @@ class ResidualTrace:
 
 
 def trace_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -> np.ndarray:
-    """Residual trace of the blind factorization on one frame (shares the
-    substream, hence the exact channel/noise draws, with run_trial)."""
-    rng = _substream(cfg.seed, P, snr_db, trial_index)
-    noise_var = snr_db_to_noise_variance(snr_db)
-    frame_cfg = FrameConfig(P=P, L=cfg.L, M=cfg.M)
-    payload = rng.integers(0, 2, size=frame_cfg.payload_bits)
-    rng.integers(0, 2, size=cfg.ofdm_config(P).payload_bits)
-    ch = draw_channel(PowerDelayProfile.geometric(cfg.L, cfg.pdp_ratio), cfg.Nr, rng)
-    noise = complex_noise((P, cfg.Nr), noise_var, rng)
-
-    frame = build_frame(frame_cfg, payload)
-    Y = convolve_channel(frame.time_symbols, ch) + noise
-    est = alternating_minimization(DftOperator(P).forward(Y), cfg.blind_config())
-    return est.residual_trace
+    """Residual trace of the blind factorization on one frame (the same
+    draws, hence the same receive matrix, as run_trial)."""
+    draw = draw_trial(cfg, P, snr_db, trial_index)
+    return alternating_minimization(draw.blind_received(), cfg.blind_config()).residual_trace
 
 
 def _trace_task(args):

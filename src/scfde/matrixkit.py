@@ -1,5 +1,6 @@
 """Numerical kernel: unitary DFT ops, circulant eigenvalues, dominant
-singular vector, and ridge-regularized least squares.
+singular vector (Gram eigendecomposition), and ridge-regularized least
+squares.
 
 DFT convention. The unitary matrix F[k, n] = exp(-2j*pi*k*n/P) / sqrt(P)
 is used for all forward/inverse transforms, while the eigenvalues of the
@@ -17,8 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import ConvergenceError
 
 
 @lru_cache(maxsize=None)
@@ -58,49 +57,26 @@ def circulant_eigenvalues(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.asarray(x, dtype=complex).ravel())
 
 
-def top_left_singular_vector(
-    Yf: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-) -> np.ndarray:
-    """Dominant left singular vector of Yf by power iteration on Yf Yf^H.
+def top_left_singular_vector(Yf: np.ndarray) -> np.ndarray:
+    """Dominant left singular vector of Yf from one Hermitian
+    eigendecomposition of the smaller Gram matrix.
 
-    Matrix-free: each step costs O(P * Nr). Starts from the first column of
-    Yf (e_1 if that column is zero) and stops when the relative eigen-residual
-    ||Yf Yf^H u - rho u|| <= tol * rho holds for rho = ||Yf^H u||^2.
-
-    The returned vector has unit norm and unspecified global phase. Raises
-    ConvergenceError (carrying the last iterate as ``estimate``) when the
-    residual target is not met within max_iter steps, which signals a
-    degenerate or near-tied singular spectrum.
+    With P >= Nr the top eigenvector v of the Nr x Nr matrix Yf^H Yf gives
+    u = Yf v / ||Yf v||; with P < Nr, u is the top eigenvector of the P x P
+    matrix Yf Yf^H directly. The result does not depend on how the columns
+    of Yf are ordered or rotated (up to phase), has unit norm and an
+    unspecified global phase.
     """
     Yf = np.asarray(Yf, dtype=complex)
     if Yf.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {Yf.shape}")
-    norm0 = np.linalg.norm(Yf[:, 0])
-    if norm0 > 0:
-        u = Yf[:, 0] / norm0
-    else:
-        if not np.any(Yf):
-            raise ValueError("matrix is zero; no dominant singular vector")
-        u = np.zeros(Yf.shape[0], dtype=complex)
-        u[0] = 1.0
-    for _ in range(max_iter):
-        v = Yf.conj().T @ u
-        w = Yf @ v
-        rho = np.linalg.norm(v) ** 2
-        if rho == 0.0:
-            # u fell in the left null space: restart from a fresh direction
-            u = np.roll(u, 1)
-            continue
-        if np.linalg.norm(w - rho * u) <= tol * rho:
-            return u
-        u = w / np.linalg.norm(w)
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} steps "
-        "(near-tied dominant singular values?)",
-        estimate=u,
-    )
+    if not np.any(Yf):
+        raise ValueError("matrix is zero; no dominant singular vector")
+    P, Nr = Yf.shape
+    if P < Nr:
+        return np.linalg.eigh(Yf @ Yf.conj().T)[1][:, -1]
+    u = Yf @ np.linalg.eigh(Yf.conj().T @ Yf)[1][:, -1]
+    return u / np.linalg.norm(u)
 
 
 def regularized_ls(A: np.ndarray, Yf: np.ndarray, mu: float) -> np.ndarray:
@@ -113,6 +89,7 @@ def regularized_ls(A: np.ndarray, Yf: np.ndarray, mu: float) -> np.ndarray:
     if mu < 0:
         raise ValueError(f"regularization must be >= 0, got {mu}")
     A = np.asarray(A, dtype=complex)
-    gram = A.conj().T @ A
-    gram[np.diag_indices_from(gram)] += mu
-    return np.linalg.solve(gram, A.conj().T @ Yf)
+    A_h = A.conj().T
+    gram = A_h @ A
+    gram.flat[:: gram.shape[0] + 1] += mu
+    return np.linalg.solve(gram, A_h @ Yf)

@@ -94,7 +94,7 @@ def test_flat_channel_noiseless_recovery():
     Yf = DftOperator(64).forward(convolve_channel(frame.time_symbols, ch))
     est = alternating_minimization(Yf, BlindConfig(L_est=1))
     assert est.converged
-    recon = est.lambda_hat[:, None] * est.H_n_hat
+    recon = est.lambda_hat[:, None] * (dft_first_columns(64, 1) @ est.H_t_hat)
     assert np.linalg.norm(Yf - recon) / np.linalg.norm(Yf) < 1e-6
     x_hat = to_time_domain(est.lambda_hat)
     x = frame.time_symbols
@@ -117,8 +117,11 @@ def test_noiseless_two_tap_residual_frozen_instance():
 def test_estimate_internal_consistency():
     cfg, _, _, _, Yf = noiseless_setup(128, 3, 4, 16, seed=4)
     est = alternating_minimization(Yf, BlindConfig(L_est=3, max_iter=30))
+    # the closed-form residual of the last step equals the direct one
     F_L = dft_first_columns(128, 3)
-    assert np.linalg.norm(est.H_n_hat - F_L @ est.H_t_hat) < 1e-10
+    recon = est.lambda_hat[:, None] * (F_L @ est.H_t_hat)
+    direct = np.linalg.norm(Yf - recon) / np.linalg.norm(Yf)
+    assert abs(direct - est.residual_trace[-1]) < 1e-10
     assert est.iterations == len(est.residual_trace) <= 30
     assert np.all(np.isfinite(est.residual_trace))
     assert np.all(est.residual_trace >= 0)
@@ -260,6 +263,25 @@ def test_decode_frame_shares_estimate_and_scales_exactly():
         extract_data(cfg, result.corrections["pilot"].x_corrected), cfg.M
     )
     assert np.array_equal(bits, payload)
+
+
+def test_decode_frame_invariant_under_unitary_antenna_rotation():
+    # Yf @ V, V the eigenvectors of Yf^H Yf in ascending order, is the same
+    # receive matrix seen through rotated antennas, with its weakest direction
+    # in the first column; the decisions must not change
+    rng = np.random.default_rng(14)
+    blind = BlindConfig(L_est=4)
+    for seed in (15, 16):
+        cfg, payload, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=seed)
+        Yf = Yf + 0.1 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
+        V = np.linalg.eigh(Yf.conj().T @ Yf)[1]
+        decisions = []
+        for received in (Yf, Yf @ V):
+            result = decode_frame(received, cfg, blind, modes=("pilot",))
+            x = result.corrections["pilot"].x_corrected
+            decisions.append(qam_demodulate(extract_data(cfg, x), cfg.M)[0])
+        assert np.array_equal(decisions[0], decisions[1])
+        assert np.count_nonzero(decisions[0] != payload) < payload.size // 100
 
 
 def test_decode_frame_rejects_unknown_mode():

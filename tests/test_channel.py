@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scfde.baseline_rx import ofdm_time_signal
 from scfde.channel import (
     ChannelRealization,
     PowerDelayProfile,
     apply_channel,
+    complex_noise,
     convolve_channel,
     draw_channel,
+    frequency_response,
+    receive_spectrum,
     snr_db_to_noise_variance,
 )
+from scfde.matrixkit import DftOperator
 
 
 def direct_circular_convolution(x, h):
@@ -143,3 +150,50 @@ def test_channel_longer_than_frame_rejected():
 def test_antenna_count_validated():
     with pytest.raises(ValueError):
         draw_channel(PowerDelayProfile.geometric(2), 0, np.random.default_rng(0))
+
+
+def test_complex_noise_matches_two_block_reference():
+    # real parts take the first block of draws, imaginary parts the second
+    shape = (37, 5)
+    w = complex_noise(shape, 0.37, np.random.default_rng(31))
+    rng = np.random.default_rng(31)
+    ref = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.37 / 2.0)
+    assert np.array_equal(w, ref)
+
+
+def test_frequency_response_is_unnormalized_tap_dft():
+    ch = draw_channel(PowerDelayProfile.geometric(5), 3, np.random.default_rng(37))
+    Hf = frequency_response(ch, 24)
+    assert np.allclose(Hf, np.fft.fft(ch.taps, n=24, axis=0), rtol=1e-13, atol=1e-13)
+    with pytest.raises(ValueError):
+        frequency_response(ch, 4)
+
+
+def relative_error(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    P=st.integers(2, 96),
+    Nr=st.integers(1, 6),
+    L=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_receive_spectrum_matches_time_domain_reference(P, Nr, L, seed):
+    L = min(L, P)
+    rng = np.random.default_rng(seed)
+    ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
+    noise = complex_noise((P, Nr), 0.2, rng)
+    dft = DftOperator(P)
+    Hf, Nf = frequency_response(ch, P), dft.forward(noise)
+
+    # single-carrier block: the receiver sees the DFT of its time samples
+    x = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    reference = dft.forward(convolve_channel(x, ch) + noise)
+    assert relative_error(receive_spectrum(dft.forward(x), Hf, Nf), reference) < 1e-12
+
+    # OFDM block: the symbols are the spectrum of the transmitted samples
+    Xf = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    reference = dft.forward(convolve_channel(ofdm_time_signal(Xf), ch) + noise)
+    assert relative_error(receive_spectrum(Xf, Hf, Nf), reference) < 1e-12

@@ -96,6 +96,17 @@ def test_exit_code_2_on_config_errors(capsys):
     assert main(["sweep", "--config", "/nonexistent.cfg"]) == 2
 
 
+def test_exit_code_2_on_invalid_combinations(capsys):
+    # each is rejected while the configuration is built, before any trial
+    assert main(["sweep", "--seq-len", "16", "--taps", "9"]) == 2  # frame too short
+    assert main(["sweep", "--seq-len", "64", "--taps-est", "40"]) == 2  # P <= 2 L_est
+    assert main(["sweep", "--snr", "nan"]) == 2
+    assert main(["sweep", "--mod-order", "32"]) == 2
+    assert main(["sweep", "--mu", "0"]) == 2
+    assert main(["trace", "--mu", "0"]) == 2
+    assert main(["sweep", "--eps", "nan"]) == 2
+
+
 def test_exit_code_3_on_unwritable_output(tmp_path, capsys):
     blocker = tmp_path / "file.txt"
     blocker.write_text("x")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfde.constellation import (
     SUPPORTED_ORDERS,
@@ -74,6 +76,39 @@ def test_demodulate_matches_exhaustive_nearest_neighbor():
         for s, h in zip(samples, hard):
             best = min(range(M), key=lambda i: (abs(s - const.points[i]) ** 2, i))
             assert h == const.points[best]
+
+
+def exhaustive_decisions(symbols, M):
+    """Oracle: argmin of |s - p|^2 over every point, first index on ties."""
+    points = get_constellation(M).points
+    return (np.abs(symbols[:, None] - points[None, :]) ** 2).argmin(axis=1)
+
+
+def coordinates(M):
+    """Random coordinates, including beyond the grid, and coordinates placed
+    exactly on decision boundaries: the origin and the midpoints of adjacent
+    levels, as the exact midpoint or as 2k times the level scale."""
+    levels = np.unique(get_constellation(M).points.real)
+    scale = np.sqrt(3.0 / (2.0 * (M - 1)))
+    m = levels.size
+    return st.one_of(
+        st.floats(-1.6, 1.6),
+        st.integers(0, m - 2).map(lambda k: float((levels[k] + levels[k + 1]) / 2.0)),
+        st.integers(-(m // 2), m // 2).map(lambda k: 2.0 * k * scale),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.sampled_from(SUPPORTED_ORDERS), data=st.data())
+def test_slicer_matches_exhaustive_search(M, data):
+    coord = coordinates(M)
+    pairs = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    symbols = np.array([complex(re, im) for re, im in pairs])
+    bits, hard = qam_demodulate(symbols, M)
+    index = exhaustive_decisions(symbols, M)
+    k = get_constellation(M).bits_per_symbol
+    assert np.array_equal(hard, get_constellation(M).points[index])
+    assert np.array_equal(bits, ((index[:, None] >> np.arange(k - 1, -1, -1)) & 1).ravel())
 
 
 def test_demodulate_within_half_minimum_distance():

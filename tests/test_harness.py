@@ -3,11 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scfde.baseline_rx import ofdm_time_signal, ofdm_transmit
+from scfde.channel import (
+    PowerDelayProfile,
+    complex_noise,
+    convolve_channel,
+    draw_channel,
+    snr_db_to_noise_variance,
+)
+from scfde.frame import FrameConfig, build_frame
 from scfde.harness import (
     BerPoint,
     SimulationConfig,
+    _substream,
     aggregate,
     check_ber_monotonicity,
+    draw_trial,
     render_csv,
     render_trace_csv,
     residual_trace,
@@ -15,6 +26,7 @@ from scfde.harness import (
     sweep,
     trace_trial,
 )
+from scfde.matrixkit import DftOperator
 
 SMALL = SimulationConfig(
     seq_lengths=(64,),
@@ -60,6 +72,40 @@ def test_near_noiseless_trial_is_error_free():
     assert not trial.failed
     assert trial.errors == 0
     assert trial.bits > 0
+
+
+def test_draw_trial_matches_time_domain_reference():
+    # the frequency-domain receive matrices equal the DFT of the time-domain
+    # propagation of the same draws, taken in the documented order
+    rng = np.random.default_rng(41)
+    for trial in range(12):
+        P = int(2 ** rng.integers(4, 10))
+        Nr = int(rng.integers(1, 9))
+        L = int(rng.integers(1, min(8, P // 4) + 1))
+        cfg = SimulationConfig(
+            seq_lengths=(P,), L=L, L_est=L, Nr=Nr, M=16, snr_db_list=(5.0,), seed=trial
+        )
+        draw = draw_trial(cfg, P, 5.0, trial)
+
+        ref = _substream(cfg.seed, P, 5.0, trial)
+        frame_cfg = FrameConfig(P=P, L=L, M=16)
+        payload = ref.integers(0, 2, size=frame_cfg.payload_bits)
+        ofdm_payload = ref.integers(0, 2, size=cfg.ofdm_config(P).payload_bits)
+        ch = draw_channel(PowerDelayProfile.geometric(L, cfg.pdp_ratio), Nr, ref)
+        noise = complex_noise((P, Nr), snr_db_to_noise_variance(5.0), ref)
+        assert np.array_equal(draw.payload, payload)
+        assert np.array_equal(draw.ofdm_payload, ofdm_payload)
+
+        dft = DftOperator(P)
+        x = build_frame(frame_cfg, payload).time_symbols
+        blind_ref = dft.forward(convolve_channel(x, ch) + noise)
+        blind = draw.blind_received()
+        assert np.linalg.norm(blind - blind_ref) / np.linalg.norm(blind_ref) < 1e-12
+
+        Xf = ofdm_transmit(ofdm_payload, draw.ofdm_cfg)
+        ofdm_ref = dft.forward(convolve_channel(ofdm_time_signal(Xf), ch) + noise)
+        ofdm = draw.received(Xf)
+        assert np.linalg.norm(ofdm - ofdm_ref) / np.linalg.norm(ofdm_ref) < 1e-12
 
 
 def test_sweep_single_cell_single_row():
@@ -198,6 +244,12 @@ def test_config_validation():
         SimulationConfig(seed=-1)
     with pytest.raises(ValueError):
         SimulationConfig(receivers=())
+    with pytest.raises(ValueError):
+        SimulationConfig(Nr=0)
+    with pytest.raises(ValueError):
+        SimulationConfig(pdp_ratio=0.0)
+    with pytest.raises(ValueError):
+        SimulationConfig(ofdm_taps=0)
 
 
 def test_selected_receivers_canonical_order():
