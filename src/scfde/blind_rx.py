@@ -20,7 +20,12 @@ import numpy as np
 from .constellation import Constellation, get_constellation, qam_demodulate
 from .errors import DegenerateBinError, PilotLossError, ReceiverError
 from .frame import FrameConfig
-from .matrixkit import dft_first_columns, regularized_ls, top_left_singular_vector
+from .matrixkit import (
+    dft_first_columns,
+    dft_row_energies,
+    dft_weighted_gram,
+    top_left_singular_vector,
+)
 
 CORRECTION_MODES = ("pilot", "ca", "qq")
 
@@ -107,21 +112,24 @@ def _am_step(
     """One AM iteration: the ridge channel solve given the spectrum lam, then
     the per-bin MRC update of the spectrum given that channel.
 
-    Works in P x L arrays (two streaming passes over Yf): with
-    G = Yf @ H_t^H the MRC numerator is sum_l conj(F) * G per bin, the
-    denominator is the diagonal of F (H_t H_t^H) F^H, and the post-update
-    residual follows from MRC optimality,
+    Only two products touch all of Yf, A^H Yf and Yf H_t^H (P x L x Nr
+    each, with A = diag(lam) F_L); the rest is O(P L) because F_L holds DFT
+    columns: the ridge Gram A^H A + mu I is Hermitian Toeplitz
+    (dft_weighted_gram), and so is the MRC denominator, the diagonal of
+    F_L (H_t H_t^H) F_L^H (dft_row_energies). The MRC numerator is
+    sum_l conj(F) * (Yf H_t^H) per bin, and the post-update residual follows
+    from MRC optimality,
     ||Yf - diag(lam) F H_t||^2 = ||Yf||^2 - sum_p |num_p|^2 / den_p.
 
     Returns (updated lam, H_t, relative residual); energy is ||Yf||_F^2.
     Raises DegenerateBinError where the per-bin channel vanishes.
     """
-    H_t = regularized_ls(lam[:, None] * F_L, Yf, mu)
-    H_h = H_t.conj().T
-    num = ((Yf @ H_h) * F_conj).sum(axis=1)
-    den = ((F_L @ (H_t @ H_h)) * F_conj).real.sum(axis=1)
-    if not den.all():
-        raise DegenerateBinError(int(np.flatnonzero(den == 0.0)[0]))
+    gram = dft_weighted_gram(lam.real**2 + lam.imag**2, F_conj, mu)
+    H_t = np.linalg.solve(gram, (lam.conj()[:, None] * F_conj).T @ Yf)
+    num = np.einsum("pl,pl->p", Yf @ H_t.conj().T, F_conj)
+    den = dft_row_energies(H_t, F_L)
+    if den.min() <= 0.0:
+        raise DegenerateBinError(int(np.flatnonzero(den <= 0.0)[0]))
     fit = float(((num.real**2 + num.imag**2) / den).sum())
     return num / den, H_t, np.sqrt(max(energy - fit, 0.0) / energy)
 

@@ -206,10 +206,7 @@ def main(argv=None) -> int:
                 )
                 return EXIT_ALL_FAILED
         else:
-            rows = []
-            for snr_db in cfg.snr_db_list:
-                rows.extend(residual_trace(cfg, snr_db))
-            text = render_trace_csv(cfg, rows)
+            text = render_trace_csv(cfg, residual_trace(cfg))
             if cfg.out_path is None:
                 sys.stdout.write(text)
             else:

@@ -111,13 +111,6 @@ class Constellation:
         return complex(np.mean(self.points[sel]))
 
 
-def qpsk_anchors() -> np.ndarray:
-    """The four unit-modulus QPSK points at angles pi/4 + (q-1)*pi/2,
-    ordered by quadrant q = 1..4."""
-    a1 = (1 + 1j) / np.sqrt(2.0)
-    return np.array([a1 * (1j ** k) for k in range(4)])
-
-
 _CACHE: dict[int, Constellation] = {}
 
 

@@ -90,6 +90,12 @@ class SimulationConfig:
             raise ValueError("workers must be >= 1")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ValueError(f"SNRs must be finite, got {self.snr_db_list}")
+        keys = [_snr_key(snr) for snr in self.snr_db_list]
+        if len(set(keys)) < len(keys):
+            raise ValueError(
+                f"SNRs {self.snr_db_list} repeat at 1e-3 dB resolution, so their "
+                "cells would share random draws"
+            )
         if self.Nr < 1:
             raise ValueError(f"antenna count must be >= 1, got {self.Nr}")
         # build every per-P plan now, so an invalid combination is reported
@@ -168,9 +174,13 @@ class BerPoint:
     mean_final_residual: float
 
 
+def _snr_key(snr_db: float) -> int:
+    """The SNR's share of a trial's stream key (1e-3 dB resolution)."""
+    return int(round(snr_db * 1000.0)) & 0xFFFFFFFF
+
+
 def _substream(seed: int, P: int, snr_db: float, trial_index: int) -> np.random.Generator:
-    snr_key = int(round(snr_db * 1000.0)) & 0xFFFFFFFF
-    return np.random.default_rng(np.random.SeedSequence([seed, P, snr_key, trial_index]))
+    return np.random.default_rng(np.random.SeedSequence([seed, P, _snr_key(snr_db), trial_index]))
 
 
 @dataclass(frozen=True)
@@ -281,14 +291,24 @@ def _trial_task(args):
     return run_trial(cfg, snr_db, trial_index, P)
 
 
-def _run_point(cfg: SimulationConfig, P: int, snr_db: float, pool) -> list[TrialRecord]:
-    tasks = [(cfg, snr_db, i, P) for i in range(cfg.frames_per_point)]
-    if pool is None:
-        records = [_trial_task(t) for t in tasks]
+def _map_cells(cfg: SimulationConfig, task, cells: list) -> list[list]:
+    """task((cfg, snr_db, trial_index, P)) for every trial of every (P, snr_db)
+    cell; returns one list per cell, in cell order, with its trials in order.
+
+    All tasks go through one pool map (cfg.workers > 1), largest P first so
+    the longest frames start early and the short ones fill the tail; the
+    result order never depends on the schedule.
+    """
+    order = sorted(cells, key=lambda cell: -cell[0])
+    n = cfg.frames_per_point
+    tasks = [(cfg, snr_db, i, P) for P, snr_db in order for i in range(n)]
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(task, tasks, chunksize=1))
     else:
-        records = list(pool.map(_trial_task, tasks, chunksize=1))
-    records.sort(key=lambda r: r.trial_index)
-    return records
+        results = [task(t) for t in tasks]
+    by_cell = {cell: results[k * n : (k + 1) * n] for k, cell in enumerate(order)}
+    return [by_cell[cell] for cell in cells]
 
 
 def aggregate(cfg: SimulationConfig, P: int, snr_db: float, records: list[TrialRecord]) -> list[BerPoint]:
@@ -376,37 +396,32 @@ def sweep(cfg: SimulationConfig) -> list[BerPoint]:
     Trials may run on a process pool (cfg.workers > 1); aggregation is
     order-independent so the output bytes never depend on the worker count.
     """
+    cells = [(P, snr_db) for P in cfg.seq_lengths for snr_db in cfg.snr_db_list]
     points: list[BerPoint] = []
     dump_rows: list[str] = []
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        for P in cfg.seq_lengths:
-            for snr_db in cfg.snr_db_list:
-                records = _run_point(cfg, P, snr_db, pool)
-                points.extend(aggregate(cfg, P, snr_db, records))
-                if cfg.dump_path is not None:
-                    for rec in records:
-                        for name in cfg.selected():
-                            t = rec.results[name]
-                            dump_rows.append(
-                                ",".join(
-                                    _fmt(v)
-                                    for v in (
-                                        P,
-                                        snr_db,
-                                        rec.trial_index,
-                                        name,
-                                        int(t.failed),
-                                        t.bits,
-                                        t.errors,
-                                        t.iterations if t.iterations is not None else float("nan"),
-                                        t.final_residual if t.final_residual is not None else float("nan"),
-                                    )
-                                )
-                            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for (P, snr_db), records in zip(cells, _map_cells(cfg, _trial_task, cells)):
+        points.extend(aggregate(cfg, P, snr_db, records))
+        if cfg.dump_path is None:
+            continue
+        for rec in records:
+            for name in cfg.selected():
+                t = rec.results[name]
+                dump_rows.append(
+                    ",".join(
+                        _fmt(v)
+                        for v in (
+                            P,
+                            snr_db,
+                            rec.trial_index,
+                            name,
+                            int(t.failed),
+                            t.bits,
+                            t.errors,
+                            t.iterations if t.iterations is not None else float("nan"),
+                            t.final_residual if t.final_residual is not None else float("nan"),
+                        )
+                    )
+                )
 
     check_ber_monotonicity(points)
     if cfg.out_path is not None:
@@ -456,29 +471,22 @@ def trace_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) 
 
 
 def _trace_task(args):
-    return trace_trial(*args)
+    cfg, snr_db, trial_index, P = args
+    return trace_trial(cfg, P, snr_db, trial_index)
 
 
-def residual_trace(cfg: SimulationConfig, snr_db: float) -> list[ResidualTrace]:
-    """Mean per-iteration normalized error for each configured sequence
-    length. Frames that stop early hold their final value in the average."""
+def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:
+    """Mean per-iteration normalized error for each configured SNR and, within
+    it, each sequence length. Frames that stop early hold their final value in
+    the average."""
+    cells = [(P, snr_db) for snr_db in cfg.snr_db_list for P in cfg.seq_lengths]
     traces: list[ResidualTrace] = []
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        for P in cfg.seq_lengths:
-            tasks = [(cfg, P, snr_db, i) for i in range(cfg.frames_per_point)]
-            if pool is None:
-                runs = [_trace_task(t) for t in tasks]
-            else:
-                runs = list(pool.map(_trace_task, tasks, chunksize=1))
-            depth = max(len(r) for r in runs)
-            padded = np.vstack([
-                np.concatenate([r, np.full(depth - len(r), r[-1])]) for r in runs
-            ])
-            traces.append(ResidualTrace(P=P, snr_db=snr_db, errors=padded.mean(axis=0)))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for (P, snr_db), runs in zip(cells, _map_cells(cfg, _trace_task, cells)):
+        depth = max(len(r) for r in runs)
+        padded = np.vstack([
+            np.concatenate([r, np.full(depth - len(r), r[-1])]) for r in runs
+        ])
+        traces.append(ResidualTrace(P=P, snr_db=snr_db, errors=padded.mean(axis=0)))
     return traces
 
 

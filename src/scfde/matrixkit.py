@@ -1,6 +1,6 @@
 """Numerical kernel: unitary DFT ops, circulant eigenvalues, dominant
-singular vector (Gram eigendecomposition), and ridge-regularized least
-squares.
+singular vector (Gram eigendecomposition), ridge-regularized least squares,
+and the O(P L) Toeplitz forms of the quadratic products of F_L.
 
 DFT convention. The unitary matrix F[k, n] = exp(-2j*pi*k*n/P) / sqrt(P)
 is used for all forward/inverse transforms, while the eigenvalues of the
@@ -47,9 +47,6 @@ class DftOperator:
     def inverse(self, a: np.ndarray) -> np.ndarray:
         return np.fft.ifft(np.asarray(a, dtype=complex), axis=0) * self._root
 
-    def first_columns(self, L: int) -> np.ndarray:
-        return dft_first_columns(self.P, L)
-
 
 def circulant_eigenvalues(x: np.ndarray) -> np.ndarray:
     """Eigenvalues of the circulant matrix whose first column is x, ordered
@@ -93,3 +90,50 @@ def regularized_ls(A: np.ndarray, Yf: np.ndarray, mu: float) -> np.ndarray:
     gram = A_h @ A
     gram.flat[:: gram.shape[0] + 1] += mu
     return np.linalg.solve(gram, A_h @ Yf)
+
+
+@lru_cache(maxsize=None)
+def _toeplitz_tables(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables for L x L Hermitian Toeplitz matrices (read-only cache).
+
+    gather[l, m] = l - m + L - 1 picks entry (l, m) from the stacked lags
+    (conj(c_{L-1}), ..., conj(c_1), c_0, c_1, ..., c_{L-1}); row k of the
+    0/1 matrix sums adds up the k-th lower diagonal of a flattened L x L
+    matrix.
+    """
+    taps = np.arange(L)
+    lag = taps[:, None] - taps[None, :]
+    sums = (lag.ravel()[None, :] == taps[:, None]).astype(complex)
+    gather = lag + L - 1
+    gather.flags.writeable = False
+    sums.flags.writeable = False
+    return gather, sums
+
+
+def dft_weighted_gram(w: np.ndarray, F_conj: np.ndarray, mu: float = 0.0) -> np.ndarray:
+    """F_L^H diag(w) F_L + mu I for real weights w, in O(P L).
+
+    F_conj is conj(dft_first_columns(P, L)). Because F_L holds DFT columns,
+    F_L^H diag(w) F_L is Hermitian Toeplitz with first column
+    c_k = sum_p w_p exp(2j pi p k / P) / P = (w @ F_conj)_k / sqrt(P).
+    """
+    P, L = F_conj.shape
+    c = (w @ F_conj) / np.sqrt(P)
+    c[0] += mu  # lag 0 is the diagonal
+    return np.concatenate((c[:0:-1].conj(), c))[_toeplitz_tables(L)[0]]
+
+
+def dft_row_energies(B: np.ndarray, F_L: np.ndarray) -> np.ndarray:
+    """Squared row norms ||(F_L B)_p||^2 of F_L @ B, in O(P L) beyond B B^H.
+
+    F_L is dft_first_columns(P, L) and B has L rows. The p-th diagonal entry
+    of F_L (B B^H) F_L^H is Re(sum_k d'_k exp(-2j pi p k / P)) / P, where
+    d_k sums the k-th lower diagonal of B B^H and d' = (d_0, 2 d_1, ...,
+    2 d_{L-1}) folds in the conjugate upper diagonals. The rounding error
+    scales with the mean row energy, not with each row's own, so a vanishing
+    row can come out slightly negative.
+    """
+    P, L = F_L.shape
+    d = _toeplitz_tables(L)[1] @ (B @ B.conj().T).ravel()
+    d[1:] *= 2
+    return (F_L @ d).real / np.sqrt(P)

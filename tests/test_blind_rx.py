@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfde.blind_rx import (
     BlindConfig,
+    _am_step,
     alternating_minimization,
     centroids_adjust,
     decode_frame,
@@ -15,7 +18,12 @@ from scfde.channel import ChannelRealization, PowerDelayProfile, convolve_channe
 from scfde.constellation import get_constellation, qam_demodulate, qam_modulate
 from scfde.errors import DegenerateBinError, PilotLossError
 from scfde.frame import FrameConfig, build_frame, extract_data, random_payload
-from scfde.matrixkit import DftOperator, circulant_eigenvalues, dft_first_columns
+from scfde.matrixkit import (
+    DftOperator,
+    circulant_eigenvalues,
+    dft_first_columns,
+    regularized_ls,
+)
 
 
 def noiseless_setup(P, L, Nr, M, seed):
@@ -125,6 +133,55 @@ def test_estimate_internal_consistency():
     assert est.iterations == len(est.residual_trace) <= 30
     assert np.all(np.isfinite(est.residual_trace))
     assert np.all(est.residual_trace >= 0)
+
+
+def dense_am_step(Yf, lam, F_L, mu, energy):
+    """Reference AM iteration: the dense ridge solve on A = diag(lam) F_L,
+    then MRC against the explicit per-bin channel F_L H_t."""
+    H_t = regularized_ls(lam[:, None] * F_L, Yf, mu)
+    Hn = F_L @ H_t
+    num = (Yf * Hn.conj()).sum(axis=1)
+    den = (np.abs(Hn) ** 2).sum(axis=1)
+    fit = float((np.abs(num) ** 2 / den).sum())
+    return num / den, H_t, np.sqrt(max(energy - fit, 0.0) / energy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(1, 9),
+    extra=st.integers(1, 60),
+    Nr=st.integers(1, 80),
+    mu=st.sampled_from([0.01, 0.5, 0.99]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
+    P = 2 * L + extra  # Nr > P happens too
+    rng = np.random.default_rng(seed)
+    Yf = rng.standard_normal((P, Nr)) + 1j * rng.standard_normal((P, Nr))
+    lam = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    F_L = dft_first_columns(P, L)
+    energy = float(np.linalg.norm(Yf) ** 2)
+    lam_new, H_t, residual = _am_step(Yf, lam, F_L, F_L.conj(), mu, energy)
+    lam_ref, H_ref, residual_ref = dense_am_step(Yf, lam, F_L, mu, energy)
+    # the Toeplitz MRC denominator is exact to rounding of the mean bin energy,
+    # not of each bin's own, so a bin whose channel nearly vanishes (likely at
+    # Nr = 1) loses accuracy by the ratio of the two
+    den_ref = np.linalg.norm(F_L @ H_ref, axis=1) ** 2
+    depth = max(1.0, den_ref.mean() / den_ref.min())
+    assert np.linalg.norm(lam_new - lam_ref) <= 1e-12 * depth * np.linalg.norm(lam_ref)
+    assert np.linalg.norm(H_t - H_ref) <= 1e-12 * np.linalg.norm(H_ref)
+    # compared squared: at a perfect fit (Nr = 1) both residuals are square
+    # roots of a rounding-level difference of energies
+    assert abs(residual**2 - residual_ref**2) <= 1e-12
+
+
+def test_am_step_zero_spectrum_raises_at_bin_zero():
+    P, L, Nr = 16, 3, 4
+    Yf = np.ones((P, Nr), dtype=complex)
+    F_L = dft_first_columns(P, L)
+    with pytest.raises(DegenerateBinError) as info:
+        _am_step(Yf, np.zeros(P, dtype=complex), F_L, F_L.conj(), 0.5, float(P * Nr))
+    assert info.value.bin_index == 0
 
 
 def test_alternating_minimization_preconditions():

@@ -105,6 +105,7 @@ def test_exit_code_2_on_invalid_combinations(capsys):
     assert main(["sweep", "--mu", "0"]) == 2
     assert main(["trace", "--mu", "0"]) == 2
     assert main(["sweep", "--eps", "nan"]) == 2
+    assert main(["sweep", "--snr", "7,7.0004"]) == 2  # SNRs share a substream
 
 
 def test_exit_code_3_on_unwritable_output(tmp_path, capsys):

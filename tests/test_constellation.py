@@ -8,7 +8,6 @@ from scfde.constellation import (
     get_constellation,
     qam_demodulate,
     qam_modulate,
-    qpsk_anchors,
 )
 
 
@@ -168,14 +167,6 @@ def test_quadrant_centroid_rotation_symmetry():
         for q in (1, 2, 3, 4):
             expected = c1 * np.exp(1j * (q - 1) * np.pi / 2.0)
             assert abs(const.quadrant_centroid(q) - expected) < 1e-12
-
-
-def test_qpsk_anchors_unit_modulus_exact_angles():
-    anchors = qpsk_anchors()
-    assert np.allclose(np.abs(anchors), 1.0, rtol=0, atol=1e-15)
-    for q in (1, 2, 3, 4):
-        expected = np.exp(1j * (np.pi / 4.0 + (q - 1) * np.pi / 2.0))
-        assert abs(anchors[q - 1] - expected) < 1e-15
 
 
 def test_invalid_order_rejected():

@@ -154,7 +154,10 @@ def test_split_runs_merge_to_single_run_totals():
 
 
 def test_csv_byte_identical_across_runs_and_workers():
-    cfg = dataclasses.replace(SMALL, frames_per_point=3)
+    # two lengths and two SNRs: the pool runs the larger P first
+    cfg = dataclasses.replace(
+        SMALL, seq_lengths=(32, 64), L_est=2, snr_db_list=(8.0, 14.0), frames_per_point=3
+    )
     text1 = render_csv(cfg, sweep(cfg))
     text2 = render_csv(cfg, sweep(cfg))
     text3 = render_csv(cfg, sweep(dataclasses.replace(cfg, workers=2)))
@@ -190,6 +193,37 @@ def test_dump_rows_reaggregate_to_csv(tmp_path):
         assert ber == pytest.approx(sums[receiver][1] / sums[receiver][0], rel=1e-10)
 
 
+def test_dump_rows_in_cell_and_trial_order_at_any_worker_count(tmp_path):
+    cfg = dataclasses.replace(
+        SMALL, seq_lengths=(32, 64), L_est=2, snr_db_list=(8.0, 14.0), frames_per_point=2
+    )
+    dumps = []
+    for workers in (1, 2):
+        dump = tmp_path / f"trials{workers}.csv"
+        sweep(dataclasses.replace(cfg, workers=workers, dump_path=str(dump)))
+        dumps.append(dump.read_text())
+    assert dumps[0] == dumps[1]
+    keys = [tuple(row.split(",")[:3]) for row in dumps[0].splitlines()[1:]]
+    expected = [
+        (str(P), format(snr, ".12g"), str(i))
+        for P in (32, 64)
+        for snr in (8.0, 14.0)
+        for i in range(2)
+        for _ in cfg.selected()
+    ]
+    assert keys == expected
+
+
+def test_trace_csv_byte_identical_across_workers():
+    cfg = dataclasses.replace(
+        SMALL, seq_lengths=(32, 64), L_est=2, snr_db_list=(8.0, 14.0), frames_per_point=3,
+        max_iter=20,
+    )
+    serial, pooled = (residual_trace(dataclasses.replace(cfg, workers=w)) for w in (1, 2))
+    assert render_trace_csv(cfg, serial) == render_trace_csv(cfg, pooled)
+    assert [(tr.snr_db, tr.P) for tr in pooled] == [(8.0, 32), (8.0, 64), (14.0, 32), (14.0, 64)]
+
+
 def test_trace_final_value_matches_receiver_residual():
     trace = trace_trial(SMALL, 64, 8.0, 1)
     record = run_trial(dataclasses.replace(SMALL, receivers=("blind_pilot",)), 8.0, 1)
@@ -199,15 +233,15 @@ def test_trace_final_value_matches_receiver_residual():
 
 
 def test_trace_noiseless_flat_channel_converges_fast():
-    cfg = dataclasses.replace(SMALL, L=1, L_est=1, frames_per_point=3)
-    traces = residual_trace(cfg, 300.0)
+    cfg = dataclasses.replace(SMALL, L=1, L_est=1, frames_per_point=3, snr_db_list=(300.0,))
+    traces = residual_trace(cfg)
     errors = traces[0].errors
     assert errors[min(len(errors), 10) - 1] < 1e-6
 
 
 def test_trace_is_finite_and_shaped():
     cfg = dataclasses.replace(SMALL, frames_per_point=2, max_iter=15)
-    traces = residual_trace(cfg, 8.0)
+    traces = residual_trace(cfg)
     assert len(traces) == 1
     assert traces[0].P == 64
     assert len(traces[0].errors) <= 15
@@ -250,6 +284,8 @@ def test_config_validation():
         SimulationConfig(pdp_ratio=0.0)
     with pytest.raises(ValueError):
         SimulationConfig(ofdm_taps=0)
+    with pytest.raises(ValueError):  # both SNRs key the same random substream
+        SimulationConfig(snr_db_list=(7.0, 7.0004))
 
 
 def test_selected_receivers_canonical_order():

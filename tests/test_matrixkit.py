@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfde.channel import PowerDelayProfile, convolve_channel, draw_channel
 from scfde.matrixkit import (
     DftOperator,
     circulant_eigenvalues,
     dft_first_columns,
+    dft_row_energies,
+    dft_weighted_gram,
     regularized_ls,
     top_left_singular_vector,
 )
@@ -208,3 +212,27 @@ def test_dft_first_columns_bounds_checked():
         dft_first_columns(8, 9)
     with pytest.raises(ValueError):
         dft_first_columns(8, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(1, 9),
+    extra=st.integers(0, 80),
+    Nr=st.integers(1, 12),
+    mu=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_toeplitz_forms_match_dense_products(L, extra, Nr, mu, seed):
+    P = L + extra
+    rng = np.random.default_rng(seed)
+    F_L = dft_first_columns(P, L)
+    lam = random_complex(rng, P)
+    A = lam[:, None] * F_L
+    dense_gram = A.conj().T @ A + mu * np.eye(L)
+    gram = dft_weighted_gram(np.abs(lam) ** 2, F_L.conj(), mu)
+    assert np.linalg.norm(gram - dense_gram) <= 1e-12 * np.linalg.norm(dense_gram)
+
+    H = random_complex(rng, L, Nr)
+    dense_energies = np.linalg.norm(F_L @ H, axis=1) ** 2
+    energies = dft_row_energies(H, F_L)
+    assert np.linalg.norm(energies - dense_energies) <= 1e-12 * np.linalg.norm(dense_energies)
