@@ -2,24 +2,21 @@
 
 __version__ = "0.1.0"
 
-from .baseline_rx import OfdmPilotConfig, estimate_channel, ofdm_mrc_receive, ofdm_time_signal, ofdm_transmit
+from .baseline_rx import OfdmPilotConfig, estimate_channel, ofdm_mrc_receive, ofdm_transmit
 from .blind_rx import (
     BlindConfig,
     BlindDecodeResult,
     ReceiverEstimate,
-    TimeEstimate,
     alternating_minimization,
-    centroids_adjust,
+    ca_alpha,
     decode_frame,
     mrc_combine,
-    pilot_derotate,
-    qq_correct,
-    to_time_domain,
+    pilot_alpha,
+    qq_alpha,
 )
 from .channel import (
     ChannelRealization,
     PowerDelayProfile,
-    apply_channel,
     convolve_channel,
     draw_channel,
     snr_db_to_noise_variance,
@@ -34,8 +31,9 @@ from .errors import DegenerateBinError, PilotLossError, ReceiverError
 from .frame import Frame, FrameConfig, build_frame, extract_data, random_payload
 from .harness import BerPoint, SimulationConfig, residual_trace, run_trial, sweep
 from .matrixkit import (
-    DftOperator,
     circulant_eigenvalues,
+    dft,
+    idft,
     regularized_ls,
     top_left_singular_vector,
 )
@@ -44,22 +42,18 @@ __all__ = [
     "OfdmPilotConfig",
     "estimate_channel",
     "ofdm_mrc_receive",
-    "ofdm_time_signal",
     "ofdm_transmit",
     "BlindConfig",
     "BlindDecodeResult",
     "ReceiverEstimate",
-    "TimeEstimate",
     "alternating_minimization",
-    "centroids_adjust",
+    "ca_alpha",
     "decode_frame",
     "mrc_combine",
-    "pilot_derotate",
-    "qq_correct",
-    "to_time_domain",
+    "pilot_alpha",
+    "qq_alpha",
     "ChannelRealization",
     "PowerDelayProfile",
-    "apply_channel",
     "convolve_channel",
     "draw_channel",
     "snr_db_to_noise_variance",
@@ -80,8 +74,9 @@ __all__ = [
     "residual_trace",
     "run_trial",
     "sweep",
-    "DftOperator",
     "circulant_eigenvalues",
+    "dft",
+    "idft",
     "regularized_ls",
     "top_left_singular_vector",
 ]

@@ -83,12 +83,6 @@ def ofdm_transmit(bits: np.ndarray, cfg: OfdmPilotConfig) -> np.ndarray:
     return Xf
 
 
-def ofdm_time_signal(Xf: np.ndarray) -> np.ndarray:
-    """Transmitted time-domain block: inverse unitary DFT of the symbols."""
-    Xf = np.asarray(Xf, dtype=complex).ravel()
-    return np.fft.ifft(Xf) * np.sqrt(Xf.size)
-
-
 def estimate_channel(Yf: np.ndarray, cfg: OfdmPilotConfig) -> np.ndarray:
     """Per-bin channel estimate from the pilot tones, per antenna.
 

@@ -1,13 +1,15 @@
-"""Blind SC-FDE receiver: alternating minimization with per-bin MRC,
-time-domain recovery, pilot de-rotation, and the two residue corrections.
+"""Blind SC-FDE receiver: alternating minimization with per-bin MRC and
+three estimators of the global complex scale (pilot, CA, QQ).
 
 The decoder factors the frequency-domain receive matrix Yf into a diagonal
 data spectrum and a short tap matrix by alternating a ridge-regularized
 channel solve with a per-bin MRC update of the spectrum. The factorization
-is identifiable only up to one global complex scale, which is resolved
-after the IDFT either from the single pilot alone, from the pilot plus a
-quadrant-centroid average (QQ), or from the corner-symbol cluster centroid
-with the pilot picking among the four quadrant rotations (CA).
+is identifiable only up to one global complex scale alpha: the time-domain
+estimate x_hat = idft(lambda_hat) is the transmitted frame times alpha.
+Each correction mode is one estimate of alpha, taken from the single pilot
+alone (pilot_alpha), from the pilot plus a quadrant-centroid average
+(pilot_alpha times qq_alpha), or from the corner-symbol cluster centroid
+with the pilot picking among the four quadrant rotations (ca_alpha).
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import Constellation, get_constellation, qam_demodulate
+from .constellation import get_constellation, qam_demodulate
 from .errors import DegenerateBinError, PilotLossError, ReceiverError
 from .frame import FrameConfig
 from .matrixkit import (
     dft_first_columns,
     dft_row_energies,
     dft_weighted_gram,
+    idft,
     top_left_singular_vector,
 )
 
@@ -72,18 +75,6 @@ class ReceiverEstimate:
     iterations: int
     residual_trace: np.ndarray = field(repr=False)
     converged: bool
-
-
-@dataclass
-class TimeEstimate:
-    """Time-domain symbol estimate and the scale that was removed from it.
-
-    x_corrected = x_hat / alpha_hat holds elementwise by construction.
-    """
-
-    x_hat: np.ndarray = field(repr=False)
-    alpha_hat: complex
-    x_corrected: np.ndarray = field(repr=False)
 
 
 def mrc_combine(Yf: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -174,30 +165,27 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     )
 
 
-def to_time_domain(lambda_hat: np.ndarray) -> np.ndarray:
-    """Inverse unitary DFT of the spectrum diagonal; equals sqrt(P) times
-    the transmitted frame up to the global complex scale."""
-    lam = np.asarray(lambda_hat, dtype=complex).ravel()
-    return np.fft.ifft(lam) * np.sqrt(lam.size)
-
-
-def pilot_derotate(x_hat: np.ndarray, cfg: FrameConfig) -> tuple[complex, np.ndarray]:
-    """Resolve the global scale from the pilot sample.
-
-    alpha_hat = x_hat[l_p] / pilot_value; returns (alpha_hat, x_hat / alpha_hat),
-    so the de-rotated pilot equals the known pilot value exactly. Raises
+def pilot_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
+    """Global scale from the pilot sample: x_hat[l_p] / pilot_value, so
+    x_hat / alpha carries the known pilot value exactly. Raises
     PilotLossError if the pilot sample was annihilated.
     """
-    x_hat = np.asarray(x_hat, dtype=complex).ravel()
     sample = x_hat[cfg.pilot_index]
     if sample == 0:
         raise PilotLossError("pilot sample is zero; global scale unresolvable")
-    alpha = complex(sample / cfg.pilot_value)
-    return alpha, x_hat / alpha
+    return complex(sample / cfg.pilot_value)
 
 
-def _ca_alpha(x_hat: np.ndarray, cfg: FrameConfig, const: Constellation) -> complex:
-    """Total scale removed by the centroids adjustment (see centroids_adjust)."""
+def ca_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
+    """Global scale from the corner-symbol cluster centroid (CA).
+
+    Operates on the raw time estimate: the maximum-modulus data sample pins
+    a provisional scale, the centroid of all samples decided as the
+    quadrant-1 corner refines it, and the pilot position selects which of
+    the four pi/2 rotations of that centroid scale is the true one. Raises
+    PilotLossError if every data sample is zero.
+    """
+    const = get_constellation(cfg.M)
     data = x_hat[cfg.data_indices]
     k_max = int(np.argmax(np.abs(data)))
     if data[k_max] == 0:
@@ -222,24 +210,16 @@ def _ca_alpha(x_hat: np.ndarray, cfg: FrameConfig, const: Constellation) -> comp
     return complex(alpha_mid * centroid / const.corner(best_q))
 
 
-def centroids_adjust(
-    x_hat: np.ndarray, cfg: FrameConfig, const: Constellation | None = None
-) -> np.ndarray:
-    """Scaling correction from the corner-symbol cluster centroid.
+def qq_alpha(x_derot: np.ndarray, cfg: FrameConfig) -> complex:
+    """Rotational residue left after pilot de-rotation (QQ).
 
-    Operates on the raw (pre-de-rotation) time estimate: the maximum-modulus
-    data sample pins a provisional scale, the centroid of all samples decided
-    as the quadrant-1 corner refines it, and the pilot position selects which
-    of the four pi/2 rotations of that centroid scale is the true one.
+    Collapses the data samples of x_derot = x_hat / pilot_alpha quadrant-wise
+    onto the alphabet's quadrant centroids: each quadrant's sample mean over
+    its ideal centroid estimates the leftover complex scale, and the average
+    over the non-empty quadrants is returned. With no nonzero data sample it
+    warns and returns 1.
     """
-    if const is None:
-        const = get_constellation(cfg.M)
-    x_hat = np.asarray(x_hat, dtype=complex).ravel()
-    return x_hat / _ca_alpha(x_hat, cfg, const)
-
-
-def _qq_alpha(x_derot: np.ndarray, cfg: FrameConfig, const: Constellation) -> complex:
-    """Residue estimate from per-quadrant centroid offsets (see qq_correct)."""
+    const = get_constellation(cfg.M)
     data = x_derot[cfg.data_indices]
     data = data[data != 0]  # exact zeros carry no quadrant information
     ratios = []
@@ -253,32 +233,18 @@ def _qq_alpha(x_derot: np.ndarray, cfg: FrameConfig, const: Constellation) -> co
     return complex(np.mean(ratios))
 
 
-def qq_correct(
-    x_derot: np.ndarray, cfg: FrameConfig, const: Constellation | None = None
-) -> np.ndarray:
-    """Rotational-residue correction after pilot de-rotation.
-
-    Collapses the data samples quadrant-wise onto the alphabet's quadrant
-    centroids: each quadrant's sample mean over its ideal centroid estimates
-    the leftover complex scale, and the average over (non-empty) quadrants
-    is divided out.
-    """
-    if const is None:
-        const = get_constellation(cfg.M)
-    x_derot = np.asarray(x_derot, dtype=complex).ravel()
-    return x_derot / _qq_alpha(x_derot, cfg, const)
-
-
 @dataclass
 class BlindDecodeResult:
-    """Shared factorization plus the per-mode corrected time estimates.
+    """Shared factorization, its time-domain estimate x_hat, and one global
+    scale per correction mode: x_hat / alphas[mode] is that mode's frame.
 
-    A correction stage that fails on its own (e.g. an annihilated pilot)
-    lands in ``failures`` instead of taking the other modes down with it.
+    A correction that fails on its own (e.g. an annihilated pilot) lands in
+    ``failures`` instead of taking the other modes down with it.
     """
 
     estimate: ReceiverEstimate
-    corrections: dict[str, TimeEstimate]
+    x_hat: np.ndarray = field(repr=False)
+    alphas: dict[str, complex]
     failures: dict[str, ReceiverError]
 
 
@@ -288,34 +254,32 @@ def decode_frame(
     cfg: BlindConfig,
     modes=CORRECTION_MODES,
 ) -> BlindDecodeResult:
-    """Run the blind factorization once and apply the requested corrections.
-
-    Each mode yields a TimeEstimate whose x_corrected is x_hat divided by a
-    single overall alpha: the pilot ratio ("pilot"), the pilot ratio times
-    the quadrant-residue estimate ("qq"), or the centroid scale ("ca").
+    """Run the blind factorization once and estimate the requested scales:
+    the pilot ratio ("pilot"), the pilot ratio times the quadrant residue of
+    x_hat / pilot ratio ("qq"), or the centroid scale ("ca"). The pilot
+    ratio is computed once for "pilot" and "qq" together.
     """
     unknown = set(modes) - set(CORRECTION_MODES)
     if unknown:
         raise ValueError(f"unknown correction modes: {sorted(unknown)}")
-    const = get_constellation(frame_cfg.M)
     est = alternating_minimization(Yf, cfg)
-    x_hat = to_time_domain(est.lambda_hat)
+    x_hat = idft(est.lambda_hat)
 
-    corrections: dict[str, TimeEstimate] = {}
+    alphas: dict[str, complex] = {}
     failures: dict[str, ReceiverError] = {}
-    for mode in modes:
+    pilot_modes = [mode for mode in modes if mode != "ca"]
+    if pilot_modes:
         try:
-            if mode == "ca":
-                alpha = _ca_alpha(x_hat, frame_cfg, const)
-            else:
-                alpha_pilot, x_derot = pilot_derotate(x_hat, frame_cfg)
-                alpha = alpha_pilot
-                if mode == "qq":
-                    alpha = alpha_pilot * _qq_alpha(x_derot, frame_cfg, const)
+            alpha = pilot_alpha(x_hat, frame_cfg)
         except ReceiverError as err:
-            failures[mode] = err
-            continue
-        corrections[mode] = TimeEstimate(
-            x_hat=x_hat, alpha_hat=alpha, x_corrected=x_hat / alpha
-        )
-    return BlindDecodeResult(estimate=est, corrections=corrections, failures=failures)
+            failures.update(dict.fromkeys(pilot_modes, err))
+        else:
+            alphas.update(dict.fromkeys(pilot_modes, alpha))
+            if "qq" in alphas:
+                alphas["qq"] = alpha * qq_alpha(x_hat / alpha, frame_cfg)
+    if "ca" in modes:
+        try:
+            alphas["ca"] = ca_alpha(x_hat, frame_cfg)
+        except ReceiverError as err:
+            failures["ca"] = err
+    return BlindDecodeResult(estimate=est, x_hat=x_hat, alphas=alphas, failures=failures)

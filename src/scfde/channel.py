@@ -11,8 +11,8 @@ Propagation is P-point circular convolution (the frame's zero padding makes
 the physical linear convolution circular), applied per receive antenna, with
 independent noise per antenna and sample. The simulator forms the receive
 matrix directly in the frequency domain, where the convolution is a per-bin
-product with the channel's frequency response; ``convolve_channel`` and
-``apply_channel`` are the time-domain reference for that model.
+product with the channel's frequency response; ``convolve_channel`` plus
+``complex_noise`` is the time-domain reference for that model.
 """
 
 from __future__ import annotations
@@ -125,14 +125,3 @@ def convolve_channel(x: np.ndarray, ch: ChannelRealization) -> np.ndarray:
     Hf = np.fft.fft(ch.taps, n=P, axis=0)
     return np.fft.ifft(np.fft.fft(x)[:, None] * Hf, axis=0)
 
-
-def apply_channel(
-    x: np.ndarray,
-    ch: ChannelRealization,
-    noise_variance: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Received samples Y = circular_conv(x, h_r) + w per antenna, with
-    i.i.d. CN(0, noise_variance) noise per sample."""
-    y0 = convolve_channel(x, ch)
-    return y0 + complex_noise(y0.shape, noise_variance, rng)

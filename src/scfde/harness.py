@@ -38,7 +38,7 @@ from .channel import (
 from .errors import ReceiverError
 from .frame import FrameConfig, build_frame, extract_data
 from .constellation import qam_demodulate
-from .matrixkit import DftOperator
+from .matrixkit import dft
 
 RECEIVERS = ("blind_pilot", "blind_ca", "blind_qq", "mrc_ofdm")
 _BLIND_MODE = {"blind_pilot": "pilot", "blind_ca": "ca", "blind_qq": "qq"}
@@ -74,6 +74,10 @@ class SimulationConfig:
     dump_path: str | None = None
 
     def __post_init__(self):
+        if not self.seq_lengths:
+            raise ValueError("at least one sequence length must be given")
+        if not self.snr_db_list:
+            raise ValueError("at least one SNR must be given")
         for P in self.seq_lengths:
             if P < 2 or P & (P - 1):
                 raise ValueError(f"sequence length {P} is not a power of two")
@@ -203,7 +207,7 @@ class TrialDraw:
     def blind_received(self) -> np.ndarray:
         """Receive matrix of the blind receivers' zero-padded pilot frame."""
         frame = build_frame(self.frame_cfg, self.payload)
-        return self.received(DftOperator(self.frame_cfg.P).forward(frame.time_symbols))
+        return self.received(dft(frame.time_symbols))
 
 
 def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -> TrialDraw:
@@ -226,11 +230,11 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
         ofdm_cfg=ofdm_cfg,
         ofdm_payload=ofdm_payload,
         Hf=frequency_response(ch, P),
-        Nf=DftOperator(P).forward(noise),
+        Nf=dft(noise),
     )
 
 
-def run_trial(cfg: SimulationConfig, snr_db: float, trial_index: int, P: int | None = None) -> TrialRecord:
+def run_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -> TrialRecord:
     """One frame end to end for every selected receiver.
 
     Deterministic in (cfg.seed, P, snr_db, trial_index); see draw_trial.
@@ -238,8 +242,6 @@ def run_trial(cfg: SimulationConfig, snr_db: float, trial_index: int, P: int | N
     matrix, and the OFDM baseline sees the same channel and noise applied
     to its own block, whose symbols are already its unitary DFT.
     """
-    if P is None:
-        P = cfg.seq_lengths[0]
     draw = draw_trial(cfg, P, snr_db, trial_index)
     frame_cfg, payload = draw.frame_cfg, draw.payload
     record = TrialRecord(P=P, snr_db=snr_db, trial_index=trial_index)
@@ -255,6 +257,7 @@ def run_trial(cfg: SimulationConfig, snr_db: float, trial_index: int, P: int | N
                 record.results[name] = ReceiverTrial(failed=True, failure=str(err))
         else:
             est = decoded.estimate
+            data = extract_data(frame_cfg, decoded.x_hat)
             for name in blind_selected:
                 mode = _BLIND_MODE[name]
                 if mode in decoded.failures:
@@ -262,8 +265,7 @@ def run_trial(cfg: SimulationConfig, snr_db: float, trial_index: int, P: int | N
                         failed=True, failure=str(decoded.failures[mode])
                     )
                     continue
-                x_corr = decoded.corrections[mode].x_corrected
-                bits, _ = qam_demodulate(extract_data(frame_cfg, x_corr), cfg.M)
+                bits, _ = qam_demodulate(data / decoded.alphas[mode], cfg.M)
                 record.results[name] = ReceiverTrial(
                     bits=payload.size,
                     errors=int(np.count_nonzero(bits != payload)),
@@ -287,12 +289,11 @@ def run_trial(cfg: SimulationConfig, snr_db: float, trial_index: int, P: int | N
 
 
 def _trial_task(args):
-    cfg, snr_db, trial_index, P = args
-    return run_trial(cfg, snr_db, trial_index, P)
+    return run_trial(*args)
 
 
 def _map_cells(cfg: SimulationConfig, task, cells: list) -> list[list]:
-    """task((cfg, snr_db, trial_index, P)) for every trial of every (P, snr_db)
+    """task((cfg, P, snr_db, trial_index)) for every trial of every (P, snr_db)
     cell; returns one list per cell, in cell order, with its trials in order.
 
     All tasks go through one pool map (cfg.workers > 1), largest P first so
@@ -301,7 +302,7 @@ def _map_cells(cfg: SimulationConfig, task, cells: list) -> list[list]:
     """
     order = sorted(cells, key=lambda cell: -cell[0])
     n = cfg.frames_per_point
-    tasks = [(cfg, snr_db, i, P) for P, snr_db in order for i in range(n)]
+    tasks = [(cfg, P, snr_db, i) for P, snr_db in order for i in range(n)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(task, tasks, chunksize=1))
@@ -366,8 +367,13 @@ def _config_echo(cfg: SimulationConfig) -> list[str]:
     return lines
 
 
-def check_ber_monotonicity(points: list[BerPoint], step_db: float = 6.0) -> list[str]:
-    """Advisory check: flags receivers whose BER rises over a +step_db move.
+# SNR step over which check_ber_monotonicity expects the BER not to rise
+MONOTONICITY_STEP_DB = 6.0
+
+
+def check_ber_monotonicity(points: list[BerPoint]) -> list[str]:
+    """Advisory check: flags receivers whose BER rises over a
+    +MONOTONICITY_STEP_DB move.
 
     The trend is statistical, so violations produce warning strings rather
     than failures; returns the list of messages (also emitted via warnings).
@@ -380,7 +386,7 @@ def check_ber_monotonicity(points: list[BerPoint], step_db: float = 6.0) -> list
         pts = sorted(pts, key=lambda p: p.snr_db)
         for lo in pts:
             for hi in pts:
-                if hi.snr_db >= lo.snr_db + step_db and hi.ber > lo.ber:
+                if hi.snr_db >= lo.snr_db + MONOTONICITY_STEP_DB and hi.ber > lo.ber:
                     messages.append(
                         f"{rx} P={P}: BER {hi.ber:.3g} at {hi.snr_db} dB exceeds "
                         f"{lo.ber:.3g} at {lo.snr_db} dB"
@@ -471,8 +477,7 @@ def trace_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) 
 
 
 def _trace_task(args):
-    cfg, snr_db, trial_index, P = args
-    return trace_trial(cfg, P, snr_db, trial_index)
+    return trace_trial(*args)
 
 
 def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:

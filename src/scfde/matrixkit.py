@@ -1,11 +1,11 @@
-"""Numerical kernel: unitary DFT ops, circulant eigenvalues, dominant
+"""Numerical kernel: the unitary DFT pair, circulant eigenvalues, dominant
 singular vector (Gram eigendecomposition), ridge-regularized least squares,
 and the O(P L) Toeplitz forms of the quadratic products of F_L.
 
 DFT convention. The unitary matrix F[k, n] = exp(-2j*pi*k*n/P) / sqrt(P)
-is used for all forward/inverse transforms, while the eigenvalues of the
-circulant data matrix are the UNNORMALIZED DFT of its first column. Under
-this pairing the frequency-domain model
+is used for all forward/inverse transforms (dft/idft), while the
+eigenvalues of the circulant data matrix are the UNNORMALIZED DFT of its
+first column. Under this pairing the frequency-domain model
 
     Yf = diag(circulant_eigenvalues(x)) @ F_L @ H_L
 
@@ -32,20 +32,16 @@ def dft_first_columns(P: int, L: int) -> np.ndarray:
     return F
 
 
-class DftOperator:
-    """Forward/inverse unitary DFT on length-P vectors and P-row matrices."""
+def dft(a: np.ndarray) -> np.ndarray:
+    """Forward unitary DFT along axis 0 (P = a.shape[0])."""
+    a = np.asarray(a, dtype=complex)
+    return np.fft.fft(a, axis=0) / np.sqrt(a.shape[0])
 
-    def __init__(self, P: int):
-        if P < 1:
-            raise ValueError(f"transform size must be >= 1, got {P}")
-        self.P = P
-        self._root = np.sqrt(P)
 
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.fft(np.asarray(a, dtype=complex), axis=0) / self._root
-
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.asarray(a, dtype=complex), axis=0) * self._root
+def idft(a: np.ndarray) -> np.ndarray:
+    """Inverse unitary DFT along axis 0 (P = a.shape[0])."""
+    a = np.asarray(a, dtype=complex)
+    return np.fft.ifft(a, axis=0) * np.sqrt(a.shape[0])
 
 
 def circulant_eigenvalues(x: np.ndarray) -> np.ndarray:

@@ -13,16 +13,16 @@ import numpy as np
 from scfde.blind_rx import (
     BlindConfig,
     alternating_minimization,
-    centroids_adjust,
+    ca_alpha,
     decode_frame,
-    qq_correct,
+    qq_alpha,
 )
 from scfde.channel import PowerDelayProfile, convolve_channel, draw_channel
 from scfde.constellation import get_constellation, qam_demodulate, qam_modulate
 from scfde.frame import FrameConfig, build_frame, extract_data, random_payload
 from scfde.matrixkit import (
-    DftOperator,
     circulant_eigenvalues,
+    dft,
     dft_first_columns,
     regularized_ls,
     top_left_singular_vector,
@@ -58,7 +58,7 @@ def test_criterion_1_model_identity_suite():
             L = 5
             x = complex_randn(rng, P)
             ch = draw_channel(PowerDelayProfile.geometric(L), 3, rng)
-            Yf = DftOperator(P).forward(convolve_channel(x, ch))
+            Yf = dft(convolve_channel(x, ch))
             model = circulant_eigenvalues(x)[:, None] * (dft_first_columns(P, L) @ ch.taps)
             worst = max(worst, np.linalg.norm(Yf - model) / np.linalg.norm(Yf))
 
@@ -131,14 +131,12 @@ def test_criterion_3_noiseless_blind_recovery():
         payload = random_payload(cfg, rng)
         frame = build_frame(cfg, payload)
         ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
-        Yf = DftOperator(P).forward(convolve_channel(frame.time_symbols, ch))
+        Yf = dft(convolve_channel(frame.time_symbols, ch))
         result = decode_frame(Yf, cfg, blind, modes=("pilot",))
         est = result.estimate
         if est.converged and est.residual_trace[-1] >= 1e-3:
             converged_ok = False
-        _, hard = qam_demodulate(
-            extract_data(cfg, result.corrections["pilot"].x_corrected), M
-        )
+        _, hard = qam_demodulate(extract_data(cfg, result.x_hat) / result.alphas["pilot"], M)
         if np.array_equal(hard, qam_modulate(payload, M)):
             clean += 1
     ok = clean >= 48 and converged_ok
@@ -222,7 +220,7 @@ def test_criterion_7_per_iteration_cost_scaling():
         frame = build_frame(cfg, random_payload(cfg, rng))
         ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
         Y = convolve_channel(frame.time_symbols, ch) + 0.3 * complex_randn(rng, P, Nr)
-        Yf = DftOperator(P).forward(Y)
+        Yf = dft(Y)
         F_L = dft_first_columns(P, L)
         F_conj = F_L.conj()
         energy = float(np.linalg.norm(Yf) ** 2)
@@ -255,12 +253,14 @@ def test_criterion_8_correction_unit_oracles():
 
     ca_errors = 0
     for distortion in [2.0 * np.exp(0.1j)] + [np.exp(1j * q * np.pi / 2) for q in range(4)]:
-        out = centroids_adjust(distortion * frame.time_symbols, cfg)
+        x_hat = distortion * frame.time_symbols
+        out = x_hat / ca_alpha(x_hat, cfg)
         _, hard = qam_demodulate(extract_data(cfg, out), M)
         ca_errors += np.count_nonzero(hard != tx)
 
-    qq_rot = qq_correct(np.exp(0.05j) * frame.time_symbols, cfg)
-    qq_scale = qq_correct(1.1 * frame.time_symbols, cfg)
+    x_rot, x_scale = np.exp(0.05j) * frame.time_symbols, 1.1 * frame.time_symbols
+    qq_rot = x_rot / qq_alpha(x_rot, cfg)
+    qq_scale = x_scale / qq_alpha(x_scale, cfg)
     rot_err = np.max(np.abs(qq_rot - frame.time_symbols))
     scale_err = np.max(np.abs(qq_scale - frame.time_symbols))
 

@@ -5,7 +5,6 @@ from scfde.baseline_rx import (
     OfdmPilotConfig,
     estimate_channel,
     ofdm_mrc_receive,
-    ofdm_time_signal,
     ofdm_transmit,
 )
 from scfde.blind_rx import mrc_combine
@@ -17,14 +16,14 @@ from scfde.channel import (
     draw_channel,
     snr_db_to_noise_variance,
 )
-from scfde.matrixkit import DftOperator
+from scfde.matrixkit import dft, idft
 
 
 def transmit_through(Xf, ch, noise_var=0.0, rng=None):
-    y = convolve_channel(ofdm_time_signal(Xf), ch)
+    y = convolve_channel(idft(Xf), ch)
     if noise_var:
         y = y + complex_noise(y.shape, noise_var, rng)
-    return DftOperator(len(Xf)).forward(y)
+    return dft(y)
 
 
 def test_ten_percent_of_ten_bins_is_one_pilot():

@@ -7,21 +7,21 @@ from scfde.blind_rx import (
     BlindConfig,
     _am_step,
     alternating_minimization,
-    centroids_adjust,
+    ca_alpha,
     decode_frame,
     mrc_combine,
-    pilot_derotate,
-    qq_correct,
-    to_time_domain,
+    pilot_alpha,
+    qq_alpha,
 )
 from scfde.channel import ChannelRealization, PowerDelayProfile, convolve_channel, draw_channel
 from scfde.constellation import get_constellation, qam_demodulate, qam_modulate
 from scfde.errors import DegenerateBinError, PilotLossError
 from scfde.frame import FrameConfig, build_frame, extract_data, random_payload
 from scfde.matrixkit import (
-    DftOperator,
     circulant_eigenvalues,
+    dft,
     dft_first_columns,
+    idft,
     regularized_ls,
 )
 
@@ -32,7 +32,7 @@ def noiseless_setup(P, L, Nr, M, seed):
     payload = random_payload(cfg, rng)
     frame = build_frame(cfg, payload)
     ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
-    Yf = DftOperator(P).forward(convolve_channel(frame.time_symbols, ch))
+    Yf = dft(convolve_channel(frame.time_symbols, ch))
     return cfg, payload, frame, ch, Yf
 
 
@@ -99,12 +99,12 @@ def test_flat_channel_noiseless_recovery():
     cfg = FrameConfig(P=64, L=1, M=16)
     frame = build_frame(cfg, random_payload(cfg, rng))
     ch = ChannelRealization(taps=np.ones((1, 4), dtype=complex))
-    Yf = DftOperator(64).forward(convolve_channel(frame.time_symbols, ch))
+    Yf = dft(convolve_channel(frame.time_symbols, ch))
     est = alternating_minimization(Yf, BlindConfig(L_est=1))
     assert est.converged
     recon = est.lambda_hat[:, None] * (dft_first_columns(64, 1) @ est.H_t_hat)
     assert np.linalg.norm(Yf - recon) / np.linalg.norm(Yf) < 1e-6
-    x_hat = to_time_domain(est.lambda_hat)
+    x_hat = idft(est.lambda_hat)
     x = frame.time_symbols
     cosine = abs(np.vdot(x_hat, x)) / (np.linalg.norm(x_hat) * np.linalg.norm(x))
     assert cosine > 0.999
@@ -197,22 +197,14 @@ def test_alternating_minimization_preconditions():
         BlindConfig(L_est=0)
 
 
-def test_to_time_domain_against_spectrum_oracle():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    out = to_time_domain(circulant_eigenvalues(x))
-    assert np.allclose(out, np.sqrt(32) * x, rtol=1e-12, atol=1e-12)
-    assert np.all(to_time_domain(np.zeros(16)) == 0)
-    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert abs(np.linalg.norm(to_time_domain(v)) - np.linalg.norm(v)) < 1e-12
-
-
 def test_pilot_derotate_pure_scale():
     cfg = FrameConfig(P=32, L=2, M=16)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(6)))
     alpha = 2.0 * np.exp(0.3j)
-    alpha_hat, x_derot = pilot_derotate(alpha * frame.time_symbols, cfg)
+    x_hat = alpha * frame.time_symbols
+    alpha_hat = pilot_alpha(x_hat, cfg)
     assert abs(alpha_hat - alpha) < 1e-12
+    x_derot = x_hat / alpha_hat
     assert np.allclose(x_derot, frame.time_symbols, rtol=1e-12, atol=1e-12)
     assert np.isclose(x_derot[cfg.pilot_index], cfg.pilot_value, rtol=1e-12)
 
@@ -220,7 +212,7 @@ def test_pilot_derotate_pure_scale():
 def test_pilot_derotate_identity():
     cfg = FrameConfig(P=32, L=2, M=16)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(7)))
-    alpha_hat, _ = pilot_derotate(frame.time_symbols, cfg)
+    alpha_hat = pilot_alpha(frame.time_symbols, cfg)
     assert abs(alpha_hat - 1.0) < 1e-12
 
 
@@ -231,7 +223,7 @@ def test_pilot_derotate_noisy_pilot_single_sample_oracle():
     e = 0.05 + 0.02j
     x_hat = alpha * frame.time_symbols
     x_hat[cfg.pilot_index] += e
-    alpha_hat, _ = pilot_derotate(x_hat, cfg)
+    alpha_hat = pilot_alpha(x_hat, cfg)
     oracle = (alpha * cfg.pilot_value + e) / cfg.pilot_value
     assert abs(alpha_hat - oracle) < 1e-15
 
@@ -242,13 +234,13 @@ def test_pilot_annihilated_raises():
     x_hat = frame.time_symbols.copy()
     x_hat[cfg.pilot_index] = 0
     with pytest.raises(PilotLossError):
-        pilot_derotate(x_hat, cfg)
+        pilot_alpha(x_hat, cfg)
 
 
 def test_centroids_adjust_identity_on_clean_frame():
     cfg = FrameConfig(P=64, L=2, M=64)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(10)))
-    out = centroids_adjust(frame.time_symbols, cfg)
+    out = frame.time_symbols / ca_alpha(frame.time_symbols, cfg)
     assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-9)
 
 
@@ -257,7 +249,7 @@ def test_centroids_adjust_resolves_quadrant_rotations():
     tx = qam_modulate(bits, 64)
     for k in range(4):
         x_hat = np.exp(1j * k * np.pi / 2.0) * frame.time_symbols
-        out = centroids_adjust(x_hat, cfg)
+        out = x_hat / ca_alpha(x_hat, cfg)
         assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-6)
         _, hard = qam_demodulate(extract_data(cfg, out), 64)
         assert np.array_equal(hard, tx)
@@ -265,7 +257,7 @@ def test_centroids_adjust_resolves_quadrant_rotations():
 
 def test_centroids_adjust_known_distortion_exact_decisions():
     cfg, bits, frame, x_hat = all_symbol_frame(64, distortion=2.0 * np.exp(0.1j))
-    out = centroids_adjust(x_hat, cfg)
+    out = x_hat / ca_alpha(x_hat, cfg)
     _, hard = qam_demodulate(extract_data(cfg, out), 64)
     assert np.array_equal(hard, qam_modulate(bits, 64))
     assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-9)
@@ -273,14 +265,15 @@ def test_centroids_adjust_known_distortion_exact_decisions():
 
 def test_qq_identity_under_uniform_coverage():
     cfg, _, frame, _ = all_symbol_frame(64)
-    out = qq_correct(frame.time_symbols, cfg)
+    out = frame.time_symbols / qq_alpha(frame.time_symbols, cfg)
     assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-12)
 
 
 def test_qq_recovers_small_rotation_and_scale():
     cfg, _, frame, _ = all_symbol_frame(64)
     for alpha in (np.exp(0.05j), 1.1 + 0.0j):
-        out = qq_correct(alpha * frame.time_symbols, cfg)
+        x = alpha * frame.time_symbols
+        out = x / qq_alpha(x, cfg)
         assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-9)
 
 
@@ -288,7 +281,8 @@ def test_qq_phase_commutation_qpsk_quarter_turn():
     # on QPSK the quadrant sets survive any |theta| < pi/4 rotation intact
     cfg, _, frame, _ = all_symbol_frame(4)
     for theta in (-0.7, -0.3, 0.3, 0.7):
-        out = qq_correct(np.exp(1j * theta) * frame.time_symbols, cfg)
+        x = np.exp(1j * theta) * frame.time_symbols
+        out = x / qq_alpha(x, cfg)
         assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-6)
 
 
@@ -297,7 +291,8 @@ def test_qq_renormalizes_over_empty_quadrants():
     cfg = FrameConfig(P=9, L=1, M=4)
     bits = np.array([0, 0, 1, 0] * 4)  # symbols alternate quadrant 1, 2
     frame = build_frame(cfg, bits)
-    out = qq_correct(1.05 * frame.time_symbols, cfg)
+    x = 1.05 * frame.time_symbols
+    out = x / qq_alpha(x, cfg)
     assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-12)
 
 
@@ -306,19 +301,22 @@ def test_qq_all_zero_data_warns_and_passes_through():
     x = np.zeros(9, dtype=complex)
     x[cfg.pilot_index] = cfg.pilot_value
     with pytest.warns(UserWarning):
-        out = qq_correct(x, cfg)
-    assert np.array_equal(out, x)
+        alpha = qq_alpha(x, cfg)
+    assert alpha == 1.0
+    assert np.array_equal(x / alpha, x)
 
 
 def test_decode_frame_shares_estimate_and_scales_exactly():
     cfg, payload, frame, ch, Yf = noiseless_setup(64, 2, 8, 16, seed=11)
     result = decode_frame(Yf, cfg, BlindConfig(L_est=2), modes=("pilot", "ca", "qq"))
-    assert set(result.corrections) == {"pilot", "ca", "qq"}
-    for te in result.corrections.values():
-        assert np.array_equal(te.x_corrected, te.x_hat / te.alpha_hat)
-    bits, _ = qam_demodulate(
-        extract_data(cfg, result.corrections["pilot"].x_corrected), cfg.M
-    )
+    assert set(result.alphas) == {"pilot", "ca", "qq"}
+    assert np.array_equal(result.x_hat, idft(result.estimate.lambda_hat))
+    alpha_pilot = pilot_alpha(result.x_hat, cfg)
+    assert result.alphas["pilot"] == alpha_pilot
+    assert result.alphas["ca"] == ca_alpha(result.x_hat, cfg)
+    assert result.alphas["qq"] == alpha_pilot * qq_alpha(result.x_hat / alpha_pilot, cfg)
+    data = extract_data(cfg, result.x_hat)
+    bits, _ = qam_demodulate(data / result.alphas["pilot"], cfg.M)
     assert np.array_equal(bits, payload)
 
 
@@ -335,8 +333,8 @@ def test_decode_frame_invariant_under_unitary_antenna_rotation():
         decisions = []
         for received in (Yf, Yf @ V):
             result = decode_frame(received, cfg, blind, modes=("pilot",))
-            x = result.corrections["pilot"].x_corrected
-            decisions.append(qam_demodulate(extract_data(cfg, x), cfg.M)[0])
+            x = extract_data(cfg, result.x_hat) / result.alphas["pilot"]
+            decisions.append(qam_demodulate(x, cfg.M)[0])
         assert np.array_equal(decisions[0], decisions[1])
         assert np.count_nonzero(decisions[0] != payload) < payload.size // 100
 
@@ -352,10 +350,31 @@ def test_decode_frame_isolates_pilot_failure_from_ca(monkeypatch):
 
     cfg, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
 
+    calls = []
+
     def broken_pilot(x_hat, frame_cfg):
+        calls.append(frame_cfg)
         raise PilotLossError("synthetic pilot loss")
 
-    monkeypatch.setattr(blind_rx, "pilot_derotate", broken_pilot)
+    monkeypatch.setattr(blind_rx, "pilot_alpha", broken_pilot)
     result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.failures) == {"pilot", "qq"}
-    assert set(result.corrections) == {"ca"}
+    assert set(result.alphas) == {"ca"}
+    assert len(calls) == 1  # one pilot estimate serves both pilot and qq
+
+
+def test_decode_frame_estimates_the_pilot_scale_once(monkeypatch):
+    import scfde.blind_rx as blind_rx
+
+    cfg, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
+    calls = []
+
+    def counted_pilot(x_hat, frame_cfg):
+        calls.append(frame_cfg)
+        return pilot_alpha(x_hat, frame_cfg)
+
+    monkeypatch.setattr(blind_rx, "pilot_alpha", counted_pilot)
+    result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
+    assert set(result.alphas) == {"pilot", "ca", "qq"}
+    assert not result.failures
+    assert len(calls) == 1

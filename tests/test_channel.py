@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfde.baseline_rx import ofdm_time_signal
 from scfde.channel import (
     ChannelRealization,
     PowerDelayProfile,
-    apply_channel,
     complex_noise,
     convolve_channel,
     draw_channel,
@@ -15,7 +13,7 @@ from scfde.channel import (
     receive_spectrum,
     snr_db_to_noise_variance,
 )
-from scfde.matrixkit import DftOperator
+from scfde.matrixkit import dft, idft
 
 
 def direct_circular_convolution(x, h):
@@ -76,7 +74,7 @@ def test_zero_power_taps_are_exactly_zero():
 def test_identity_channel_passes_signal_through():
     ch = ChannelRealization(taps=np.ones((1, 1), dtype=complex))
     x = np.arange(1, 9, dtype=complex)
-    Y = apply_channel(x, ch, 0.0, np.random.default_rng(0))
+    Y = convolve_channel(x, ch) + complex_noise((8, 1), 0.0, np.random.default_rng(0))
     assert np.allclose(Y[:, 0], x, rtol=0, atol=1e-12)
 
 
@@ -106,7 +104,7 @@ def test_noise_variance_calibration():
     ch = ChannelRealization(taps=np.ones((1, 10), dtype=complex))
     x = np.ones(10_000, dtype=complex)
     sigma2 = 0.37
-    Y = apply_channel(x, ch, sigma2, rng)
+    Y = convolve_channel(x, ch) + complex_noise((10_000, 10), sigma2, rng)
     noise = Y - convolve_channel(x, ch)
     measured = np.mean(np.abs(noise) ** 2)
     assert abs(measured - sigma2) / sigma2 < 0.02
@@ -185,15 +183,14 @@ def test_receive_spectrum_matches_time_domain_reference(P, Nr, L, seed):
     rng = np.random.default_rng(seed)
     ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
     noise = complex_noise((P, Nr), 0.2, rng)
-    dft = DftOperator(P)
-    Hf, Nf = frequency_response(ch, P), dft.forward(noise)
+    Hf, Nf = frequency_response(ch, P), dft(noise)
 
     # single-carrier block: the receiver sees the DFT of its time samples
     x = rng.standard_normal(P) + 1j * rng.standard_normal(P)
-    reference = dft.forward(convolve_channel(x, ch) + noise)
-    assert relative_error(receive_spectrum(dft.forward(x), Hf, Nf), reference) < 1e-12
+    reference = dft(convolve_channel(x, ch) + noise)
+    assert relative_error(receive_spectrum(dft(x), Hf, Nf), reference) < 1e-12
 
     # OFDM block: the symbols are the spectrum of the transmitted samples
     Xf = rng.standard_normal(P) + 1j * rng.standard_normal(P)
-    reference = dft.forward(convolve_channel(ofdm_time_signal(Xf), ch) + noise)
+    reference = dft(convolve_channel(idft(Xf), ch) + noise)
     assert relative_error(receive_spectrum(Xf, Hf, Nf), reference) < 1e-12

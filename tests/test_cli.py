@@ -106,6 +106,8 @@ def test_exit_code_2_on_invalid_combinations(capsys):
     assert main(["trace", "--mu", "0"]) == 2
     assert main(["sweep", "--eps", "nan"]) == 2
     assert main(["sweep", "--snr", "7,7.0004"]) == 2  # SNRs share a substream
+    assert main(["sweep", "--seq-len", ",", "--snr", "7"]) == 2  # no sequence length
+    assert main(["sweep", "--snr", ",", "--seq-len", "64"]) == 2  # no SNR
 
 
 def test_exit_code_3_on_unwritable_output(tmp_path, capsys):
@@ -118,15 +120,13 @@ def test_exit_code_3_on_unwritable_output(tmp_path, capsys):
 def test_exit_code_4_when_all_frames_fail(monkeypatch, capsys):
     from scfde.harness import ReceiverTrial, TrialRecord
 
-    def always_fails(cfg, snr_db, trial_index, P=None):
-        P = P if P is not None else cfg.seq_lengths[0]
+    def always_fails(cfg, P, snr_db, trial_index):
         rec = TrialRecord(P=P, snr_db=snr_db, trial_index=trial_index)
         for name in cfg.selected():
             rec.results[name] = ReceiverTrial(failed=True, failure="synthetic")
         return rec
 
     monkeypatch.setattr(harness, "run_trial", always_fails)
-    monkeypatch.setattr(harness, "_trial_task", lambda args: always_fails(*args))
     rc = main(["sweep", *FAST])
     assert rc == 4
 

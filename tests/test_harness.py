@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from scfde.baseline_rx import ofdm_time_signal, ofdm_transmit
+from scfde.baseline_rx import ofdm_transmit
 from scfde.channel import (
     PowerDelayProfile,
     complex_noise,
@@ -26,7 +26,7 @@ from scfde.harness import (
     sweep,
     trace_trial,
 )
-from scfde.matrixkit import DftOperator
+from scfde.matrixkit import dft, idft
 
 SMALL = SimulationConfig(
     seq_lengths=(64,),
@@ -47,27 +47,27 @@ def records_equal(a, b):
 
 
 def test_run_trial_bit_identical_repeat():
-    r1 = run_trial(SMALL, 8.0, 0)
-    r2 = run_trial(SMALL, 8.0, 0)
+    r1 = run_trial(SMALL, 64, 8.0, 0)
+    r2 = run_trial(SMALL, 64, 8.0, 0)
     assert records_equal(r1, r2)
 
 
 def test_trials_differ_across_indices_and_snr():
-    r0 = run_trial(SMALL, 8.0, 0)
-    r1 = run_trial(SMALL, 8.0, 1)
+    r0 = run_trial(SMALL, 64, 8.0, 0)
+    r1 = run_trial(SMALL, 64, 8.0, 1)
     assert not records_equal(r0, r1)
 
 
 def test_receiver_subset_does_not_change_draws():
     solo = dataclasses.replace(SMALL, receivers=("blind_pilot",))
-    r_solo = run_trial(solo, 8.0, 2)
-    r_all = run_trial(SMALL, 8.0, 2)
+    r_solo = run_trial(solo, 64, 8.0, 2)
+    r_all = run_trial(SMALL, 64, 8.0, 2)
     assert r_solo.results["blind_pilot"] == r_all.results["blind_pilot"]
 
 
 def test_near_noiseless_trial_is_error_free():
     cfg = dataclasses.replace(SMALL, receivers=("blind_qq",))
-    record = run_trial(cfg, 200.0, 0)
+    record = run_trial(cfg, 64, 200.0, 0)
     trial = record.results["blind_qq"]
     assert not trial.failed
     assert trial.errors == 0
@@ -96,14 +96,13 @@ def test_draw_trial_matches_time_domain_reference():
         assert np.array_equal(draw.payload, payload)
         assert np.array_equal(draw.ofdm_payload, ofdm_payload)
 
-        dft = DftOperator(P)
         x = build_frame(frame_cfg, payload).time_symbols
-        blind_ref = dft.forward(convolve_channel(x, ch) + noise)
+        blind_ref = dft(convolve_channel(x, ch) + noise)
         blind = draw.blind_received()
         assert np.linalg.norm(blind - blind_ref) / np.linalg.norm(blind_ref) < 1e-12
 
         Xf = ofdm_transmit(ofdm_payload, draw.ofdm_cfg)
-        ofdm_ref = dft.forward(convolve_channel(ofdm_time_signal(Xf), ch) + noise)
+        ofdm_ref = dft(convolve_channel(idft(Xf), ch) + noise)
         ofdm = draw.received(Xf)
         assert np.linalg.norm(ofdm - ofdm_ref) / np.linalg.norm(ofdm_ref) < 1e-12
 
@@ -121,7 +120,7 @@ def test_sweep_single_cell_single_row():
 
 
 def test_aggregate_matches_manual_trial_sums():
-    records = [run_trial(SMALL, 8.0, i) for i in range(SMALL.frames_per_point)]
+    records = [run_trial(SMALL, 64, 8.0, i) for i in range(SMALL.frames_per_point)]
     points = aggregate(SMALL, 64, 8.0, records)
     for pt in points:
         bits = sum(r.results[pt.receiver].bits for r in records)
@@ -145,8 +144,8 @@ def test_split_runs_merge_to_single_run_totals():
     # additive-counts oracle: two half-runs over disjoint trial indices must
     # reproduce the full sweep cell exactly
     full = sweep(dataclasses.replace(SMALL, snr_db_list=(8.0,)))
-    first = [run_trial(SMALL, 8.0, i) for i in (0, 1)]
-    second = [run_trial(SMALL, 8.0, i) for i in (2, 3)]
+    first = [run_trial(SMALL, 64, 8.0, i) for i in (0, 1)]
+    second = [run_trial(SMALL, 64, 8.0, i) for i in (2, 3)]
     merged = aggregate(SMALL, 64, 8.0, first + second)
     by_rx = {pt.receiver: pt for pt in full}
     for pt in merged:
@@ -226,7 +225,7 @@ def test_trace_csv_byte_identical_across_workers():
 
 def test_trace_final_value_matches_receiver_residual():
     trace = trace_trial(SMALL, 64, 8.0, 1)
-    record = run_trial(dataclasses.replace(SMALL, receivers=("blind_pilot",)), 8.0, 1)
+    record = run_trial(dataclasses.replace(SMALL, receivers=("blind_pilot",)), 64, 8.0, 1)
     assert record.results["blind_pilot"].final_residual == pytest.approx(
         float(trace[-1]), rel=1e-12
     )
@@ -286,6 +285,10 @@ def test_config_validation():
         SimulationConfig(ofdm_taps=0)
     with pytest.raises(ValueError):  # both SNRs key the same random substream
         SimulationConfig(snr_db_list=(7.0, 7.0004))
+    with pytest.raises(ValueError):
+        SimulationConfig(seq_lengths=())
+    with pytest.raises(ValueError):
+        SimulationConfig(snr_db_list=())
 
 
 def test_selected_receivers_canonical_order():

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from scfde.channel import PowerDelayProfile, convolve_channel, draw_channel
 from scfde.matrixkit import (
-    DftOperator,
     circulant_eigenvalues,
+    dft,
     dft_first_columns,
     dft_row_energies,
     dft_weighted_gram,
+    idft,
     regularized_ls,
     top_left_singular_vector,
 )
@@ -27,18 +28,35 @@ def random_complex(rng, *shape):
 
 def test_forward_inverse_round_trip():
     rng = np.random.default_rng(0)
-    dft = DftOperator(33)
     v = random_complex(rng, 33)
-    assert np.linalg.norm(dft.inverse(dft.forward(v)) - v) / np.linalg.norm(v) < 1e-10
+    assert np.linalg.norm(idft(dft(v)) - v) / np.linalg.norm(v) < 1e-10
     A = random_complex(rng, 33, 5)
-    assert np.linalg.norm(dft.forward(dft.inverse(A)) - A) / np.linalg.norm(A) < 1e-10
+    assert np.linalg.norm(dft(idft(A)) - A) / np.linalg.norm(A) < 1e-10
 
 
 def test_parseval():
     rng = np.random.default_rng(1)
-    dft = DftOperator(50)
     v = random_complex(rng, 50)
-    assert abs(np.linalg.norm(dft.forward(v)) - np.linalg.norm(v)) < 1e-10
+    assert abs(np.linalg.norm(dft(v)) - np.linalg.norm(v)) < 1e-10
+
+
+def test_dft_matches_oracle_matrix_along_axis_0():
+    rng = np.random.default_rng(2)
+    F = unitary_dft_matrix(12)
+    A = random_complex(rng, 12, 3)
+    assert np.allclose(dft(A), F @ A, rtol=0, atol=1e-12)
+    assert np.allclose(idft(A), F.conj().T @ A, rtol=0, atol=1e-12)
+
+
+def test_idft_against_spectrum_oracle():
+    # the inverse unitary DFT of the circulant eigenvalues is sqrt(P) x
+    rng = np.random.default_rng(5)
+    x = random_complex(rng, 32)
+    out = idft(circulant_eigenvalues(x))
+    assert np.allclose(out, np.sqrt(32) * x, rtol=1e-12, atol=1e-12)
+    assert np.all(idft(np.zeros(16)) == 0)
+    v = random_complex(rng, 16)
+    assert abs(np.linalg.norm(idft(v)) - np.linalg.norm(v)) < 1e-12
 
 
 def test_first_columns_orthonormal():
@@ -85,7 +103,7 @@ def test_frequency_model_identity_noiseless():
         L = 4
         x = random_complex(rng, P)
         ch = draw_channel(PowerDelayProfile.geometric(L), 3, rng)
-        Yf = DftOperator(P).forward(convolve_channel(x, ch))
+        Yf = dft(convolve_channel(x, ch))
         model = circulant_eigenvalues(x)[:, None] * (dft_first_columns(P, L) @ ch.taps)
         assert np.linalg.norm(Yf - model) / np.linalg.norm(Yf) < 1e-10
 
