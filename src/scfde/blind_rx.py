@@ -30,8 +30,6 @@ from .matrixkit import (
     top_left_singular_vector,
 )
 
-CORRECTION_MODES = ("pilot", "ca", "qq")
-
 
 @dataclass
 class BlindConfig:
@@ -248,38 +246,27 @@ class BlindDecodeResult:
     failures: dict[str, ReceiverError]
 
 
-def decode_frame(
-    Yf: np.ndarray,
-    frame_cfg: FrameConfig,
-    cfg: BlindConfig,
-    modes=CORRECTION_MODES,
-) -> BlindDecodeResult:
-    """Run the blind factorization once and estimate the requested scales:
-    the pilot ratio ("pilot"), the pilot ratio times the quadrant residue of
-    x_hat / pilot ratio ("qq"), or the centroid scale ("ca"). The pilot
-    ratio is computed once for "pilot" and "qq" together.
+def decode_frame(Yf: np.ndarray, frame_cfg: FrameConfig, cfg: BlindConfig) -> BlindDecodeResult:
+    """Run the blind factorization once and estimate all three scales: the
+    pilot ratio ("pilot"), the pilot ratio times the quadrant residue of
+    x_hat / pilot ratio ("qq"), and the centroid scale ("ca").
+
+    The pilot ratio is computed once for "pilot" and "qq" together, so a
+    pilot failure is recorded for both; "ca" succeeds or fails on its own.
     """
-    unknown = set(modes) - set(CORRECTION_MODES)
-    if unknown:
-        raise ValueError(f"unknown correction modes: {sorted(unknown)}")
     est = alternating_minimization(Yf, cfg)
     x_hat = idft(est.lambda_hat)
 
     alphas: dict[str, complex] = {}
     failures: dict[str, ReceiverError] = {}
-    pilot_modes = [mode for mode in modes if mode != "ca"]
-    if pilot_modes:
-        try:
-            alpha = pilot_alpha(x_hat, frame_cfg)
-        except ReceiverError as err:
-            failures.update(dict.fromkeys(pilot_modes, err))
-        else:
-            alphas.update(dict.fromkeys(pilot_modes, alpha))
-            if "qq" in alphas:
-                alphas["qq"] = alpha * qq_alpha(x_hat / alpha, frame_cfg)
-    if "ca" in modes:
-        try:
-            alphas["ca"] = ca_alpha(x_hat, frame_cfg)
-        except ReceiverError as err:
-            failures["ca"] = err
+    try:
+        alpha = pilot_alpha(x_hat, frame_cfg)
+    except ReceiverError as err:
+        failures.update(pilot=err, qq=err)
+    else:
+        alphas.update(pilot=alpha, qq=alpha * qq_alpha(x_hat / alpha, frame_cfg))
+    try:
+        alphas["ca"] = ca_alpha(x_hat, frame_cfg)
+    except ReceiverError as err:
+        failures["ca"] = err
     return BlindDecodeResult(estimate=est, x_hat=x_hat, alphas=alphas, failures=failures)

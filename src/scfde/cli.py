@@ -64,32 +64,33 @@ def parse_int_list(text: str) -> tuple:
 
 
 def parse_receivers(text: str) -> tuple:
-    names = tuple(p.strip() for p in text.split(",") if p.strip())
-    bad = set(names) - set(RECEIVERS)
-    if bad:
-        raise ConfigError(f"unknown receivers {sorted(bad)}; valid: {', '.join(RECEIVERS)}")
-    return names
+    """Split a comma list; SimulationConfig rejects unknown names."""
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-# flag name -> (SimulationConfig field, parser)
-_FLAG_FIELDS = {
-    "snr": ("snr_db_list", parse_snr_list),
-    "frames": ("frames_per_point", int),
-    "nr": ("Nr", int),
-    "taps": ("L", int),
-    "taps_est": ("L_est", int),
-    "mod_order": ("M", int),
-    "seq_len": ("seq_lengths", parse_int_list),
-    "receivers": ("receivers", parse_receivers),
-    "mu": ("mu", float),
-    "eps": ("eps", float),
-    "max_iter": ("max_iter", int),
-    "seed": ("seed", int),
-    "workers": ("workers", int),
-    "pdp_ratio": ("pdp_ratio", float),
-    "ofdm_taps": ("ofdm_taps", int),
-    "out": ("out_path", str),
-    "dump_trials": ("dump_path", str),
+# flag (also the config-file key) -> (SimulationConfig field, parser, help)
+_FLAGS = {
+    "snr": (
+        "snr_db_list", parse_snr_list, "comma list '0,4,8' or inclusive range 'start:stop:step'"
+    ),
+    "frames": ("frames_per_point", int, "frames per (P, SNR) point"),
+    "nr": ("Nr", int, "receive antenna count"),
+    "taps": ("L", int, "true channel tap count"),
+    "taps_est": ("L_est", int, "tap count assumed by the receivers"),
+    "mod_order": ("M", int, "constellation order M"),
+    "seq_len": ("seq_lengths", parse_int_list, "comma list of sequence lengths P (powers of two)"),
+    "receivers": ("receivers", parse_receivers, f"comma list from: {', '.join(RECEIVERS)}"),
+    "mu": ("mu", float, "ridge regularization weight"),
+    "eps": ("eps", float, "relative-residual stopping tolerance"),
+    "max_iter": ("max_iter", int, "iteration cap of the blind decoder"),
+    "seed": ("seed", int, "master seed"),
+    "workers": ("workers", int, "parallel trial workers"),
+    "pdp_ratio": ("pdp_ratio", float, "geometric tap-power decay ratio"),
+    "ofdm_taps": (
+        "ofdm_taps", int, "taps kept by the baseline interpolator (default: all pilot taps)"
+    ),
+    "out": ("out_path", str, "output CSV path (default: stdout)"),
+    "dump_trials": ("dump_path", str, "per-trial dump CSV path (sweep only)"),
 }
 
 
@@ -109,10 +110,7 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key == "preset":
-            values["preset"] = value
-            continue
-        if key not in _FLAG_FIELDS:
+        if key != "preset" and key not in _FLAGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -128,53 +126,32 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
-        p.add_argument("--snr", help="comma list '0,4,8' or inclusive range 'start:stop:step'")
-        p.add_argument("--frames", type=int, help="frames per (P, SNR) point")
-        p.add_argument("--nr", type=int, help="receive antenna count")
-        p.add_argument("--taps", type=int, help="true channel tap count")
-        p.add_argument("--taps-est", type=int, help="tap count assumed by the receivers")
-        p.add_argument("--mod-order", type=int, help="constellation order M")
-        p.add_argument("--seq-len", help="comma list of sequence lengths P (powers of two)")
-        p.add_argument("--receivers", help=f"comma list from: {', '.join(RECEIVERS)}")
-        p.add_argument("--mu", type=float, help="ridge regularization weight")
-        p.add_argument("--eps", type=float, help="relative-residual stopping tolerance")
-        p.add_argument("--max-iter", type=int, help="iteration cap of the blind decoder")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--workers", type=int, help="parallel trial workers")
-        p.add_argument("--pdp-ratio", type=float, help="geometric tap-power decay ratio")
-        p.add_argument(
-            "--ofdm-taps",
-            type=int,
-            help="taps kept by the baseline interpolator (default: all pilot taps)",
-        )
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--dump-trials", help="optional per-trial dump CSV path")
+        for flag, (_, _, flag_help) in _FLAGS.items():
+            p.add_argument("--" + flag.replace("_", "-"), help=flag_help)
     return parser
 
 
 def build_config(args: argparse.Namespace) -> SimulationConfig:
-    values: dict = {}
+    """Flags win over the config file, which wins over the preset; --preset
+    also wins over a 'preset' key in the file."""
     file_values = read_config_file(args.config) if args.config else {}
+    file_preset = file_values.pop("preset", None)
+    preset = args.preset or file_preset
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; valid: {sorted(PRESETS)}")
+    values = dict(PRESETS.get(preset, {}))
 
-    preset = args.preset or file_values.pop("preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; valid: {sorted(PRESETS)}")
-        values.update(PRESETS[preset])
+    flag_values = {flag: getattr(args, flag) for flag in _FLAGS if getattr(args, flag) is not None}
+    for source, raw_values in (("config key", file_values), ("flag", flag_values)):
+        for flag, raw in raw_values.items():
+            field_name, convert, _ = _FLAGS[flag]
+            try:
+                values[field_name] = convert(raw)
+            except (ValueError, ConfigError) as err:
+                raise ConfigError(f"{source} {flag!r}: {err}") from None
 
-    for flag, raw in file_values.items():
-        field_name, convert = _FLAG_FIELDS[flag]
-        try:
-            values[field_name] = convert(raw)
-        except (ValueError, ConfigError) as err:
-            raise ConfigError(f"config key {flag!r}: {err}") from None
-
-    for flag, (field_name, convert) in _FLAG_FIELDS.items():
-        raw = getattr(args, flag, None)
-        if raw is None:
-            continue
-        values[field_name] = convert(raw) if isinstance(raw, str) else raw
-
+    if args.command == "trace" and values.get("dump_path") is not None:
+        raise ConfigError("trace writes no per-trial dump; remove --dump-trials / dump_trials")
     try:
         return SimulationConfig(**values)
     except (TypeError, ValueError) as err:

@@ -20,7 +20,7 @@ import io
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -43,10 +43,6 @@ from .matrixkit import dft
 RECEIVERS = ("blind_pilot", "blind_ca", "blind_qq", "mrc_ofdm")
 _BLIND_MODE = {"blind_pilot": "pilot", "blind_ca": "ca", "blind_qq": "qq"}
 
-CSV_HEADER = (
-    "snr_db,receiver,P,Nr,L,L_est,M,frames,frames_failed,"
-    "bits_total,bit_errors,ber,mean_iterations,mean_final_residual"
-)
 DUMP_HEADER = "P,snr_db,trial,receiver,failed,bits,bit_errors,iterations,final_residual"
 
 
@@ -81,6 +77,8 @@ class SimulationConfig:
         for P in self.seq_lengths:
             if P < 2 or P & (P - 1):
                 raise ValueError(f"sequence length {P} is not a power of two")
+        if len(set(self.seq_lengths)) < len(self.seq_lengths):
+            raise ValueError(f"sequence lengths {self.seq_lengths} repeat")
         if self.frames_per_point < 1:
             raise ValueError("frames_per_point must be >= 1")
         if self.seed < 0:
@@ -178,6 +176,10 @@ class BerPoint:
     mean_final_residual: float
 
 
+# the sweep CSV's columns are BerPoint's fields, in declaration order
+CSV_HEADER = ",".join(f.name for f in fields(BerPoint))
+
+
 def _snr_key(snr_db: float) -> int:
     """The SNR's share of a trial's stream key (1e-3 dB resolution)."""
     return int(round(snr_db * 1000.0)) & 0xFFFFFFFF
@@ -249,9 +251,8 @@ def run_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) ->
 
     blind_selected = [r for r in selected if r != "mrc_ofdm"]
     if blind_selected:
-        modes = tuple(_BLIND_MODE[r] for r in blind_selected)
         try:
-            decoded = decode_frame(draw.blind_received(), frame_cfg, cfg.blind_config(), modes)
+            decoded = decode_frame(draw.blind_received(), frame_cfg, cfg.blind_config())
         except ReceiverError as err:
             for name in blind_selected:
                 record.results[name] = ReceiverTrial(failed=True, failure=str(err))
@@ -443,12 +444,7 @@ def render_csv(cfg: SimulationConfig, points: list[BerPoint]) -> str:
     buf.write("\n".join(_config_echo(cfg)) + "\n")
     buf.write(CSV_HEADER + "\n")
     for pt in points:
-        row = (
-            pt.snr_db, pt.receiver, pt.P, pt.Nr, pt.L, pt.L_est, pt.M,
-            pt.frames, pt.frames_failed, pt.bits_total, pt.bit_errors,
-            pt.ber, pt.mean_iterations, pt.mean_final_residual,
-        )
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(",".join(_fmt(v) for v in astuple(pt)) + "\n")
     return buf.getvalue()
 
 

@@ -132,7 +132,7 @@ def test_criterion_3_noiseless_blind_recovery():
         frame = build_frame(cfg, payload)
         ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
         Yf = dft(convolve_channel(frame.time_symbols, ch))
-        result = decode_frame(Yf, cfg, blind, modes=("pilot",))
+        result = decode_frame(Yf, cfg, blind)
         est = result.estimate
         if est.converged and est.residual_trace[-1] >= 1e-3:
             converged_ok = False

@@ -308,7 +308,7 @@ def test_qq_all_zero_data_warns_and_passes_through():
 
 def test_decode_frame_shares_estimate_and_scales_exactly():
     cfg, payload, frame, ch, Yf = noiseless_setup(64, 2, 8, 16, seed=11)
-    result = decode_frame(Yf, cfg, BlindConfig(L_est=2), modes=("pilot", "ca", "qq"))
+    result = decode_frame(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.alphas) == {"pilot", "ca", "qq"}
     assert np.array_equal(result.x_hat, idft(result.estimate.lambda_hat))
     alpha_pilot = pilot_alpha(result.x_hat, cfg)
@@ -332,17 +332,11 @@ def test_decode_frame_invariant_under_unitary_antenna_rotation():
         V = np.linalg.eigh(Yf.conj().T @ Yf)[1]
         decisions = []
         for received in (Yf, Yf @ V):
-            result = decode_frame(received, cfg, blind, modes=("pilot",))
+            result = decode_frame(received, cfg, blind)
             x = extract_data(cfg, result.x_hat) / result.alphas["pilot"]
             decisions.append(qam_demodulate(x, cfg.M)[0])
         assert np.array_equal(decisions[0], decisions[1])
         assert np.count_nonzero(decisions[0] != payload) < payload.size // 100
-
-
-def test_decode_frame_rejects_unknown_mode():
-    _, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=12)
-    with pytest.raises(ValueError):
-        decode_frame(Yf, FrameConfig(P=64, L=2, M=16), BlindConfig(L_est=2), modes=("zf",))
 
 
 def test_decode_frame_isolates_pilot_failure_from_ca(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 import scfde.cli as cli
 import scfde.harness as harness
 from scfde.cli import ConfigError, build_config, build_parser, main, parse_snr_list
+from scfde.harness import SimulationConfig
 
 FAST = [
     "--seq-len", "64", "--nr", "4", "--taps", "3", "--taps-est", "3",
@@ -54,6 +55,68 @@ def test_config_file_parsed_and_overridden(tmp_path):
     assert cfg.snr_db_list == (4.0, 8.0)
     assert cfg.frames_per_point == 2  # flag beats file
     assert cfg.seed == 9
+
+
+# one valid raw value per flag; a flag added without one fails the test below
+FLAG_SAMPLES = {
+    "snr": "4,8",
+    "frames": "3",
+    "nr": "2",
+    "taps": "2",
+    "taps_est": "2",
+    "mod_order": "16",
+    "seq_len": "32,64",
+    "receivers": "blind_qq,mrc_ofdm",
+    "mu": "0.25",
+    "eps": "1e-3",
+    "max_iter": "7",
+    "seed": "5",
+    "workers": "2",
+    "pdp_ratio": "0.7",
+    "ofdm_taps": "3",
+    "out": "ber.csv",
+    "dump_trials": "trials.csv",
+}
+
+
+def test_every_flag_and_config_key_build_the_same_config(tmp_path):
+    assert set(FLAG_SAMPLES) == set(cli._FLAGS)
+    parser = build_parser()
+    for flag, raw in FLAG_SAMPLES.items():
+        name = flag.replace("_", "-")
+        path = tmp_path / f"{flag}.cfg"
+        path.write_text(f"{name} = {raw}\n")
+        from_flag = build_config(parser.parse_args(["sweep", f"--{name}", raw]))
+        from_file = build_config(parser.parse_args(["sweep", "--config", str(path)]))
+        field_name, convert, _ = cli._FLAGS[flag]
+        assert from_flag == from_file, flag
+        assert getattr(from_flag, field_name) == convert(raw), flag
+        assert from_flag != SimulationConfig(), flag
+
+
+def test_preset_flag_beats_config_file_preset(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("preset = fig7\n")
+    parser = build_parser()
+    cfg = build_config(parser.parse_args(["sweep", "--config", str(path)]))
+    assert cfg.L == 5  # the file's preset applies on its own
+    cfg = build_config(parser.parse_args(["sweep", "--preset", "fig5", "--config", str(path)]))
+    assert (cfg.seq_lengths, cfg.L) == ((1024,), 9)
+    argv = ["sweep", "--preset", "fig5", "--config", str(path), *FAST, "--receivers", "mrc_ofdm"]
+    assert main(argv) == 0
+
+
+def test_trace_rejects_dump_trials(tmp_path, monkeypatch, capsys):
+    def no_trials(cfg):
+        raise AssertionError("trace ran trials despite a config error")
+
+    monkeypatch.setattr(cli, "residual_trace", no_trials)
+    dump = tmp_path / "trials.csv"
+    assert main(["trace", *FAST, "--dump-trials", str(dump)]) == 2
+    path = tmp_path / "run.cfg"
+    path.write_text(f"dump_trials = {dump}\n")
+    assert main(["trace", *FAST, "--config", str(path)]) == 2
+    assert not dump.exists()
 
 
 def test_config_file_unknown_key_rejected(tmp_path):
@@ -108,6 +171,8 @@ def test_exit_code_2_on_invalid_combinations(capsys):
     assert main(["sweep", "--snr", "7,7.0004"]) == 2  # SNRs share a substream
     assert main(["sweep", "--seq-len", ",", "--snr", "7"]) == 2  # no sequence length
     assert main(["sweep", "--snr", ",", "--seq-len", "64"]) == 2  # no SNR
+    assert main(["sweep", "--seq-len", "64,64"]) == 2  # repeated length
+    assert main(["sweep", "--frames", "abc"]) == 2  # not an integer
 
 
 def test_exit_code_3_on_unwritable_output(tmp_path, capsys):

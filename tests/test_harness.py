@@ -287,6 +287,8 @@ def test_config_validation():
         SimulationConfig(snr_db_list=(7.0, 7.0004))
     with pytest.raises(ValueError):
         SimulationConfig(seq_lengths=())
+    with pytest.raises(ValueError):  # each length would run and print twice
+        SimulationConfig(seq_lengths=(64, 64))
     with pytest.raises(ValueError):
         SimulationConfig(snr_db_list=())
 
