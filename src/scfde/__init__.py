@@ -15,7 +15,6 @@ from .blind_rx import (
     qq_alpha,
 )
 from .channel import (
-    ChannelRealization,
     PowerDelayProfile,
     convolve_channel,
     draw_channel,
@@ -28,7 +27,7 @@ from .constellation import (
     qam_modulate,
 )
 from .errors import DegenerateBinError, PilotLossError, ReceiverError
-from .frame import Frame, FrameConfig, build_frame, extract_data, random_payload
+from .frame import FrameConfig, build_frame, extract_data, random_payload
 from .harness import BerPoint, SimulationConfig, residual_trace, run_trial, sweep
 from .matrixkit import (
     circulant_eigenvalues,
@@ -52,7 +51,6 @@ __all__ = [
     "mrc_combine",
     "pilot_alpha",
     "qq_alpha",
-    "ChannelRealization",
     "PowerDelayProfile",
     "convolve_channel",
     "draw_channel",
@@ -64,7 +62,6 @@ __all__ = [
     "DegenerateBinError",
     "PilotLossError",
     "ReceiverError",
-    "Frame",
     "FrameConfig",
     "build_frame",
     "extract_data",

@@ -17,8 +17,6 @@ product with the channel's frequency response; ``convolve_channel`` plus
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .matrixkit import dft_first_columns
@@ -53,28 +51,13 @@ class PowerDelayProfile:
         return cls(p / p.sum())
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the L x Nr tap matrix (column r = taps of antenna r)."""
-
-    taps: np.ndarray = field(repr=False)
-
-    @property
-    def L(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def Nr(self) -> int:
-        return self.taps.shape[1]
-
-
-def draw_channel(pdp: PowerDelayProfile, Nr: int, rng: np.random.Generator) -> ChannelRealization:
-    """Sample taps h[l, r] ~ CN(0, p[l]), independent across l and r."""
+def draw_channel(pdp: PowerDelayProfile, Nr: int, rng: np.random.Generator) -> np.ndarray:
+    """L x Nr tap matrix (column r = taps of antenna r) with h[l, r] ~
+    CN(0, p[l]), independent across l and r."""
     if Nr < 1:
         raise ValueError(f"antenna count must be >= 1, got {Nr}")
     sigma = np.sqrt(pdp.powers / 2.0)[:, None]
-    taps = sigma * (rng.standard_normal((pdp.L, Nr)) + 1j * rng.standard_normal((pdp.L, Nr)))
-    return ChannelRealization(taps=taps)
+    return sigma * (rng.standard_normal((pdp.L, Nr)) + 1j * rng.standard_normal((pdp.L, Nr)))
 
 
 def snr_db_to_noise_variance(snr_db: float) -> float:
@@ -96,13 +79,14 @@ def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarra
     return w
 
 
-def frequency_response(ch: ChannelRealization, P: int) -> np.ndarray:
-    """P x Nr per-bin channel gains: the unnormalized P-point DFT of each
-    antenna's taps, sqrt(P) * F_L @ taps with F_L the first L columns of
-    the unitary DFT."""
-    if ch.L > P:
-        raise ValueError(f"channel has {ch.L} taps but the frame only {P} samples")
-    return np.sqrt(P) * (dft_first_columns(P, ch.L) @ ch.taps)
+def frequency_response(taps: np.ndarray, P: int) -> np.ndarray:
+    """P x Nr per-bin channel gains of an L x Nr tap matrix: the
+    unnormalized P-point DFT of each antenna's taps, sqrt(P) * F_L @ taps
+    with F_L the first L columns of the unitary DFT."""
+    L = taps.shape[0]
+    if L > P:
+        raise ValueError(f"channel has {L} taps but the frame only {P} samples")
+    return np.sqrt(P) * (dft_first_columns(P, L) @ taps)
 
 
 def receive_spectrum(Xf: np.ndarray, Hf: np.ndarray, Nf: np.ndarray) -> np.ndarray:
@@ -110,18 +94,20 @@ def receive_spectrum(Xf: np.ndarray, Hf: np.ndarray, Nf: np.ndarray) -> np.ndarr
 
     Xf is the unitary DFT of the transmitted block, Hf its channel's
     frequency response and Nf the unitary DFT of the time-domain noise, so
-    Yf equals the unitary DFT of ``convolve_channel(x, ch) + noise``.
+    Yf equals the unitary DFT of ``convolve_channel(x, taps) + noise``.
     """
     return np.asarray(Xf, dtype=complex).ravel()[:, None] * Hf + Nf
 
 
-def convolve_channel(x: np.ndarray, ch: ChannelRealization) -> np.ndarray:
+def convolve_channel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Noiseless P x Nr receive matrix: per-antenna circular convolution of
-    x with the zero-padded tap vector, computed through the FFT."""
+    x with the zero-padded columns of the L x Nr tap matrix, computed
+    through the FFT."""
     x = np.asarray(x, dtype=complex).ravel()
     P = x.size
-    if ch.L > P:
-        raise ValueError(f"channel has {ch.L} taps but the frame only {P} samples")
-    Hf = np.fft.fft(ch.taps, n=P, axis=0)
+    L = taps.shape[0]
+    if L > P:
+        raise ValueError(f"channel has {L} taps but the frame only {P} samples")
+    Hf = np.fft.fft(taps, n=P, axis=0)
     return np.fft.ifft(np.fft.fft(x)[:, None] * Hf, axis=0)
 

@@ -90,8 +90,10 @@ _FLAGS = {
         "ofdm_taps", int, "taps kept by the baseline interpolator (default: all pilot taps)"
     ),
     "out": ("out_path", str, "output CSV path (default: stdout)"),
-    "dump_trials": ("dump_path", str, "per-trial dump CSV path (sweep only)"),
+    "dump_trials": ("dump_path", str, "per-trial dump CSV path"),
 }
+# options that only sweep reads; trace rejects them as flags and as file keys
+_SWEEP_ONLY = ("receivers", "ofdm_taps", "dump_trials")
 
 
 def read_config_file(path: str) -> dict:
@@ -127,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
         for flag, (_, _, flag_help) in _FLAGS.items():
+            if flag in _SWEEP_ONLY:
+                flag_help += " (sweep only)"
             p.add_argument("--" + flag.replace("_", "-"), help=flag_help)
     return parser
 
@@ -142,6 +146,10 @@ def build_config(args: argparse.Namespace) -> SimulationConfig:
     values = dict(PRESETS.get(preset, {}))
 
     flag_values = {flag: getattr(args, flag) for flag in _FLAGS if getattr(args, flag) is not None}
+    if args.command == "trace":
+        ignored = [flag for flag in _SWEEP_ONLY if flag in file_values or flag in flag_values]
+        if ignored:
+            raise ConfigError(f"trace does not use {', '.join(ignored)}; remove them")
     for source, raw_values in (("config key", file_values), ("flag", flag_values)):
         for flag, raw in raw_values.items():
             field_name, convert, _ = _FLAGS[flag]
@@ -150,8 +158,6 @@ def build_config(args: argparse.Namespace) -> SimulationConfig:
             except (ValueError, ConfigError) as err:
                 raise ConfigError(f"{source} {flag!r}: {err}") from None
 
-    if args.command == "trace" and values.get("dump_path") is not None:
-        raise ConfigError("trace writes no per-trial dump; remove --dump-trials / dump_trials")
     try:
         return SimulationConfig(**values)
     except (TypeError, ValueError) as err:

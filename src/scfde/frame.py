@@ -10,7 +10,7 @@ receiver and resolves the global complex scale of the blind estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,21 +64,15 @@ class FrameConfig:
         return (self.N - 1) * get_constellation(self.M).bits_per_symbol
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One transmitted block: time-domain symbols plus the payload bits."""
-
-    time_symbols: np.ndarray
-    payload_bits: np.ndarray = field(repr=False)
-
-
-def random_payload(cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random payload bits sized for one frame."""
+def random_payload(cfg, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random payload bits for any plan with a ``payload_bits``
+    budget (a FrameConfig, or the baseline's OfdmPilotConfig)."""
     return rng.integers(0, 2, size=cfg.payload_bits)
 
 
-def build_frame(cfg: FrameConfig, payload_bits: np.ndarray) -> Frame:
-    """Assemble the time-domain frame for the given payload bits.
+def build_frame(cfg: FrameConfig, payload_bits: np.ndarray) -> np.ndarray:
+    """Length-P time-domain symbol vector of the frame carrying the given
+    payload bits.
 
     Raises ValueError when the payload length differs from cfg.payload_bits.
     """
@@ -90,7 +84,7 @@ def build_frame(cfg: FrameConfig, payload_bits: np.ndarray) -> Frame:
     x = np.zeros(cfg.P, dtype=complex)
     x[cfg.pilot_index] = cfg.pilot_value
     x[cfg.data_indices] = qam_modulate(payload_bits, cfg.M)
-    return Frame(time_symbols=x, payload_bits=payload_bits)
+    return x
 
 
 def extract_data(cfg: FrameConfig, time_symbols: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ column instead of being silently mixed in.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -36,14 +35,12 @@ from .channel import (
     snr_db_to_noise_variance,
 )
 from .errors import ReceiverError
-from .frame import FrameConfig, build_frame, extract_data
+from .frame import FrameConfig, build_frame, extract_data, random_payload
 from .constellation import qam_demodulate
 from .matrixkit import dft
 
 RECEIVERS = ("blind_pilot", "blind_ca", "blind_qq", "mrc_ofdm")
 _BLIND_MODE = {"blind_pilot": "pilot", "blind_ca": "ca", "blind_qq": "qq"}
-
-DUMP_HEADER = "P,snr_db,trial,receiver,failed,bits,bit_errors,iterations,final_residual"
 
 
 @dataclass(frozen=True)
@@ -138,14 +135,18 @@ PRESETS = {
 
 @dataclass
 class ReceiverTrial:
-    """One receiver's outcome on one frame."""
+    """One receiver's outcome on one frame; NaN marks what the receiver does
+    not report (a failed frame, or the non-iterative OFDM baseline)."""
 
-    bits: int = 0
-    errors: int = 0
-    iterations: int | None = None
-    final_residual: float | None = None
     failed: bool = False
-    failure: str = ""
+    bits: int = 0
+    bit_errors: int = 0
+    iterations: int | float = math.nan
+    final_residual: float = math.nan
+
+
+# a dump row is the trial key followed by ReceiverTrial's fields, in order
+DUMP_HEADER = ",".join(["P,snr_db,trial,receiver", *(f.name for f in fields(ReceiverTrial))])
 
 
 @dataclass
@@ -208,8 +209,7 @@ class TrialDraw:
 
     def blind_received(self) -> np.ndarray:
         """Receive matrix of the blind receivers' zero-padded pilot frame."""
-        frame = build_frame(self.frame_cfg, self.payload)
-        return self.received(dft(frame.time_symbols))
+        return self.received(dft(build_frame(self.frame_cfg, self.payload)))
 
 
 def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -> TrialDraw:
@@ -221,17 +221,17 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
     """
     rng = _substream(cfg.seed, P, snr_db, trial_index)
     frame_cfg = FrameConfig(P=P, L=cfg.L, M=cfg.M)
-    payload = rng.integers(0, 2, size=frame_cfg.payload_bits)
+    payload = random_payload(frame_cfg, rng)
     ofdm_cfg = cfg.ofdm_config(P)
-    ofdm_payload = rng.integers(0, 2, size=ofdm_cfg.payload_bits)
-    ch = draw_channel(PowerDelayProfile.geometric(cfg.L, cfg.pdp_ratio), cfg.Nr, rng)
+    ofdm_payload = random_payload(ofdm_cfg, rng)
+    taps = draw_channel(PowerDelayProfile.geometric(cfg.L, cfg.pdp_ratio), cfg.Nr, rng)
     noise = complex_noise((P, cfg.Nr), snr_db_to_noise_variance(snr_db), rng)
     return TrialDraw(
         frame_cfg=frame_cfg,
         payload=payload,
         ofdm_cfg=ofdm_cfg,
         ofdm_payload=ofdm_payload,
-        Hf=frequency_response(ch, P),
+        Hf=frequency_response(taps, P),
         Nf=dft(noise),
     )
 
@@ -253,23 +253,21 @@ def run_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) ->
     if blind_selected:
         try:
             decoded = decode_frame(draw.blind_received(), frame_cfg, cfg.blind_config())
-        except ReceiverError as err:
+        except ReceiverError:
             for name in blind_selected:
-                record.results[name] = ReceiverTrial(failed=True, failure=str(err))
+                record.results[name] = ReceiverTrial(failed=True)
         else:
             est = decoded.estimate
             data = extract_data(frame_cfg, decoded.x_hat)
             for name in blind_selected:
                 mode = _BLIND_MODE[name]
                 if mode in decoded.failures:
-                    record.results[name] = ReceiverTrial(
-                        failed=True, failure=str(decoded.failures[mode])
-                    )
+                    record.results[name] = ReceiverTrial(failed=True)
                     continue
                 bits, _ = qam_demodulate(data / decoded.alphas[mode], cfg.M)
                 record.results[name] = ReceiverTrial(
                     bits=payload.size,
-                    errors=int(np.count_nonzero(bits != payload)),
+                    bit_errors=int(np.count_nonzero(bits != payload)),
                     iterations=est.iterations,
                     final_residual=float(est.residual_trace[-1]),
                 )
@@ -281,10 +279,10 @@ def run_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) ->
             bits, _ = ofdm_mrc_receive(Yf, ofdm_cfg)
             record.results["mrc_ofdm"] = ReceiverTrial(
                 bits=ofdm_payload.size,
-                errors=int(np.count_nonzero(bits != ofdm_payload)),
+                bit_errors=int(np.count_nonzero(bits != ofdm_payload)),
             )
-        except ReceiverError as err:
-            record.results["mrc_ofdm"] = ReceiverTrial(failed=True, failure=str(err))
+        except ReceiverError:
+            record.results["mrc_ofdm"] = ReceiverTrial(failed=True)
 
     return record
 
@@ -321,9 +319,9 @@ def aggregate(cfg: SimulationConfig, P: int, snr_db: float, records: list[TrialR
         trials = [r.results[name] for r in records]
         ok = [t for t in trials if not t.failed]
         bits = sum(t.bits for t in ok)
-        errors = sum(t.errors for t in ok)
-        iters = [t.iterations for t in ok if t.iterations is not None]
-        residuals = [t.final_residual for t in ok if t.final_residual is not None]
+        errors = sum(t.bit_errors for t in ok)
+        iters = [t.iterations for t in ok]
+        residuals = [t.final_residual for t in ok]
         points.append(
             BerPoint(
                 snr_db=snr_db,
@@ -346,6 +344,8 @@ def aggregate(cfg: SimulationConfig, P: int, snr_db: float, records: list[TrialR
 
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -366,6 +366,12 @@ def _config_echo(cfg: SimulationConfig) -> list[str]:
             value = ",".join(_fmt(v) for v in value)
         lines.append(f"# {f.name} = {_fmt(value)}")
     return lines
+
+
+def _render(preamble: list[str], header: str, rows) -> str:
+    """CSV text: the preamble lines, the header, then one line per row."""
+    lines = [*preamble, header, *(",".join(_fmt(v) for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 # SNR step over which check_ber_monotonicity expects the BER not to rise
@@ -405,47 +411,27 @@ def sweep(cfg: SimulationConfig) -> list[BerPoint]:
     """
     cells = [(P, snr_db) for P in cfg.seq_lengths for snr_db in cfg.snr_db_list]
     points: list[BerPoint] = []
-    dump_rows: list[str] = []
+    dump_rows: list[tuple] = []
     for (P, snr_db), records in zip(cells, _map_cells(cfg, _trial_task, cells)):
         points.extend(aggregate(cfg, P, snr_db, records))
-        if cfg.dump_path is None:
-            continue
-        for rec in records:
-            for name in cfg.selected():
-                t = rec.results[name]
-                dump_rows.append(
-                    ",".join(
-                        _fmt(v)
-                        for v in (
-                            P,
-                            snr_db,
-                            rec.trial_index,
-                            name,
-                            int(t.failed),
-                            t.bits,
-                            t.errors,
-                            t.iterations if t.iterations is not None else float("nan"),
-                            t.final_residual if t.final_residual is not None else float("nan"),
-                        )
-                    )
-                )
+        if cfg.dump_path is not None:
+            dump_rows.extend(
+                (P, snr_db, rec.trial_index, name, *astuple(rec.results[name]))
+                for rec in records
+                for name in cfg.selected()
+            )
 
     check_ber_monotonicity(points)
     if cfg.out_path is not None:
         write_csv(cfg, points, cfg.out_path)
     if cfg.dump_path is not None:
         with open(cfg.dump_path, "w", newline="") as fh:
-            fh.write("\n".join([DUMP_HEADER, *dump_rows]) + "\n")
+            fh.write(_render([], DUMP_HEADER, dump_rows))
     return points
 
 
 def render_csv(cfg: SimulationConfig, points: list[BerPoint]) -> str:
-    buf = io.StringIO()
-    buf.write("\n".join(_config_echo(cfg)) + "\n")
-    buf.write(CSV_HEADER + "\n")
-    for pt in points:
-        buf.write(",".join(_fmt(v) for v in astuple(pt)) + "\n")
-    return buf.getvalue()
+    return _render(_config_echo(cfg), CSV_HEADER, map(astuple, points))
 
 
 def write_csv(cfg: SimulationConfig, points: list[BerPoint], path: str) -> None:
@@ -495,10 +481,9 @@ TRACE_HEADER = "P,snr_db,iteration,normalized_error"
 
 
 def render_trace_csv(cfg: SimulationConfig, traces: list[ResidualTrace]) -> str:
-    buf = io.StringIO()
-    buf.write("\n".join(_config_echo(cfg)) + "\n")
-    buf.write(TRACE_HEADER + "\n")
-    for tr in traces:
-        for i, err in enumerate(tr.errors, start=1):
-            buf.write(",".join(_fmt(v) for v in (tr.P, tr.snr_db, i, float(err))) + "\n")
-    return buf.getvalue()
+    rows = (
+        (tr.P, tr.snr_db, i, float(err))
+        for tr in traces
+        for i, err in enumerate(tr.errors, start=1)
+    )
+    return _render(_config_echo(cfg), TRACE_HEADER, rows)

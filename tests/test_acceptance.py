@@ -59,7 +59,7 @@ def test_criterion_1_model_identity_suite():
             x = complex_randn(rng, P)
             ch = draw_channel(PowerDelayProfile.geometric(L), 3, rng)
             Yf = dft(convolve_channel(x, ch))
-            model = circulant_eigenvalues(x)[:, None] * (dft_first_columns(P, L) @ ch.taps)
+            model = circulant_eigenvalues(x)[:, None] * (dft_first_columns(P, L) @ ch)
             worst = max(worst, np.linalg.norm(Yf - model) / np.linalg.norm(Yf))
 
     # explicit circulant diagonalization at P = 8
@@ -108,7 +108,7 @@ def test_criterion_2_oracle_equivalence_suite():
         Y = convolve_channel(x, ch)
         for r in range(2):
             oracle = np.array(
-                [sum(ch.taps[l, r] * x[(n - l) % P] for l in range(L)) for n in range(P)]
+                [sum(ch[l, r] * x[(n - l) % P] for l in range(L)) for n in range(P)]
             )
             worst_conv = max(worst_conv, np.max(np.abs(Y[:, r] - oracle)))
 
@@ -131,7 +131,7 @@ def test_criterion_3_noiseless_blind_recovery():
         payload = random_payload(cfg, rng)
         frame = build_frame(cfg, payload)
         ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
-        Yf = dft(convolve_channel(frame.time_symbols, ch))
+        Yf = dft(convolve_channel(frame, ch))
         result = decode_frame(Yf, cfg, blind)
         est = result.estimate
         if est.converged and est.residual_trace[-1] >= 1e-3:
@@ -219,7 +219,7 @@ def test_criterion_7_per_iteration_cost_scaling():
         rng = np.random.default_rng(700 + P)
         frame = build_frame(cfg, random_payload(cfg, rng))
         ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
-        Y = convolve_channel(frame.time_symbols, ch) + 0.3 * complex_randn(rng, P, Nr)
+        Y = convolve_channel(frame, ch) + 0.3 * complex_randn(rng, P, Nr)
         Yf = dft(Y)
         F_L = dft_first_columns(P, L)
         F_conj = F_L.conj()
@@ -253,16 +253,16 @@ def test_criterion_8_correction_unit_oracles():
 
     ca_errors = 0
     for distortion in [2.0 * np.exp(0.1j)] + [np.exp(1j * q * np.pi / 2) for q in range(4)]:
-        x_hat = distortion * frame.time_symbols
+        x_hat = distortion * frame
         out = x_hat / ca_alpha(x_hat, cfg)
         _, hard = qam_demodulate(extract_data(cfg, out), M)
         ca_errors += np.count_nonzero(hard != tx)
 
-    x_rot, x_scale = np.exp(0.05j) * frame.time_symbols, 1.1 * frame.time_symbols
+    x_rot, x_scale = np.exp(0.05j) * frame, 1.1 * frame
     qq_rot = x_rot / qq_alpha(x_rot, cfg)
     qq_scale = x_scale / qq_alpha(x_scale, cfg)
-    rot_err = np.max(np.abs(qq_rot - frame.time_symbols))
-    scale_err = np.max(np.abs(qq_scale - frame.time_symbols))
+    rot_err = np.max(np.abs(qq_rot - frame))
+    scale_err = np.max(np.abs(qq_scale - frame))
 
     ok = ca_errors == 0 and rot_err < 1e-9 and scale_err < 1e-9
     report(

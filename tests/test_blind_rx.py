@@ -13,7 +13,7 @@ from scfde.blind_rx import (
     pilot_alpha,
     qq_alpha,
 )
-from scfde.channel import ChannelRealization, PowerDelayProfile, convolve_channel, draw_channel
+from scfde.channel import PowerDelayProfile, convolve_channel, draw_channel
 from scfde.constellation import get_constellation, qam_demodulate, qam_modulate
 from scfde.errors import DegenerateBinError, PilotLossError
 from scfde.frame import FrameConfig, build_frame, extract_data, random_payload
@@ -32,7 +32,7 @@ def noiseless_setup(P, L, Nr, M, seed):
     payload = random_payload(cfg, rng)
     frame = build_frame(cfg, payload)
     ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
-    Yf = dft(convolve_channel(frame.time_symbols, ch))
+    Yf = dft(convolve_channel(frame, ch))
     return cfg, payload, frame, ch, Yf
 
 
@@ -43,7 +43,7 @@ def all_symbol_frame(M, distortion=1.0 + 0.0j):
     k = const.bits_per_symbol
     bits = ((np.arange(M)[:, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()
     frame = build_frame(cfg, bits)
-    return cfg, bits, frame, distortion * frame.time_symbols
+    return cfg, bits, frame, distortion * frame
 
 
 def test_factorization_scale_ambiguity_is_exact():
@@ -60,9 +60,9 @@ def test_factorization_scale_ambiguity_is_exact():
 
 def test_single_mrc_pass_with_true_channel_is_exact():
     cfg, _, frame, ch, Yf = noiseless_setup(64, 3, 6, 16, seed=1)
-    Hn_true = dft_first_columns(64, 3) @ ch.taps
+    Hn_true = dft_first_columns(64, 3) @ ch
     lam = mrc_combine(Yf, Hn_true)
-    truth = circulant_eigenvalues(frame.time_symbols)
+    truth = circulant_eigenvalues(frame)
     assert np.linalg.norm(lam - truth) / np.linalg.norm(truth) < 1e-10
 
 
@@ -98,14 +98,14 @@ def test_flat_channel_noiseless_recovery():
     rng = np.random.default_rng(3)
     cfg = FrameConfig(P=64, L=1, M=16)
     frame = build_frame(cfg, random_payload(cfg, rng))
-    ch = ChannelRealization(taps=np.ones((1, 4), dtype=complex))
-    Yf = dft(convolve_channel(frame.time_symbols, ch))
+    ch = np.ones((1, 4), dtype=complex)
+    Yf = dft(convolve_channel(frame, ch))
     est = alternating_minimization(Yf, BlindConfig(L_est=1))
     assert est.converged
     recon = est.lambda_hat[:, None] * (dft_first_columns(64, 1) @ est.H_t_hat)
     assert np.linalg.norm(Yf - recon) / np.linalg.norm(Yf) < 1e-6
     x_hat = idft(est.lambda_hat)
-    x = frame.time_symbols
+    x = frame
     cosine = abs(np.vdot(x_hat, x)) / (np.linalg.norm(x_hat) * np.linalg.norm(x))
     assert cosine > 0.999
 
@@ -201,18 +201,18 @@ def test_pilot_derotate_pure_scale():
     cfg = FrameConfig(P=32, L=2, M=16)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(6)))
     alpha = 2.0 * np.exp(0.3j)
-    x_hat = alpha * frame.time_symbols
+    x_hat = alpha * frame
     alpha_hat = pilot_alpha(x_hat, cfg)
     assert abs(alpha_hat - alpha) < 1e-12
     x_derot = x_hat / alpha_hat
-    assert np.allclose(x_derot, frame.time_symbols, rtol=1e-12, atol=1e-12)
+    assert np.allclose(x_derot, frame, rtol=1e-12, atol=1e-12)
     assert np.isclose(x_derot[cfg.pilot_index], cfg.pilot_value, rtol=1e-12)
 
 
 def test_pilot_derotate_identity():
     cfg = FrameConfig(P=32, L=2, M=16)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(7)))
-    alpha_hat = pilot_alpha(frame.time_symbols, cfg)
+    alpha_hat = pilot_alpha(frame, cfg)
     assert abs(alpha_hat - 1.0) < 1e-12
 
 
@@ -221,7 +221,7 @@ def test_pilot_derotate_noisy_pilot_single_sample_oracle():
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(8)))
     alpha = 1.3 * np.exp(-0.2j)
     e = 0.05 + 0.02j
-    x_hat = alpha * frame.time_symbols
+    x_hat = alpha * frame
     x_hat[cfg.pilot_index] += e
     alpha_hat = pilot_alpha(x_hat, cfg)
     oracle = (alpha * cfg.pilot_value + e) / cfg.pilot_value
@@ -231,7 +231,7 @@ def test_pilot_derotate_noisy_pilot_single_sample_oracle():
 def test_pilot_annihilated_raises():
     cfg = FrameConfig(P=32, L=2, M=16)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(9)))
-    x_hat = frame.time_symbols.copy()
+    x_hat = frame.copy()
     x_hat[cfg.pilot_index] = 0
     with pytest.raises(PilotLossError):
         pilot_alpha(x_hat, cfg)
@@ -240,17 +240,17 @@ def test_pilot_annihilated_raises():
 def test_centroids_adjust_identity_on_clean_frame():
     cfg = FrameConfig(P=64, L=2, M=64)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(10)))
-    out = frame.time_symbols / ca_alpha(frame.time_symbols, cfg)
-    assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-9)
+    out = frame / ca_alpha(frame, cfg)
+    assert np.allclose(out, frame, rtol=0, atol=1e-9)
 
 
 def test_centroids_adjust_resolves_quadrant_rotations():
     cfg, bits, frame, _ = all_symbol_frame(64)
     tx = qam_modulate(bits, 64)
     for k in range(4):
-        x_hat = np.exp(1j * k * np.pi / 2.0) * frame.time_symbols
+        x_hat = np.exp(1j * k * np.pi / 2.0) * frame
         out = x_hat / ca_alpha(x_hat, cfg)
-        assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-6)
+        assert np.allclose(out, frame, rtol=0, atol=1e-6)
         _, hard = qam_demodulate(extract_data(cfg, out), 64)
         assert np.array_equal(hard, tx)
 
@@ -260,30 +260,30 @@ def test_centroids_adjust_known_distortion_exact_decisions():
     out = x_hat / ca_alpha(x_hat, cfg)
     _, hard = qam_demodulate(extract_data(cfg, out), 64)
     assert np.array_equal(hard, qam_modulate(bits, 64))
-    assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-9)
+    assert np.allclose(out, frame, rtol=0, atol=1e-9)
 
 
 def test_qq_identity_under_uniform_coverage():
     cfg, _, frame, _ = all_symbol_frame(64)
-    out = frame.time_symbols / qq_alpha(frame.time_symbols, cfg)
-    assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-12)
+    out = frame / qq_alpha(frame, cfg)
+    assert np.allclose(out, frame, rtol=0, atol=1e-12)
 
 
 def test_qq_recovers_small_rotation_and_scale():
     cfg, _, frame, _ = all_symbol_frame(64)
     for alpha in (np.exp(0.05j), 1.1 + 0.0j):
-        x = alpha * frame.time_symbols
+        x = alpha * frame
         out = x / qq_alpha(x, cfg)
-        assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-9)
+        assert np.allclose(out, frame, rtol=0, atol=1e-9)
 
 
 def test_qq_phase_commutation_qpsk_quarter_turn():
     # on QPSK the quadrant sets survive any |theta| < pi/4 rotation intact
     cfg, _, frame, _ = all_symbol_frame(4)
     for theta in (-0.7, -0.3, 0.3, 0.7):
-        x = np.exp(1j * theta) * frame.time_symbols
+        x = np.exp(1j * theta) * frame
         out = x / qq_alpha(x, cfg)
-        assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-6)
+        assert np.allclose(out, frame, rtol=0, atol=1e-6)
 
 
 def test_qq_renormalizes_over_empty_quadrants():
@@ -291,9 +291,9 @@ def test_qq_renormalizes_over_empty_quadrants():
     cfg = FrameConfig(P=9, L=1, M=4)
     bits = np.array([0, 0, 1, 0] * 4)  # symbols alternate quadrant 1, 2
     frame = build_frame(cfg, bits)
-    x = 1.05 * frame.time_symbols
+    x = 1.05 * frame
     out = x / qq_alpha(x, cfg)
-    assert np.allclose(out, frame.time_symbols, rtol=0, atol=1e-12)
+    assert np.allclose(out, frame, rtol=0, atol=1e-12)
 
 
 def test_qq_all_zero_data_warns_and_passes_through():

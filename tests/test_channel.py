@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfde.channel import (
-    ChannelRealization,
     PowerDelayProfile,
     complex_noise,
     convolve_channel,
@@ -46,33 +45,33 @@ def test_single_tap_energy_monte_carlo():
     rng = np.random.default_rng(0)
     pdp = PowerDelayProfile([1.0])
     draws = draw_channel(pdp, 100_000, rng)
-    mean_energy = np.mean(np.abs(draws.taps) ** 2)
+    mean_energy = np.mean(np.abs(draws) ** 2)
     assert abs(mean_energy - 1.0) < 0.02
 
 
 def test_multitap_energy_monte_carlo():
     rng = np.random.default_rng(1)
     pdp = PowerDelayProfile.geometric(5)
-    taps = draw_channel(pdp, 50_000, rng).taps
+    taps = draw_channel(pdp, 50_000, rng)
     assert abs(np.mean(np.sum(np.abs(taps) ** 2, axis=0)) - 1.0) < 0.02
 
 
 def test_draw_channel_seed_determinism():
     pdp = PowerDelayProfile.geometric(4)
-    a = draw_channel(pdp, 8, np.random.default_rng(42)).taps
-    b = draw_channel(pdp, 8, np.random.default_rng(42)).taps
+    a = draw_channel(pdp, 8, np.random.default_rng(42))
+    b = draw_channel(pdp, 8, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_zero_power_taps_are_exactly_zero():
     pdp = PowerDelayProfile([1.0, 0.0, 0.0])
-    taps = draw_channel(pdp, 16, np.random.default_rng(3)).taps
+    taps = draw_channel(pdp, 16, np.random.default_rng(3))
     assert np.all(taps[1:] == 0)
     assert np.all(taps[0] != 0)
 
 
 def test_identity_channel_passes_signal_through():
-    ch = ChannelRealization(taps=np.ones((1, 1), dtype=complex))
+    ch = np.ones((1, 1), dtype=complex)
     x = np.arange(1, 9, dtype=complex)
     Y = convolve_channel(x, ch) + complex_noise((8, 1), 0.0, np.random.default_rng(0))
     assert np.allclose(Y[:, 0], x, rtol=0, atol=1e-12)
@@ -80,7 +79,7 @@ def test_identity_channel_passes_signal_through():
 
 def test_impulse_input_exposes_taps():
     a, b = 0.8 - 0.2j, 0.3 + 0.1j
-    ch = ChannelRealization(taps=np.array([[a], [b]]))
+    ch = np.array([[a], [b]])
     x = np.array([1, 0, 0, 0], dtype=complex)
     Y = convolve_channel(x, ch)
     oracle = direct_circular_convolution(x, [a, b])
@@ -95,13 +94,13 @@ def test_convolution_matches_direct_sum_oracle():
         ch = draw_channel(PowerDelayProfile.geometric(3), 2, rng)
         Y = convolve_channel(x, ch)
         for r in range(2):
-            oracle = direct_circular_convolution(x, ch.taps[:, r])
+            oracle = direct_circular_convolution(x, ch[:, r])
             assert np.allclose(Y[:, r], oracle, rtol=1e-12, atol=1e-12)
 
 
 def test_noise_variance_calibration():
     rng = np.random.default_rng(17)
-    ch = ChannelRealization(taps=np.ones((1, 10), dtype=complex))
+    ch = np.ones((1, 10), dtype=complex)
     x = np.ones(10_000, dtype=complex)
     sigma2 = 0.37
     Y = convolve_channel(x, ch) + complex_noise((10_000, 10), sigma2, rng)
@@ -125,7 +124,7 @@ def test_circular_convolution_theorem_machine_precision():
     Xf = np.fft.fft(x)
     for r in range(3):
         lhs = np.fft.fft(Y[:, r])
-        rhs = Xf * np.fft.fft(ch.taps[:, r], n=P)
+        rhs = Xf * np.fft.fft(ch[:, r], n=P)
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-13
 
 
@@ -162,7 +161,7 @@ def test_complex_noise_matches_two_block_reference():
 def test_frequency_response_is_unnormalized_tap_dft():
     ch = draw_channel(PowerDelayProfile.geometric(5), 3, np.random.default_rng(37))
     Hf = frequency_response(ch, 24)
-    assert np.allclose(Hf, np.fft.fft(ch.taps, n=24, axis=0), rtol=1e-13, atol=1e-13)
+    assert np.allclose(Hf, np.fft.fft(ch, n=24, axis=0), rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError):
         frequency_response(ch, 4)
 

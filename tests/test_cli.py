@@ -107,15 +107,17 @@ def test_preset_flag_beats_config_file_preset(tmp_path):
 
 
 def test_trace_rejects_dump_trials(tmp_path, monkeypatch, capsys):
+    # and the other sweep-only options, each as a flag and as a file key
     def no_trials(cfg):
         raise AssertionError("trace ran trials despite a config error")
 
     monkeypatch.setattr(cli, "residual_trace", no_trials)
     dump = tmp_path / "trials.csv"
-    assert main(["trace", *FAST, "--dump-trials", str(dump)]) == 2
-    path = tmp_path / "run.cfg"
-    path.write_text(f"dump_trials = {dump}\n")
-    assert main(["trace", *FAST, "--config", str(path)]) == 2
+    for flag, raw in (("dump_trials", str(dump)), ("receivers", "mrc_ofdm"), ("ofdm_taps", "2")):
+        assert main(["trace", *FAST, "--" + flag.replace("_", "-"), raw]) == 2, flag
+        path = tmp_path / f"{flag}.cfg"
+        path.write_text(f"{flag} = {raw}\n")
+        assert main(["trace", *FAST, "--config", str(path)]) == 2, flag
     assert not dump.exists()
 
 
@@ -188,7 +190,7 @@ def test_exit_code_4_when_all_frames_fail(monkeypatch, capsys):
     def always_fails(cfg, P, snr_db, trial_index):
         rec = TrialRecord(P=P, snr_db=snr_db, trial_index=trial_index)
         for name in cfg.selected():
-            rec.results[name] = ReceiverTrial(failed=True, failure="synthetic")
+            rec.results[name] = ReceiverTrial(failed=True)
         return rec
 
     monkeypatch.setattr(harness, "run_trial", always_fails)

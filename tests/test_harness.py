@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import scfde.harness as harness
 from scfde.baseline_rx import ofdm_transmit
 from scfde.channel import (
     PowerDelayProfile,
@@ -11,8 +12,10 @@ from scfde.channel import (
     draw_channel,
     snr_db_to_noise_variance,
 )
+from scfde.errors import DegenerateBinError
 from scfde.frame import FrameConfig, build_frame
 from scfde.harness import (
+    DUMP_HEADER,
     BerPoint,
     SimulationConfig,
     _substream,
@@ -70,7 +73,7 @@ def test_near_noiseless_trial_is_error_free():
     record = run_trial(cfg, 64, 200.0, 0)
     trial = record.results["blind_qq"]
     assert not trial.failed
-    assert trial.errors == 0
+    assert trial.bit_errors == 0
     assert trial.bits > 0
 
 
@@ -96,7 +99,7 @@ def test_draw_trial_matches_time_domain_reference():
         assert np.array_equal(draw.payload, payload)
         assert np.array_equal(draw.ofdm_payload, ofdm_payload)
 
-        x = build_frame(frame_cfg, payload).time_symbols
+        x = build_frame(frame_cfg, payload)
         blind_ref = dft(convolve_channel(x, ch) + noise)
         blind = draw.blind_received()
         assert np.linalg.norm(blind - blind_ref) / np.linalg.norm(blind_ref) < 1e-12
@@ -124,7 +127,7 @@ def test_aggregate_matches_manual_trial_sums():
     points = aggregate(SMALL, 64, 8.0, records)
     for pt in points:
         bits = sum(r.results[pt.receiver].bits for r in records)
-        errors = sum(r.results[pt.receiver].errors for r in records)
+        errors = sum(r.results[pt.receiver].bit_errors for r in records)
         assert pt.bits_total == bits
         assert pt.bit_errors == errors
         assert pt.ber == errors / bits
@@ -190,6 +193,31 @@ def test_dump_rows_reaggregate_to_csv(tmp_path):
         parts = line.split(",")
         receiver, bits_total, bit_errors, ber = parts[1], int(parts[9]), int(parts[10]), float(parts[11])
         assert ber == pytest.approx(sums[receiver][1] / sums[receiver][0], rel=1e-10)
+
+
+def test_dump_rows_of_failed_frames_and_of_the_baseline(tmp_path, monkeypatch):
+    # a failed frame dumps zero counts and NaN estimates, and the OFDM
+    # baseline reports neither iterations nor a residual
+    decode, calls = harness.decode_frame, []
+
+    def second_frame_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise DegenerateBinError(0)
+        return decode(*args)
+
+    monkeypatch.setattr(harness, "decode_frame", second_frame_fails)
+    dump = tmp_path / "trials.csv"
+    points = sweep(dataclasses.replace(SMALL, frames_per_point=3, dump_path=str(dump)))
+    rows = dump.read_text().splitlines()
+    assert rows[0] == DUMP_HEADER
+    assert rows[5:8] == [f"64,8,1,{name},1,0,0,nan,nan" for name in ("blind_pilot", "blind_ca", "blind_qq")]
+    ofdm = [row for row in rows if row.split(",")[3] == "mrc_ofdm"]
+    assert len(ofdm) == 3
+    for i, row in enumerate(ofdm):
+        assert row.startswith(f"64,8,{i},mrc_ofdm,0,") and row.endswith(",nan,nan"), row
+    assert not any(row.endswith("nan") for row in rows[1:4]), rows[1:4]
+    assert [pt.frames_failed for pt in points] == [1, 1, 1, 0]
 
 
 def test_dump_rows_in_cell_and_trial_order_at_any_worker_count(tmp_path):

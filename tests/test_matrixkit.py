@@ -104,7 +104,7 @@ def test_frequency_model_identity_noiseless():
         x = random_complex(rng, P)
         ch = draw_channel(PowerDelayProfile.geometric(L), 3, rng)
         Yf = dft(convolve_channel(x, ch))
-        model = circulant_eigenvalues(x)[:, None] * (dft_first_columns(P, L) @ ch.taps)
+        model = circulant_eigenvalues(x)[:, None] * (dft_first_columns(P, L) @ ch)
         assert np.linalg.norm(Yf - model) / np.linalg.norm(Yf) < 1e-10
 
 
