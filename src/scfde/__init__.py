@@ -2,7 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .baseline_rx import OfdmPilotConfig, estimate_channel, ofdm_mrc_receive, ofdm_transmit
+from .baseline_rx import (
+    OfdmPilotConfig,
+    estimate_channel,
+    mrc_combine,
+    ofdm_mrc_receive,
+    ofdm_transmit,
+)
 from .blind_rx import (
     BlindConfig,
     BlindDecodeResult,
@@ -10,7 +16,6 @@ from .blind_rx import (
     alternating_minimization,
     ca_alpha,
     decode_frame,
-    mrc_combine,
     pilot_alpha,
     qq_alpha,
 )
@@ -40,6 +45,7 @@ from .matrixkit import (
 __all__ = [
     "OfdmPilotConfig",
     "estimate_channel",
+    "mrc_combine",
     "ofdm_mrc_receive",
     "ofdm_transmit",
     "BlindConfig",
@@ -48,7 +54,6 @@ __all__ = [
     "alternating_minimization",
     "ca_alpha",
     "decode_frame",
-    "mrc_combine",
     "pilot_alpha",
     "qq_alpha",
     "PowerDelayProfile",

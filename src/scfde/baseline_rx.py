@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blind_rx import mrc_combine
 from .constellation import get_constellation, qam_demodulate, qam_modulate
+from .errors import DegenerateBinError
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,21 @@ def estimate_channel(Yf: np.ndarray, cfg: OfdmPilotConfig) -> np.ndarray:
     pilots = Yf[cfg.pilot_indices, :] / cfg.pilot_symbol
     taps = np.fft.ifft(pilots, axis=0)[: cfg.L_trunc, :]
     return np.fft.fft(taps, n=cfg.P, axis=0)
+
+
+def mrc_combine(Yf: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Per-bin maximal ratio combining of the antenna columns.
+
+    Returns lambda[p] = sum_r Yf[p,r] conj(H[p,r]) / sum_r |H[p,r]|^2, the
+    per-bin least-squares fit of a diagonal spectrum given the channel H.
+    Raises DegenerateBinError at the first bin whose denominator is zero.
+    """
+    num = np.einsum("pr,pr->p", Yf, H.conj())
+    den = np.einsum("pr,pr->p", H, H.conj()).real
+    dead = np.flatnonzero(den == 0.0)
+    if dead.size:
+        raise DegenerateBinError(int(dead[0]))
+    return num / den
 
 
 def ofdm_mrc_receive(

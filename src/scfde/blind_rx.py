@@ -1,19 +1,26 @@
-"""Blind SC-FDE receiver: alternating minimization with per-bin MRC and
-three estimators of the global complex scale (pilot, CA, QQ).
+"""Blind SC-FDE receiver: alternating minimization with per-bin MRC on a
+rank-L_est compression of the receive matrix, three estimators of the
+global complex scale (pilot, CA, QQ), and decision-directed tap re-solves.
 
 The decoder factors the frequency-domain receive matrix Yf into a diagonal
 data spectrum and a short tap matrix by alternating a ridge-regularized
-channel solve with a per-bin MRC update of the spectrum. The factorization
-is identifiable only up to one global complex scale alpha: the time-domain
-estimate x_hat = idft(lambda_hat) is the transmitted frame times alpha.
-Each correction mode is one estimate of alpha, taken from the single pilot
-alone (pilot_alpha), from the pilot plus a quadrant-centroid average
-(pilot_alpha times qq_alpha), or from the corner-symbol cluster centroid
-with the pilot picking among the four quadrant rotations (ca_alpha).
+channel solve with a per-bin MRC update of the spectrum. The channel has
+rank at most L_est, so the factorization runs on the P x K compression
+Yf V_K onto the dominant right singular subspace (K = min(Nr, L_est)). It
+is identifiable only up to one global complex scale alpha: the
+time-domain estimate x_hat = idft(lambda_hat) is the transmitted frame
+times alpha. Each correction mode is one estimate of alpha, taken from the
+single pilot alone (pilot_alpha), from the pilot plus a quadrant-centroid
+average (pilot_alpha times qq_alpha), or from the corner-symbol cluster
+centroid with the pilot picking among the four quadrant rotations
+(ca_alpha). decode_frame then refines each mode on its own: it slices
+x_hat / alpha, rebuilds the frame from those decisions, re-solves the taps
+by least squares given that frame and updates the spectrum by MRC.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,14 +28,19 @@ import numpy as np
 
 from .constellation import get_constellation, qam_demodulate
 from .errors import DegenerateBinError, PilotLossError, ReceiverError
-from .frame import FrameConfig
+from .frame import FrameConfig, build_frame, extract_data
 from .matrixkit import (
+    compress_columns,
+    dft,
     dft_first_columns,
     dft_row_energies,
     dft_weighted_gram,
     idft,
-    top_left_singular_vector,
 )
+
+
+# decision-directed tap re-solves each correction mode runs after AM
+_DD_ROUNDS = 2
 
 
 @dataclass
@@ -57,15 +69,30 @@ class BlindConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
+@dataclass(frozen=True)
+class Compression:
+    """The P x K problem AM solves for one frame: Yc = Yf V_K, the full
+    energy ||Yf||_F^2 and the DFT columns F_L (and their conjugate), kept so
+    that the decision-directed rounds step on the same problem."""
+
+    Yc: np.ndarray = field(repr=False)
+    energy: float
+    F_L: np.ndarray = field(repr=False)
+    F_conj: np.ndarray = field(repr=False)
+
+
 @dataclass
 class ReceiverEstimate:
     """Output of the alternating minimization.
 
     lambda_hat: length-P diagonal of the estimated data spectrum.
-    H_t_hat: L_est x Nr tap estimate (per-bin channel F_{L_est} @ H_t_hat).
+    H_t_hat: L_est x Nr tap estimate (per-bin channel F_{L_est} @ H_t_hat),
+    the taps fitted to the compression Yf V_K mapped back to all Nr
+    antennas.
     residual_trace: relative residual ||Yf - diag(lambda) F H_t||_F / ||Yf||_F
     after each iteration; converged marks whether the eps target was met
     before the iteration cap.
+    compression: the compressed problem the iterations ran on.
     """
 
     lambda_hat: np.ndarray = field(repr=False)
@@ -73,21 +100,7 @@ class ReceiverEstimate:
     iterations: int
     residual_trace: np.ndarray = field(repr=False)
     converged: bool
-
-
-def mrc_combine(Yf: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Per-bin maximal ratio combining of the antenna columns.
-
-    Returns lambda[p] = sum_r Yf[p,r] conj(H[p,r]) / sum_r |H[p,r]|^2, the
-    per-bin least-squares fit of a diagonal spectrum given the channel H.
-    Raises DegenerateBinError at the first bin whose denominator is zero.
-    """
-    num = np.einsum("pr,pr->p", Yf, H.conj())
-    den = np.einsum("pr,pr->p", H, H.conj()).real
-    dead = np.flatnonzero(den == 0.0)
-    if dead.size:
-        raise DegenerateBinError(int(dead[0]))
-    return num / den
+    compression: Compression = field(repr=False)
 
 
 def _am_step(
@@ -126,11 +139,15 @@ def _am_step(
 def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstimate:
     """Jointly estimate the data spectrum and channel taps from Yf.
 
-    Initializes the spectrum with the dominant left singular vector of Yf,
-    then repeats _am_step, which alternates (a) the ridge channel solve
-    given the spectrum with (b) the per-bin MRC spectrum update given the
-    channel, stopping when the relative reconstruction residual drops below
-    cfg.eps or at cfg.max_iter.
+    rank(F_L H_t) <= L_est, so the signal lies in the top K = min(Nr, L_est)
+    right singular vectors V_K of Yf, and AM runs on the P x K compression
+    Yc = Yf V_K (compress_columns). The spectrum starts as Yc's first
+    column, the dominant left singular vector of Yf, normalized; then
+    _am_step alternates (a) the ridge channel solve given the spectrum with
+    (b) the per-bin MRC spectrum update given the channel, stopping when the
+    relative reconstruction residual drops below cfg.eps or at
+    cfg.max_iter. The residual is that of the full Yf: each step gets
+    ||Yf||^2 as its energy, so the energy outside V_K counts as misfit.
     """
     Yf = np.asarray(Yf, dtype=complex)
     P, Nr = Yf.shape
@@ -139,16 +156,16 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     if Nr < 1:
         raise ValueError("at least one antenna column required")
 
+    Yc, V_K = compress_columns(Yf, min(Nr, cfg.L_est))
     F_L = dft_first_columns(P, cfg.L_est)
-    F_conj = F_L.conj()
-    energy = float(np.linalg.norm(Yf) ** 2)
-    lam = top_left_singular_vector(Yf)
+    c = Compression(Yc, float(np.linalg.norm(Yf) ** 2), F_L, F_L.conj())
+    lam = Yc[:, 0] / np.linalg.norm(Yc[:, 0])
 
     trace = []
     converged = False
-    H_t = np.zeros((cfg.L_est, Nr), dtype=complex)
+    H_t = np.zeros((cfg.L_est, V_K.shape[1]), dtype=complex)
     for _ in range(cfg.max_iter):
-        lam, H_t, residual = _am_step(Yf, lam, F_L, F_conj, cfg.mu, energy)
+        lam, H_t, residual = _am_step(c.Yc, lam, c.F_L, c.F_conj, cfg.mu, c.energy)
         trace.append(residual)
         if residual < cfg.eps:
             converged = True
@@ -156,10 +173,11 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
 
     return ReceiverEstimate(
         lambda_hat=lam,
-        H_t_hat=H_t,
+        H_t_hat=H_t @ V_K.conj().T,
         iterations=len(trace),
         residual_trace=np.asarray(trace),
         converged=converged,
+        compression=c,
     )
 
 
@@ -231,30 +249,73 @@ def qq_alpha(x_derot: np.ndarray, cfg: FrameConfig) -> complex:
     return complex(np.mean(ratios))
 
 
+def _mode_alpha(mode: str, x_hat: np.ndarray, cfg: FrameConfig) -> complex:
+    """The global scale of one correction mode, estimated on x_hat."""
+    if mode == "ca":
+        return ca_alpha(x_hat, cfg)
+    alpha = pilot_alpha(x_hat, cfg)
+    return alpha if mode == "pilot" else alpha * qq_alpha(x_hat / alpha, cfg)
+
+
+@dataclass
+class ModeEstimate:
+    """One correction mode's decoded frame.
+
+    x_hat / alpha is the mode's time-domain frame estimate, bits and symbols
+    are the payload decisions sliced from it, and dd_changed counts the
+    symbol decisions the last decision-directed round changed (0 means a
+    fixed point; NaN when no round ran).
+    """
+
+    x_hat: np.ndarray = field(repr=False)
+    alpha: complex
+    bits: np.ndarray = field(repr=False)
+    symbols: np.ndarray = field(repr=False)
+    dd_changed: int | float = math.nan
+
+
+def _decide(x_hat: np.ndarray, alpha: complex, cfg: FrameConfig) -> ModeEstimate:
+    bits, symbols = qam_demodulate(extract_data(cfg, x_hat) / alpha, cfg.M)
+    return ModeEstimate(x_hat=x_hat, alpha=alpha, bits=bits, symbols=symbols)
+
+
 @dataclass
 class BlindDecodeResult:
-    """Shared factorization, its time-domain estimate x_hat, and one global
-    scale per correction mode: x_hat / alphas[mode] is that mode's frame.
+    """The shared AM factorization and one decoded frame per correction mode.
 
-    A correction that fails on its own (e.g. an annihilated pilot) lands in
-    ``failures`` instead of taking the other modes down with it.
+    A mode that fails on its own (e.g. an annihilated pilot, or a degenerate
+    bin in one of its rounds) lands in ``failures`` instead of taking the
+    other modes down with it.
     """
 
     estimate: ReceiverEstimate
-    x_hat: np.ndarray = field(repr=False)
-    alphas: dict[str, complex]
+    modes: dict[str, ModeEstimate]
     failures: dict[str, ReceiverError]
 
 
-def decode_frame(Yf: np.ndarray, frame_cfg: FrameConfig, cfg: BlindConfig) -> BlindDecodeResult:
-    """Run the blind factorization once and estimate all three scales: the
-    pilot ratio ("pilot"), the pilot ratio times the quadrant residue of
-    x_hat / pilot ratio ("qq"), and the centroid scale ("ca").
+def decode_frame(
+    Yf: np.ndarray,
+    frame_cfg: FrameConfig,
+    cfg: BlindConfig,
+    modes: tuple = ("pilot", "qq", "ca"),
+) -> BlindDecodeResult:
+    """Run the blind factorization once, estimate the scales on its
+    x_hat = idft(lambda_hat), then refine each of the given modes by
+    _DD_ROUNDS decision-directed rounds.
 
-    The pilot ratio is computed once for "pilot" and "qq" together, so a
-    pilot failure is recorded for both; "ca" succeeds or fails on its own.
+    The scales are the pilot ratio ("pilot"), the pilot ratio times the
+    quadrant residue of x_hat / pilot ratio ("qq"), and the centroid scale
+    ("ca"). The pilot ratio of the AM estimate is computed once for "pilot"
+    and "qq" together, so its failure is recorded for both; "ca" succeeds or
+    fails on its own. One round of a mode slices x_hat / alpha, rebuilds the
+    frame from the pilot, the guard zeros and those decisions, takes its
+    spectrum as lambda in one unregularized _am_step on AM's compression
+    (the least-squares taps given the decided frame, then MRC), and
+    re-estimates the mode's scale on the new x_hat. A round that raises
+    fails its mode only. The result covers the given modes and no other.
     """
     est = alternating_minimization(Yf, cfg)
+    c = est.compression
     x_hat = idft(est.lambda_hat)
 
     alphas: dict[str, complex] = {}
@@ -265,8 +326,28 @@ def decode_frame(Yf: np.ndarray, frame_cfg: FrameConfig, cfg: BlindConfig) -> Bl
         failures.update(pilot=err, qq=err)
     else:
         alphas.update(pilot=alpha, qq=alpha * qq_alpha(x_hat / alpha, frame_cfg))
-    try:
-        alphas["ca"] = ca_alpha(x_hat, frame_cfg)
-    except ReceiverError as err:
-        failures["ca"] = err
-    return BlindDecodeResult(estimate=est, x_hat=x_hat, alphas=alphas, failures=failures)
+    if "ca" in modes:
+        try:
+            alphas["ca"] = ca_alpha(x_hat, frame_cfg)
+        except ReceiverError as err:
+            failures["ca"] = err
+
+    decoded: dict[str, ModeEstimate] = {}
+    for mode, alpha in alphas.items():
+        if mode not in modes:
+            continue
+        decided = _decide(x_hat, alpha, frame_cfg)
+        try:
+            for _ in range(_DD_ROUNDS):
+                frame = build_frame(frame_cfg, decided.bits)
+                lam, _, _ = _am_step(c.Yc, dft(frame), c.F_L, c.F_conj, 0.0, c.energy)
+                x_mode = idft(lam)
+                prior = decided.symbols
+                decided = _decide(x_mode, _mode_alpha(mode, x_mode, frame_cfg), frame_cfg)
+                decided.dd_changed = int(np.count_nonzero(decided.symbols != prior))
+        except ReceiverError as err:
+            failures[mode] = err
+        else:
+            decoded[mode] = decided
+    failures = {mode: err for mode, err in failures.items() if mode in modes}
+    return BlindDecodeResult(estimate=est, modes=decoded, failures=failures)

@@ -35,8 +35,7 @@ from .channel import (
     snr_db_to_noise_variance,
 )
 from .errors import ReceiverError
-from .frame import FrameConfig, build_frame, extract_data, random_payload
-from .constellation import qam_demodulate
+from .frame import FrameConfig, build_frame, random_payload
 from .matrixkit import dft
 
 RECEIVERS = ("blind_pilot", "blind_ca", "blind_qq", "mrc_ofdm")
@@ -136,13 +135,19 @@ PRESETS = {
 @dataclass
 class ReceiverTrial:
     """One receiver's outcome on one frame; NaN marks what the receiver does
-    not report (a failed frame, or the non-iterative OFDM baseline)."""
+    not report (a failed frame, or the non-iterative OFDM baseline).
+
+    iterations, final_residual and converged (the eps stop fired before the
+    cap) describe the shared AM run; dd_changed counts the decisions the
+    receiver's last decision-directed round changed (0: a fixed point)."""
 
     failed: bool = False
     bits: int = 0
     bit_errors: int = 0
     iterations: int | float = math.nan
     final_residual: float = math.nan
+    converged: bool | float = math.nan
+    dd_changed: int | float = math.nan
 
 
 # a dump row is the trial key followed by ReceiverTrial's fields, in order
@@ -240,9 +245,10 @@ def run_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) ->
     """One frame end to end for every selected receiver.
 
     Deterministic in (cfg.seed, P, snr_db, trial_index); see draw_trial.
-    The three blind variants share one factorization of the same receive
-    matrix, and the OFDM baseline sees the same channel and noise applied
-    to its own block, whose symbols are already its unitary DFT.
+    The selected blind variants share one factorization of the same receive
+    matrix and each score the decisions of their own refined estimate
+    (decode_frame refines only their modes), and the OFDM baseline sees the same channel and noise
+    applied to its own block, whose symbols are already its unitary DFT.
     """
     draw = draw_trial(cfg, P, snr_db, trial_index)
     frame_cfg, payload = draw.frame_cfg, draw.payload
@@ -251,25 +257,26 @@ def run_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) ->
 
     blind_selected = [r for r in selected if r != "mrc_ofdm"]
     if blind_selected:
+        modes = tuple(_BLIND_MODE[name] for name in blind_selected)
         try:
-            decoded = decode_frame(draw.blind_received(), frame_cfg, cfg.blind_config())
+            decoded = decode_frame(draw.blind_received(), frame_cfg, cfg.blind_config(), modes)
         except ReceiverError:
             for name in blind_selected:
                 record.results[name] = ReceiverTrial(failed=True)
         else:
             est = decoded.estimate
-            data = extract_data(frame_cfg, decoded.x_hat)
             for name in blind_selected:
-                mode = _BLIND_MODE[name]
-                if mode in decoded.failures:
+                frame_est = decoded.modes.get(_BLIND_MODE[name])
+                if frame_est is None:
                     record.results[name] = ReceiverTrial(failed=True)
                     continue
-                bits, _ = qam_demodulate(data / decoded.alphas[mode], cfg.M)
                 record.results[name] = ReceiverTrial(
                     bits=payload.size,
-                    bit_errors=int(np.count_nonzero(bits != payload)),
+                    bit_errors=int(np.count_nonzero(frame_est.bits != payload)),
                     iterations=est.iterations,
                     final_residual=float(est.residual_trace[-1]),
+                    converged=est.converged,
+                    dd_changed=frame_est.dd_changed,
                 )
 
     if "mrc_ofdm" in selected:

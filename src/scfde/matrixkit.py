@@ -1,6 +1,8 @@
-"""Numerical kernel: the unitary DFT pair, circulant eigenvalues, dominant
-singular vector (Gram eigendecomposition), ridge-regularized least squares,
-and the O(P L) Toeplitz forms of the quadratic products of F_L.
+"""Numerical kernel: the unitary DFT pair, circulant eigenvalues, the rank-K
+compression of a matrix onto its dominant right singular subspace (one Gram
+eigendecomposition; the dominant left singular vector is its K = 1 case),
+ridge-regularized least squares, and the O(P L) Toeplitz forms of the
+quadratic products of F_L.
 
 DFT convention. The unitary matrix F[k, n] = exp(-2j*pi*k*n/P) / sqrt(P)
 is used for all forward/inverse transforms (dft/idft), while the
@@ -50,25 +52,32 @@ def circulant_eigenvalues(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.asarray(x, dtype=complex).ravel())
 
 
-def top_left_singular_vector(Yf: np.ndarray) -> np.ndarray:
-    """Dominant left singular vector of Yf from one Hermitian
-    eigendecomposition of the smaller Gram matrix.
+def compress_columns(Yf: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-K compression of Yf onto its dominant right singular subspace.
 
-    With P >= Nr the top eigenvector v of the Nr x Nr matrix Yf^H Yf gives
-    u = Yf v / ||Yf v||; with P < Nr, u is the top eigenvector of the P x P
-    matrix Yf Yf^H directly. The result does not depend on how the columns
-    of Yf are ordered or rotated (up to phase), has unit norm and an
-    unspecified global phase.
+    Returns (Yf @ V_K, V_K), where the Nr x K matrix V_K holds the top-K
+    eigenvectors of the Gram matrix Yf^H Yf (one Hermitian
+    eigendecomposition) in descending order, so column k of Yf @ V_K is
+    sigma_k u_k, the k-th left singular vector scaled by its singular value.
+    The columns of V_K are orthonormal, also when P < Nr, and the subspace
+    does not depend on how the columns of Yf are ordered or rotated. Raises
+    ValueError for a zero matrix or K outside 1..Nr.
     """
     Yf = np.asarray(Yf, dtype=complex)
     if Yf.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {Yf.shape}")
+    if not 1 <= K <= Yf.shape[1]:
+        raise ValueError(f"need 1 <= K <= {Yf.shape[1]}, got K={K}")
     if not np.any(Yf):
-        raise ValueError("matrix is zero; no dominant singular vector")
-    P, Nr = Yf.shape
-    if P < Nr:
-        return np.linalg.eigh(Yf @ Yf.conj().T)[1][:, -1]
-    u = Yf @ np.linalg.eigh(Yf.conj().T @ Yf)[1][:, -1]
+        raise ValueError("matrix is zero; no dominant singular subspace")
+    V_K = np.linalg.eigh(Yf.conj().T @ Yf)[1][:, : -K - 1 : -1]
+    return Yf @ V_K, V_K
+
+
+def top_left_singular_vector(Yf: np.ndarray) -> np.ndarray:
+    """Dominant left singular vector of Yf: the K = 1 case of
+    compress_columns, normalized. Unit norm, unspecified global phase."""
+    u = compress_columns(Yf, 1)[0][:, 0]
     return u / np.linalg.norm(u)
 
 

@@ -136,7 +136,8 @@ def test_criterion_3_noiseless_blind_recovery():
         est = result.estimate
         if est.converged and est.residual_trace[-1] >= 1e-3:
             converged_ok = False
-        _, hard = qam_demodulate(extract_data(cfg, result.x_hat) / result.alphas["pilot"], M)
+        pilot = result.modes["pilot"]
+        _, hard = qam_demodulate(extract_data(cfg, pilot.x_hat) / pilot.alpha, M)
         if np.array_equal(hard, qam_modulate(payload, M)):
             clean += 1
     ok = clean >= 48 and converged_ok
@@ -161,10 +162,11 @@ def test_criterion_4_low_snr_ordering_vs_baseline():
 
 
 def test_criterion_5_high_snr_drift():
-    # NOTE: at 16 dB every blind variant makes one or two bit errors in 3e6
-    # bits, and they come from trials 192, 280 and 309, which stop at the
-    # 100-iteration cap before AM converges (all three decode error-free at
-    # 300 iterations); see the README's "Known limitation".
+    # NOTE: AM alone at the 100-iteration cap made 1/1/2 pilot/CA/QQ bit
+    # errors here (trials 192, 280 and 309, which stop before AM converges);
+    # the decision-directed rounds after AM decode all 500 frames error-free,
+    # so the ordering holds with equal (zero) counts; see the README's
+    # "Known limitation".
     cfg = SimulationConfig(
         **PRESETS["fig5"], receivers=("blind_pilot", "blind_ca", "blind_qq"), seed=502
     )

@@ -4,10 +4,10 @@ import pytest
 from scfde.baseline_rx import (
     OfdmPilotConfig,
     estimate_channel,
+    mrc_combine,
     ofdm_mrc_receive,
     ofdm_transmit,
 )
-from scfde.blind_rx import mrc_combine
 from scfde.channel import (
     PowerDelayProfile,
     complex_noise,

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scfde.baseline_rx import mrc_combine
 from scfde.blind_rx import (
     BlindConfig,
     _am_step,
     alternating_minimization,
     ca_alpha,
     decode_frame,
-    mrc_combine,
     pilot_alpha,
     qq_alpha,
 )
@@ -23,6 +23,7 @@ from scfde.matrixkit import (
     dft_first_columns,
     idft,
     regularized_ls,
+    top_left_singular_vector,
 )
 
 
@@ -68,8 +69,6 @@ def test_single_mrc_pass_with_true_channel_is_exact():
 
 def test_mrc_update_never_increases_residual():
     # rebuild the iteration from public ops and compare residuals around step 9
-    from scfde.matrixkit import regularized_ls, top_left_singular_vector
-
     rng = np.random.default_rng(2)
     cfg, _, frame, ch, Yf = noiseless_setup(64, 2, 4, 16, seed=2)
     Yf = Yf + 0.1 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
@@ -125,7 +124,9 @@ def test_noiseless_two_tap_residual_frozen_instance():
 def test_estimate_internal_consistency():
     cfg, _, _, _, Yf = noiseless_setup(128, 3, 4, 16, seed=4)
     est = alternating_minimization(Yf, BlindConfig(L_est=3, max_iter=30))
-    # the closed-form residual of the last step equals the direct one
+    # the closed-form residual of the last step on the compression (K = 3 of
+    # Nr = 4 columns) equals the direct one of the taps mapped back to Nr
+    assert est.H_t_hat.shape == (3, 4)
     F_L = dft_first_columns(128, 3)
     recon = est.lambda_hat[:, None] * (F_L @ est.H_t_hat)
     direct = np.linalg.norm(Yf - recon) / np.linalg.norm(Yf)
@@ -133,6 +134,26 @@ def test_estimate_internal_consistency():
     assert est.iterations == len(est.residual_trace) <= 30
     assert np.all(np.isfinite(est.residual_trace))
     assert np.all(est.residual_trace >= 0)
+
+
+def test_am_on_full_rank_compression_matches_full_width():
+    # with K = Nr the compression Yf V_K only rotates the antennas, and an AM
+    # step commutes with that rotation: the same spectrum, taps rotated back
+    rng = np.random.default_rng(19)
+    cfg, _, _, _, Yf = noiseless_setup(64, 4, 4, 16, seed=19)
+    Yf = Yf + 0.1 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
+    blind = BlindConfig(L_est=4, max_iter=30)
+    est = alternating_minimization(Yf, blind)
+    assert est.iterations == 30
+    F_L = dft_first_columns(64, 4)
+    energy = float(np.linalg.norm(Yf) ** 2)
+    lam, trace = top_left_singular_vector(Yf), []
+    for _ in range(30):
+        lam, H_t, residual = _am_step(Yf, lam, F_L, F_L.conj(), blind.mu, energy)
+        trace.append(residual)
+    assert np.linalg.norm(est.lambda_hat - lam) <= 1e-12 * np.linalg.norm(lam)
+    assert np.linalg.norm(est.H_t_hat - H_t) <= 1e-12 * np.linalg.norm(H_t)
+    assert np.max(np.abs(est.residual_trace - trace)) <= 1e-12
 
 
 def dense_am_step(Yf, lam, F_L, mu, energy):
@@ -306,18 +327,120 @@ def test_qq_all_zero_data_warns_and_passes_through():
     assert np.array_equal(x / alpha, x)
 
 
-def test_decode_frame_shares_estimate_and_scales_exactly():
+def test_decode_frame_shares_estimate_and_scales_exactly(monkeypatch):
+    # with no decision-directed round every mode decodes the AM estimate
+    import scfde.blind_rx as blind_rx
+
     cfg, payload, frame, ch, Yf = noiseless_setup(64, 2, 8, 16, seed=11)
+    monkeypatch.setattr(blind_rx, "_DD_ROUNDS", 0)
     result = decode_frame(Yf, cfg, BlindConfig(L_est=2))
-    assert set(result.alphas) == {"pilot", "ca", "qq"}
-    assert np.array_equal(result.x_hat, idft(result.estimate.lambda_hat))
-    alpha_pilot = pilot_alpha(result.x_hat, cfg)
-    assert result.alphas["pilot"] == alpha_pilot
-    assert result.alphas["ca"] == ca_alpha(result.x_hat, cfg)
-    assert result.alphas["qq"] == alpha_pilot * qq_alpha(result.x_hat / alpha_pilot, cfg)
-    data = extract_data(cfg, result.x_hat)
-    bits, _ = qam_demodulate(data / result.alphas["pilot"], cfg.M)
-    assert np.array_equal(bits, payload)
+    assert set(result.modes) == {"pilot", "ca", "qq"}
+    x_hat = idft(result.estimate.lambda_hat)
+    alpha_pilot = pilot_alpha(x_hat, cfg)
+    alphas = {
+        "pilot": alpha_pilot,
+        "ca": ca_alpha(x_hat, cfg),
+        "qq": alpha_pilot * qq_alpha(x_hat / alpha_pilot, cfg),
+    }
+    for mode, decoded in result.modes.items():
+        assert np.array_equal(decoded.x_hat, x_hat), mode
+        assert decoded.alpha == alphas[mode], mode
+        bits, symbols = qam_demodulate(extract_data(cfg, x_hat) / decoded.alpha, cfg.M)
+        assert np.array_equal(decoded.bits, bits), mode
+        assert np.array_equal(decoded.symbols, symbols), mode
+        assert np.isnan(decoded.dd_changed), mode
+    assert np.array_equal(result.modes["pilot"].bits, payload)
+
+
+def test_decode_frame_rounds_are_a_fixed_point_on_a_noiseless_frame():
+    # decisions that are all right rebuild the true spectrum, from which the
+    # unregularized re-solve returns the exact taps and MRC the exact spectrum
+    cfg, payload, frame, ch, Yf = noiseless_setup(128, 3, 8, 16, seed=18)
+    result = decode_frame(Yf, cfg, BlindConfig(L_est=3))
+    assert set(result.modes) == {"pilot", "ca", "qq"}
+    truth = dft(frame)
+    scales = {}
+    for mode, decoded in result.modes.items():
+        assert decoded.dd_changed == 0, mode
+        assert np.array_equal(decoded.bits, payload), mode
+        lam = dft(decoded.x_hat)
+        scales[mode] = np.vdot(truth, lam) / np.vdot(truth, truth)
+        assert np.linalg.norm(lam - scales[mode] * truth) <= 1e-10 * np.linalg.norm(lam), mode
+    # the pilot reads that scale exactly; CA and QQ average over the payload
+    assert abs(result.modes["pilot"].alpha - scales["pilot"]) <= 1e-10 * abs(scales["pilot"])
+
+
+def test_dd_changed_counts_the_decisions_the_last_round_moved(monkeypatch):
+    # decoding with one round fewer gives the decisions the last round started from
+    import scfde.blind_rx as blind_rx
+
+    rng = np.random.default_rng(20)
+    cfg, _, _, _, Yf = noiseless_setup(256, 4, 8, 64, seed=20)
+    Yf = Yf + 0.25 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
+    decoded = []
+    for n in (0, 1, 2):
+        monkeypatch.setattr(blind_rx, "_DD_ROUNDS", n)
+        decoded.append(decode_frame(Yf, cfg, BlindConfig(L_est=4)).modes)
+    moved = 0
+    for n in (1, 2):
+        for mode, last in decoded[n].items():
+            changed = np.count_nonzero(last.symbols != decoded[n - 1][mode].symbols)
+            assert last.dd_changed == changed, (n, mode)
+            moved += changed
+    assert moved > 0  # the frame is noisy enough for the rounds to move decisions
+
+
+def test_decode_frame_isolates_a_failed_round_to_its_mode(monkeypatch):
+    import scfde.blind_rx as blind_rx
+
+    cfg, payload, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
+    step, rounds = blind_rx._am_step, []
+
+    def third_round_fails(Yc, lam, F_L, F_conj, mu, energy):
+        if mu == 0.0:  # a decision-directed round, not an AM iteration
+            rounds.append(len(rounds))
+            if len(rounds) == 3:  # modes run pilot, qq, ca with two rounds each
+                raise DegenerateBinError(7)
+        return step(Yc, lam, F_L, F_conj, mu, energy)
+
+    monkeypatch.setattr(blind_rx, "_am_step", third_round_fails)
+    result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
+    assert set(result.failures) == {"qq"}
+    assert result.failures["qq"].bin_index == 7
+    assert set(result.modes) == {"pilot", "ca"}
+    assert len(rounds) == 5  # qq stopped at its first round, ca ran both
+    for decoded in result.modes.values():
+        assert np.array_equal(decoded.bits, payload)
+
+
+def test_decode_frame_refines_only_the_given_modes(monkeypatch):
+    import scfde.blind_rx as blind_rx
+
+    cfg, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
+    blind = BlindConfig(L_est=2)
+    full = decode_frame(Yf, cfg, blind)
+    step, rounds = blind_rx._am_step, []
+
+    def counted_step(Yc, lam, F_L, F_conj, mu, energy):
+        rounds.extend([mu] if mu == 0.0 else [])
+        return step(Yc, lam, F_L, F_conj, mu, energy)
+
+    monkeypatch.setattr(blind_rx, "_am_step", counted_step)
+    for mode in ("pilot", "qq", "ca"):
+        rounds.clear()
+        result = blind_rx.decode_frame(Yf, cfg, blind, (mode,))
+        assert set(result.modes) == {mode} and not result.failures
+        assert len(rounds) == blind_rx._DD_ROUNDS, mode
+        alone, shared = result.modes[mode], full.modes[mode]
+        assert alone.alpha == shared.alpha, mode
+        assert np.array_equal(alone.x_hat, shared.x_hat), mode
+    # a failure of an unselected mode is left out as well
+    def broken_pilot(x_hat, frame_cfg):
+        raise PilotLossError("synthetic pilot loss")
+
+    monkeypatch.setattr(blind_rx, "pilot_alpha", broken_pilot)
+    result = blind_rx.decode_frame(Yf, cfg, blind, ("ca",))
+    assert set(result.modes) == {"ca"} and not result.failures
 
 
 def test_decode_frame_invariant_under_unitary_antenna_rotation():
@@ -332,9 +455,7 @@ def test_decode_frame_invariant_under_unitary_antenna_rotation():
         V = np.linalg.eigh(Yf.conj().T @ Yf)[1]
         decisions = []
         for received in (Yf, Yf @ V):
-            result = decode_frame(received, cfg, blind)
-            x = extract_data(cfg, result.x_hat) / result.alphas["pilot"]
-            decisions.append(qam_demodulate(x, cfg.M)[0])
+            decisions.append(decode_frame(received, cfg, blind).modes["pilot"].bits)
         assert np.array_equal(decisions[0], decisions[1])
         assert np.count_nonzero(decisions[0] != payload) < payload.size // 100
 
@@ -353,11 +474,13 @@ def test_decode_frame_isolates_pilot_failure_from_ca(monkeypatch):
     monkeypatch.setattr(blind_rx, "pilot_alpha", broken_pilot)
     result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.failures) == {"pilot", "qq"}
-    assert set(result.alphas) == {"ca"}
+    assert set(result.modes) == {"ca"}
     assert len(calls) == 1  # one pilot estimate serves both pilot and qq
 
 
 def test_decode_frame_estimates_the_pilot_scale_once(monkeypatch):
+    # once for the AM estimate, shared by pilot and qq, then once per round
+    # of each of those two modes
     import scfde.blind_rx as blind_rx
 
     cfg, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
@@ -368,7 +491,10 @@ def test_decode_frame_estimates_the_pilot_scale_once(monkeypatch):
         return pilot_alpha(x_hat, frame_cfg)
 
     monkeypatch.setattr(blind_rx, "pilot_alpha", counted_pilot)
-    result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
-    assert set(result.alphas) == {"pilot", "ca", "qq"}
-    assert not result.failures
-    assert len(calls) == 1
+    for dd_rounds in (0, 2):
+        calls.clear()
+        monkeypatch.setattr(blind_rx, "_DD_ROUNDS", dd_rounds)
+        result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
+        assert set(result.modes) == {"pilot", "ca", "qq"}
+        assert not result.failures
+        assert len(calls) == 1 + 2 * dd_rounds

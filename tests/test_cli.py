@@ -113,7 +113,9 @@ def test_trace_rejects_dump_trials(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "residual_trace", no_trials)
     dump = tmp_path / "trials.csv"
-    for flag, raw in (("dump_trials", str(dump)), ("receivers", "mrc_ofdm"), ("ofdm_taps", "2")):
+    sweep_only = (("dump_trials", str(dump)), ("receivers", "mrc_ofdm"), ("ofdm_taps", "2"))
+    assert {flag for flag, _ in sweep_only} == set(cli._SWEEP_ONLY)
+    for flag, raw in sweep_only:
         assert main(["trace", *FAST, "--" + flag.replace("_", "-"), raw]) == 2, flag
         path = tmp_path / f"{flag}.cfg"
         path.write_text(f"{flag} = {raw}\n")

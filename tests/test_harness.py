@@ -211,12 +211,17 @@ def test_dump_rows_of_failed_frames_and_of_the_baseline(tmp_path, monkeypatch):
     points = sweep(dataclasses.replace(SMALL, frames_per_point=3, dump_path=str(dump)))
     rows = dump.read_text().splitlines()
     assert rows[0] == DUMP_HEADER
-    assert rows[5:8] == [f"64,8,1,{name},1,0,0,nan,nan" for name in ("blind_pilot", "blind_ca", "blind_qq")]
+    assert rows[5:8] == [
+        f"64,8,1,{name},1,0,0,nan,nan,nan,nan" for name in ("blind_pilot", "blind_ca", "blind_qq")
+    ]
     ofdm = [row for row in rows if row.split(",")[3] == "mrc_ofdm"]
     assert len(ofdm) == 3
     for i, row in enumerate(ofdm):
-        assert row.startswith(f"64,8,{i},mrc_ofdm,0,") and row.endswith(",nan,nan"), row
+        assert row.startswith(f"64,8,{i},mrc_ofdm,0,") and row.endswith(",nan,nan,nan,nan"), row
     assert not any(row.endswith("nan") for row in rows[1:4]), rows[1:4]
+    for row in rows[1:4]:  # a decoded frame: converged is 0/1, dd_changed a count
+        converged, dd_changed = row.split(",")[-2:]
+        assert converged in ("0", "1") and dd_changed.isdigit(), row
     assert [pt.frames_failed for pt in points] == [1, 1, 1, 0]
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scfde.channel import PowerDelayProfile, convolve_channel, draw_channel
 from scfde.matrixkit import (
     circulant_eigenvalues,
+    compress_columns,
     dft,
     dft_first_columns,
     dft_row_energies,
@@ -157,7 +158,7 @@ def test_top_singular_vector_near_tied_spectrum_matches_svd():
 
 
 def test_top_singular_vector_wide_matrix_matches_svd():
-    # P < Nr takes the P x P Gram branch
+    # P < Nr: the Nr x Nr Gram matrix is rank-deficient
     rng = np.random.default_rng(11)
     for _ in range(10):
         Yf = random_complex(rng, 4, 9)
@@ -175,6 +176,31 @@ def test_top_singular_vector_invariant_under_unitary_antenna_rotation():
     u1 = top_left_singular_vector(Yf)
     u2 = top_left_singular_vector(Yf @ V)
     assert abs(np.vdot(u1, u2)) > 1 - 1e-12
+
+
+@pytest.mark.parametrize("P, Nr, K", [(40, 6, 3), (40, 6, 6), (4, 9, 1), (5, 12, 3)])
+def test_compress_columns_matches_svd(P, Nr, K):
+    # the columns of Yf V_K are sigma_k u_k, V_K is orthonormal, and the
+    # first column is aligned with the dominant left singular vector, also
+    # for P < Nr
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        Yf = random_complex(rng, P, Nr)
+        Yc, V_K = compress_columns(Yf, K)
+        assert Yc.shape == (P, K) and V_K.shape == (Nr, K)
+        assert np.allclose(V_K.conj().T @ V_K, np.eye(K), rtol=0, atol=1e-12)
+        assert np.allclose(Yc, Yf @ V_K, rtol=0, atol=1e-12)
+        U, sigma, _ = np.linalg.svd(Yf)
+        assert np.allclose(np.linalg.norm(Yc, axis=0), sigma[:K], rtol=1e-10)
+        u = Yc[:, 0] / np.linalg.norm(Yc[:, 0])
+        assert abs(np.vdot(u, U[:, 0])) > 1 - 1e-6
+
+
+def test_compress_columns_rejects_bad_rank():
+    Yf = np.ones((8, 3), dtype=complex)
+    for K in (0, 4):
+        with pytest.raises(ValueError):
+            compress_columns(Yf, K)
 
 
 def test_power_iteration_zero_matrix_rejected():
