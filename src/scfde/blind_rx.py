@@ -238,23 +238,16 @@ def qq_alpha(x_derot: np.ndarray, cfg: FrameConfig) -> complex:
     const = get_constellation(cfg.M)
     data = x_derot[cfg.data_indices]
     data = data[data != 0]  # exact zeros carry no quadrant information
+    quadrant = const.quadrant_of(data)
     ratios = []
     for q in (1, 2, 3, 4):
-        members = data[const.quadrant_of(data) == q]
+        members = data[quadrant == q]
         if members.size:
             ratios.append(np.mean(members) / const.quadrant_centroid(q))
     if not ratios:
         warnings.warn("no nonzero data samples; residue left uncorrected")
         return 1.0 + 0.0j
     return complex(np.mean(ratios))
-
-
-def _mode_alpha(mode: str, x_hat: np.ndarray, cfg: FrameConfig) -> complex:
-    """The global scale of one correction mode, estimated on x_hat."""
-    if mode == "ca":
-        return ca_alpha(x_hat, cfg)
-    alpha = pilot_alpha(x_hat, cfg)
-    return alpha if mode == "pilot" else alpha * qq_alpha(x_hat / alpha, cfg)
 
 
 @dataclass
@@ -274,7 +267,19 @@ class ModeEstimate:
     dd_changed: int | float = math.nan
 
 
-def _decide(x_hat: np.ndarray, alpha: complex, cfg: FrameConfig) -> ModeEstimate:
+def _decide(x_hat: np.ndarray, mode: str, cfg: FrameConfig) -> ModeEstimate:
+    """Estimate the mode's global scale on x_hat, then slice x_hat / alpha.
+
+    The scales are the pilot ratio ("pilot"), the pilot ratio times the
+    quadrant residue of x_hat / pilot ratio ("qq"), and the centroid scale
+    ("ca"). Raises the estimator's ReceiverError.
+    """
+    if mode == "ca":
+        alpha = ca_alpha(x_hat, cfg)
+    else:
+        alpha = pilot_alpha(x_hat, cfg)
+        if mode == "qq":
+            alpha = alpha * qq_alpha(x_hat / alpha, cfg)
     bits, symbols = qam_demodulate(extract_data(cfg, x_hat) / alpha, cfg.M)
     return ModeEstimate(x_hat=x_hat, alpha=alpha, bits=bits, symbols=symbols)
 
@@ -299,55 +304,34 @@ def decode_frame(
     cfg: BlindConfig,
     modes: tuple = ("pilot", "qq", "ca"),
 ) -> BlindDecodeResult:
-    """Run the blind factorization once, estimate the scales on its
-    x_hat = idft(lambda_hat), then refine each of the given modes by
-    _DD_ROUNDS decision-directed rounds.
+    """Run the blind factorization once, then decode each of the given
+    modes from its x_hat = idft(lambda_hat).
 
-    The scales are the pilot ratio ("pilot"), the pilot ratio times the
-    quadrant residue of x_hat / pilot ratio ("qq"), and the centroid scale
-    ("ca"). The pilot ratio of the AM estimate is computed once for "pilot"
-    and "qq" together, so its failure is recorded for both; "ca" succeeds or
-    fails on its own. One round of a mode slices x_hat / alpha, rebuilds the
-    frame from the pilot, the guard zeros and those decisions, takes its
-    spectrum as lambda in one unregularized _am_step on AM's compression
-    (the least-squares taps given the decided frame, then MRC), and
-    re-estimates the mode's scale on the new x_hat. A round that raises
+    A mode first decides on AM's x_hat (_decide: its scale, then the
+    slicer), then runs _DD_ROUNDS decision-directed rounds. One round
+    rebuilds the frame from the pilot, the guard zeros and the last
+    decisions, takes its spectrum as lambda in one unregularized _am_step on
+    AM's compression (the least-squares taps given the decided frame, then
+    MRC), and decides again on the new x_hat. An error in any of these steps
     fails its mode only. The result covers the given modes and no other.
     """
     est = alternating_minimization(Yf, cfg)
     c = est.compression
     x_hat = idft(est.lambda_hat)
 
-    alphas: dict[str, complex] = {}
-    failures: dict[str, ReceiverError] = {}
-    try:
-        alpha = pilot_alpha(x_hat, frame_cfg)
-    except ReceiverError as err:
-        failures.update(pilot=err, qq=err)
-    else:
-        alphas.update(pilot=alpha, qq=alpha * qq_alpha(x_hat / alpha, frame_cfg))
-    if "ca" in modes:
-        try:
-            alphas["ca"] = ca_alpha(x_hat, frame_cfg)
-        except ReceiverError as err:
-            failures["ca"] = err
-
     decoded: dict[str, ModeEstimate] = {}
-    for mode, alpha in alphas.items():
-        if mode not in modes:
-            continue
-        decided = _decide(x_hat, alpha, frame_cfg)
+    failures: dict[str, ReceiverError] = {}
+    for mode in modes:
         try:
+            decided = _decide(x_hat, mode, frame_cfg)
             for _ in range(_DD_ROUNDS):
                 frame = build_frame(frame_cfg, decided.bits)
                 lam, _, _ = _am_step(c.Yc, dft(frame), c.F_L, c.F_conj, 0.0, c.energy)
-                x_mode = idft(lam)
                 prior = decided.symbols
-                decided = _decide(x_mode, _mode_alpha(mode, x_mode, frame_cfg), frame_cfg)
+                decided = _decide(idft(lam), mode, frame_cfg)
                 decided.dd_changed = int(np.count_nonzero(decided.symbols != prior))
         except ReceiverError as err:
             failures[mode] = err
         else:
             decoded[mode] = decided
-    failures = {mode: err for mode, err in failures.items() if mode in modes}
     return BlindDecodeResult(estimate=est, modes=decoded, failures=failures)

@@ -44,6 +44,8 @@ def parse_snr_list(text: str) -> tuple:
         if len(parts) != 3:
             raise ConfigError(f"SNR range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"SNR range bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise ConfigError("SNR range step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1

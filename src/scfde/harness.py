@@ -155,14 +155,6 @@ DUMP_HEADER = ",".join(["P,snr_db,trial,receiver", *(f.name for f in fields(Rece
 
 
 @dataclass
-class TrialRecord:
-    P: int
-    snr_db: float
-    trial_index: int
-    results: dict = field(default_factory=dict)
-
-
-@dataclass
 class BerPoint:
     """Aggregated error counts for one (P, snr, receiver) cell."""
 
@@ -241,57 +233,59 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
     )
 
 
-def run_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -> TrialRecord:
-    """One frame end to end for every selected receiver.
+def run_trial(
+    cfg: SimulationConfig, P: int, snr_db: float, trial_index: int
+) -> dict[str, ReceiverTrial]:
+    """One frame end to end: the outcome of every selected receiver, by name.
 
     Deterministic in (cfg.seed, P, snr_db, trial_index); see draw_trial.
     The selected blind variants share one factorization of the same receive
-    matrix and each score the decisions of their own refined estimate
-    (decode_frame refines only their modes), and the OFDM baseline sees the same channel and noise
-    applied to its own block, whose symbols are already its unitary DFT.
+    matrix, and each scores the decisions of its own refined mode
+    (decode_frame decodes only the selected modes). A blind receiver whose
+    mode failed, or whose factorization raised, reports a failed frame. The
+    OFDM baseline sees the same channel and noise applied to its own block,
+    whose symbols are already its unitary DFT.
     """
     draw = draw_trial(cfg, P, snr_db, trial_index)
-    frame_cfg, payload = draw.frame_cfg, draw.payload
-    record = TrialRecord(P=P, snr_db=snr_db, trial_index=trial_index)
+    payload = draw.payload
     selected = cfg.selected()
+    results: dict[str, ReceiverTrial] = {}
 
     blind_selected = [r for r in selected if r != "mrc_ofdm"]
     if blind_selected:
         modes = tuple(_BLIND_MODE[name] for name in blind_selected)
         try:
-            decoded = decode_frame(draw.blind_received(), frame_cfg, cfg.blind_config(), modes)
+            decoded = decode_frame(draw.blind_received(), draw.frame_cfg, cfg.blind_config(), modes)
+            est, decided = decoded.estimate, decoded.modes
         except ReceiverError:
-            for name in blind_selected:
-                record.results[name] = ReceiverTrial(failed=True)
-        else:
-            est = decoded.estimate
-            for name in blind_selected:
-                frame_est = decoded.modes.get(_BLIND_MODE[name])
-                if frame_est is None:
-                    record.results[name] = ReceiverTrial(failed=True)
-                    continue
-                record.results[name] = ReceiverTrial(
-                    bits=payload.size,
-                    bit_errors=int(np.count_nonzero(frame_est.bits != payload)),
-                    iterations=est.iterations,
-                    final_residual=float(est.residual_trace[-1]),
-                    converged=est.converged,
-                    dd_changed=frame_est.dd_changed,
-                )
+            decided = {}
+        for name in blind_selected:
+            frame_est = decided.get(_BLIND_MODE[name])
+            if frame_est is None:
+                results[name] = ReceiverTrial(failed=True)
+                continue
+            results[name] = ReceiverTrial(
+                bits=payload.size,
+                bit_errors=int(np.count_nonzero(frame_est.bits != payload)),
+                iterations=est.iterations,
+                final_residual=float(est.residual_trace[-1]),
+                converged=est.converged,
+                dd_changed=frame_est.dd_changed,
+            )
 
     if "mrc_ofdm" in selected:
         ofdm_cfg, ofdm_payload = draw.ofdm_cfg, draw.ofdm_payload
         Yf = draw.received(ofdm_transmit(ofdm_payload, ofdm_cfg))
         try:
             bits, _ = ofdm_mrc_receive(Yf, ofdm_cfg)
-            record.results["mrc_ofdm"] = ReceiverTrial(
+            results["mrc_ofdm"] = ReceiverTrial(
                 bits=ofdm_payload.size,
                 bit_errors=int(np.count_nonzero(bits != ofdm_payload)),
             )
         except ReceiverError:
-            record.results["mrc_ofdm"] = ReceiverTrial(failed=True)
+            results["mrc_ofdm"] = ReceiverTrial(failed=True)
 
-    return record
+    return results
 
 
 def _trial_task(args):
@@ -318,12 +312,15 @@ def _map_cells(cfg: SimulationConfig, task, cells: list) -> list[list]:
     return [by_cell[cell] for cell in cells]
 
 
-def aggregate(cfg: SimulationConfig, P: int, snr_db: float, records: list[TrialRecord]) -> list[BerPoint]:
-    """Reduce trial records to one BerPoint per receiver (canonical order,
-    trial-index order inside each mean, so results are scheduler-independent)."""
+def aggregate(
+    cfg: SimulationConfig, P: int, snr_db: float, outcomes: list[dict[str, ReceiverTrial]]
+) -> list[BerPoint]:
+    """Reduce one cell's run_trial outcomes, in trial order, to one BerPoint
+    per receiver (canonical order, trial-index order inside each mean, so
+    results are scheduler-independent)."""
     points = []
     for name in cfg.selected():
-        trials = [r.results[name] for r in records]
+        trials = [outcome[name] for outcome in outcomes]
         ok = [t for t in trials if not t.failed]
         bits = sum(t.bits for t in ok)
         errors = sum(t.bit_errors for t in ok)
@@ -419,12 +416,13 @@ def sweep(cfg: SimulationConfig) -> list[BerPoint]:
     cells = [(P, snr_db) for P in cfg.seq_lengths for snr_db in cfg.snr_db_list]
     points: list[BerPoint] = []
     dump_rows: list[tuple] = []
-    for (P, snr_db), records in zip(cells, _map_cells(cfg, _trial_task, cells)):
-        points.extend(aggregate(cfg, P, snr_db, records))
+    for (P, snr_db), outcomes in zip(cells, _map_cells(cfg, _trial_task, cells)):
+        points.extend(aggregate(cfg, P, snr_db, outcomes))
         if cfg.dump_path is not None:
+            # _map_cells returns each cell's trials in index order
             dump_rows.extend(
-                (P, snr_db, rec.trial_index, name, *astuple(rec.results[name]))
-                for rec in records
+                (P, snr_db, i, name, *astuple(outcome[name]))
+                for i, outcome in enumerate(outcomes)
                 for name in cfg.selected()
             )
 

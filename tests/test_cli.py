@@ -168,6 +168,9 @@ def test_exit_code_2_on_invalid_combinations(capsys):
     assert main(["sweep", "--seq-len", "16", "--taps", "9"]) == 2  # frame too short
     assert main(["sweep", "--seq-len", "64", "--taps-est", "40"]) == 2  # P <= 2 L_est
     assert main(["sweep", "--snr", "nan"]) == 2
+    assert main(["sweep", "--snr", "0:inf:1"]) == 2  # infinite range
+    assert main(["sweep", "--snr=-inf:0:1"]) == 2
+    assert main(["sweep", "--snr", "0:4:inf"]) == 2
     assert main(["sweep", "--mod-order", "32"]) == 2
     assert main(["sweep", "--mu", "0"]) == 2
     assert main(["trace", "--mu", "0"]) == 2
@@ -187,13 +190,10 @@ def test_exit_code_3_on_unwritable_output(tmp_path, capsys):
 
 
 def test_exit_code_4_when_all_frames_fail(monkeypatch, capsys):
-    from scfde.harness import ReceiverTrial, TrialRecord
+    from scfde.harness import ReceiverTrial
 
     def always_fails(cfg, P, snr_db, trial_index):
-        rec = TrialRecord(P=P, snr_db=snr_db, trial_index=trial_index)
-        for name in cfg.selected():
-            rec.results[name] = ReceiverTrial(failed=True)
-        return rec
+        return {name: ReceiverTrial(failed=True) for name in cfg.selected()}
 
     monkeypatch.setattr(harness, "run_trial", always_fails)
     rc = main(["sweep", *FAST])

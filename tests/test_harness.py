@@ -43,35 +43,28 @@ SMALL = SimulationConfig(
 )
 
 
-def records_equal(a, b):
-    if set(a.results) != set(b.results):
-        return False
-    return all(a.results[k] == b.results[k] for k in a.results)
-
-
 def test_run_trial_bit_identical_repeat():
     r1 = run_trial(SMALL, 64, 8.0, 0)
     r2 = run_trial(SMALL, 64, 8.0, 0)
-    assert records_equal(r1, r2)
+    assert r1 == r2
 
 
 def test_trials_differ_across_indices_and_snr():
     r0 = run_trial(SMALL, 64, 8.0, 0)
     r1 = run_trial(SMALL, 64, 8.0, 1)
-    assert not records_equal(r0, r1)
+    assert r0 != r1
 
 
 def test_receiver_subset_does_not_change_draws():
     solo = dataclasses.replace(SMALL, receivers=("blind_pilot",))
     r_solo = run_trial(solo, 64, 8.0, 2)
     r_all = run_trial(SMALL, 64, 8.0, 2)
-    assert r_solo.results["blind_pilot"] == r_all.results["blind_pilot"]
+    assert r_solo["blind_pilot"] == r_all["blind_pilot"]
 
 
 def test_near_noiseless_trial_is_error_free():
     cfg = dataclasses.replace(SMALL, receivers=("blind_qq",))
-    record = run_trial(cfg, 64, 200.0, 0)
-    trial = record.results["blind_qq"]
+    trial = run_trial(cfg, 64, 200.0, 0)["blind_qq"]
     assert not trial.failed
     assert trial.bit_errors == 0
     assert trial.bits > 0
@@ -123,11 +116,11 @@ def test_sweep_single_cell_single_row():
 
 
 def test_aggregate_matches_manual_trial_sums():
-    records = [run_trial(SMALL, 64, 8.0, i) for i in range(SMALL.frames_per_point)]
-    points = aggregate(SMALL, 64, 8.0, records)
+    outcomes = [run_trial(SMALL, 64, 8.0, i) for i in range(SMALL.frames_per_point)]
+    points = aggregate(SMALL, 64, 8.0, outcomes)
     for pt in points:
-        bits = sum(r.results[pt.receiver].bits for r in records)
-        errors = sum(r.results[pt.receiver].bit_errors for r in records)
+        bits = sum(o[pt.receiver].bits for o in outcomes)
+        errors = sum(o[pt.receiver].bit_errors for o in outcomes)
         assert pt.bits_total == bits
         assert pt.bit_errors == errors
         assert pt.ber == errors / bits
@@ -258,8 +251,8 @@ def test_trace_csv_byte_identical_across_workers():
 
 def test_trace_final_value_matches_receiver_residual():
     trace = trace_trial(SMALL, 64, 8.0, 1)
-    record = run_trial(dataclasses.replace(SMALL, receivers=("blind_pilot",)), 64, 8.0, 1)
-    assert record.results["blind_pilot"].final_residual == pytest.approx(
+    outcome = run_trial(dataclasses.replace(SMALL, receivers=("blind_pilot",)), 64, 8.0, 1)
+    assert outcome["blind_pilot"].final_residual == pytest.approx(
         float(trace[-1]), rel=1e-12
     )
 

@@ -19,6 +19,8 @@ REMOVED = (
     "_FLAG_FIELDS",
     "Frame",
     "ChannelRealization",
+    "TrialRecord",
+    "_mode_alpha",
 )
 
 
