@@ -71,14 +71,31 @@ class BlindConfig:
 
 @dataclass(frozen=True)
 class Compression:
-    """The P x K problem AM solves for one frame: Yc = Yf V_K, the full
-    energy ||Yf||_F^2 and the DFT columns F_L (and their conjugate), kept so
-    that the decision-directed rounds step on the same problem."""
+    """The problem AM solves for one frame, laid out for _am_step.
 
-    Yc: np.ndarray = field(repr=False)
+    Y_rows is the P x K compression Yc = Yf V_K stored transposed, K x P and
+    C-contiguous, and F_rows is F_L^H, the conjugate DFT columns as L x P
+    rows: with P along the rows' contiguous axis, every elementwise product
+    and every reduction of a step runs along the long P axis, not along the
+    K- or L-long one. F_L and F_conj = conj(F_L) are the same columns P x L,
+    C-contiguous, as the O(P L) Toeplitz forms of matrixkit take them. energy
+    is the full ||Yf||_F^2. The decision-directed rounds step on the same
+    problem.
+    """
+
+    Y_rows: np.ndarray = field(repr=False)
     energy: float
     F_L: np.ndarray = field(repr=False)
     F_conj: np.ndarray = field(repr=False)
+    F_rows: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, Yc: np.ndarray, energy: float, L: int) -> Compression:
+        """Lay out the P x K matrix Yc and the first L DFT columns."""
+        F_L = dft_first_columns(Yc.shape[0], L)
+        F_conj = F_L.conj()
+        rows = np.ascontiguousarray(Yc.T)
+        return cls(rows, float(energy), F_L, F_conj, np.ascontiguousarray(F_conj.T))
 
 
 @dataclass
@@ -104,36 +121,36 @@ class ReceiverEstimate:
 
 
 def _am_step(
-    Yf: np.ndarray,
-    lam: np.ndarray,
-    F_L: np.ndarray,
-    F_conj: np.ndarray,
-    mu: float,
-    energy: float,
+    c: Compression, lam: np.ndarray, mu: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One AM iteration: the ridge channel solve given the spectrum lam, then
-    the per-bin MRC update of the spectrum given that channel.
+    """One AM iteration on the compressed problem c: the ridge channel solve
+    given the spectrum lam, then the per-bin MRC update of the spectrum given
+    that channel.
 
-    Only two products touch all of Yf, A^H Yf and Yf H_t^H (P x L x Nr
-    each, with A = diag(lam) F_L); the rest is O(P L) because F_L holds DFT
-    columns: the ridge Gram A^H A + mu I is Hermitian Toeplitz
-    (dft_weighted_gram), and so is the MRC denominator, the diagonal of
-    F_L (H_t H_t^H) F_L^H (dft_row_energies). The MRC numerator is
-    sum_l conj(F) * (Yf H_t^H) per bin, and the post-update residual follows
-    from MRC optimality,
+    Only two products touch all of Yc, A^H Yc and (Yc H_t^H)^T (P x L x K
+    each, with A = diag(lam) F_L): the ridge right-hand side is
+    (F_L^H diag(conj lam)) Yc, F_rows scaled along P, and the MRC numerator
+    is the column sum of conj(H_t) Yc^T times F_rows elementwise. With the
+    operands row-major (Compression) these run along P, so at K and L of 5
+    to 9 a step costs little more than its two products. The rest is O(P L)
+    because F_L holds DFT columns: the ridge Gram A^H A + mu I is Hermitian
+    Toeplitz (dft_weighted_gram), and so is the MRC denominator, the
+    diagonal of F_L (H_t H_t^H) F_L^H (dft_row_energies). The post-update
+    residual follows from MRC optimality,
     ||Yf - diag(lam) F H_t||^2 = ||Yf||^2 - sum_p |num_p|^2 / den_p.
 
-    Returns (updated lam, H_t, relative residual); energy is ||Yf||_F^2.
-    Raises DegenerateBinError where the per-bin channel vanishes.
+    Returns (updated lam, H_t, relative residual). Raises
+    DegenerateBinError where the per-bin channel vanishes.
     """
-    gram = dft_weighted_gram(lam.real**2 + lam.imag**2, F_conj, mu)
-    H_t = np.linalg.solve(gram, (lam.conj()[:, None] * F_conj).T @ Yf)
-    num = np.einsum("pl,pl->p", Yf @ H_t.conj().T, F_conj)
-    den = dft_row_energies(H_t, F_L)
+    gram = dft_weighted_gram(lam.real**2 + lam.imag**2, c.F_conj, mu)
+    H_t = np.linalg.solve(gram, (c.F_rows * lam.conj()) @ c.Y_rows.T)
+    num = (H_t.conj() @ c.Y_rows * c.F_rows).sum(0)
+    den = dft_row_energies(H_t, c.F_L)
     if den.min() <= 0.0:
         raise DegenerateBinError(int(np.flatnonzero(den <= 0.0)[0]))
-    fit = float(((num.real**2 + num.imag**2) / den).sum())
-    return num / den, H_t, np.sqrt(max(energy - fit, 0.0) / energy)
+    lam = num / den
+    fit = np.vdot(lam, num).real
+    return lam, H_t, np.sqrt(max(c.energy - fit, 0.0) / c.energy)
 
 
 def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstimate:
@@ -141,10 +158,12 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
 
     rank(F_L H_t) <= L_est, so the signal lies in the top K = min(Nr, L_est)
     right singular vectors V_K of Yf, and AM runs on the P x K compression
-    Yc = Yf V_K (compress_columns). The spectrum starts as Yc's first
-    column, the dominant left singular vector of Yf, normalized; then
-    _am_step alternates (a) the ridge channel solve given the spectrum with
-    (b) the per-bin MRC spectrum update given the channel, stopping when the
+    Yc = Yf V_K (compress_columns), laid out once per frame as K x P and
+    L x P rows (Compression) so that each step reduces along P, not along
+    the K- or L_est-long axis. The spectrum starts as Yc's first column, the
+    dominant left singular vector of Yf, normalized; then _am_step
+    alternates (a) the ridge channel solve given the spectrum with (b) the
+    per-bin MRC spectrum update given the channel, stopping when the
     relative reconstruction residual drops below cfg.eps or at
     cfg.max_iter. The residual is that of the full Yf: each step gets
     ||Yf||^2 as its energy, so the energy outside V_K counts as misfit.
@@ -157,15 +176,14 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
         raise ValueError("at least one antenna column required")
 
     Yc, V_K = compress_columns(Yf, min(Nr, cfg.L_est))
-    F_L = dft_first_columns(P, cfg.L_est)
-    c = Compression(Yc, float(np.linalg.norm(Yf) ** 2), F_L, F_L.conj())
+    c = Compression.of(Yc, np.linalg.norm(Yf) ** 2, cfg.L_est)
     lam = Yc[:, 0] / np.linalg.norm(Yc[:, 0])
 
     trace = []
     converged = False
     H_t = np.zeros((cfg.L_est, V_K.shape[1]), dtype=complex)
     for _ in range(cfg.max_iter):
-        lam, H_t, residual = _am_step(c.Yc, lam, c.F_L, c.F_conj, cfg.mu, c.energy)
+        lam, H_t, residual = _am_step(c, lam, cfg.mu)
         trace.append(residual)
         if residual < cfg.eps:
             converged = True
@@ -326,7 +344,7 @@ def decode_frame(
             decided = _decide(x_hat, mode, frame_cfg)
             for _ in range(_DD_ROUNDS):
                 frame = build_frame(frame_cfg, decided.bits)
-                lam, _, _ = _am_step(c.Yc, dft(frame), c.F_L, c.F_conj, 0.0, c.energy)
+                lam, _, _ = _am_step(c, dft(frame), 0.0)
                 prior = decided.symbols
                 decided = _decide(idft(lam), mode, frame_cfg)
                 decided.dd_changed = int(np.count_nonzero(decided.symbols != prior))

@@ -17,6 +17,7 @@ column instead of being silently mixed in.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
@@ -96,6 +97,15 @@ class SimulationConfig:
             )
         if self.Nr < 1:
             raise ValueError(f"antenna count must be >= 1, got {self.Nr}")
+        if (
+            self.out_path is not None
+            and self.dump_path is not None
+            and os.path.realpath(self.out_path) == os.path.realpath(self.dump_path)
+        ):
+            raise ValueError(
+                f"output and per-trial dump are the same file ({self.out_path}); "
+                "the dump would overwrite the sweep CSV"
+            )
         # build every per-P plan now, so an invalid combination is reported
         # before any trial runs
         PowerDelayProfile.geometric(self.L, self.pdp_ratio)
@@ -296,15 +306,18 @@ def _map_cells(cfg: SimulationConfig, task, cells: list) -> list[list]:
     """task((cfg, P, snr_db, trial_index)) for every trial of every (P, snr_db)
     cell; returns one list per cell, in cell order, with its trials in order.
 
-    All tasks go through one pool map (cfg.workers > 1), largest P first so
-    the longest frames start early and the short ones fill the tail; the
-    result order never depends on the schedule.
+    All tasks go through one pool map of at most cfg.workers processes and
+    never more than there are tasks (a forking pool starts all of its
+    workers at the first submit), largest P first so the longest frames
+    start early and the short ones fill the tail; the result order never
+    depends on the schedule.
     """
     order = sorted(cells, key=lambda cell: -cell[0])
     n = cfg.frames_per_point
     tasks = [(cfg, P, snr_db, i) for P, snr_db in order for i in range(n)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, tasks, chunksize=1))
     else:
         results = [task(t) for t in tasks]

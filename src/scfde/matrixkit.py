@@ -118,12 +118,15 @@ def _toeplitz_tables(L: int) -> tuple[np.ndarray, np.ndarray]:
 def dft_weighted_gram(w: np.ndarray, F_conj: np.ndarray, mu: float = 0.0) -> np.ndarray:
     """F_L^H diag(w) F_L + mu I for real weights w, in O(P L).
 
-    F_conj is conj(dft_first_columns(P, L)). Because F_L holds DFT columns,
-    F_L^H diag(w) F_L is Hermitian Toeplitz with first column
-    c_k = sum_p w_p exp(2j pi p k / P) / P = (w @ F_conj)_k / sqrt(P).
+    F_conj is conj(dft_first_columns(P, L)), C-contiguous. Because F_L holds
+    DFT columns, F_L^H diag(w) F_L is Hermitian Toeplitz with first column
+    c_k = sum_p w_p exp(2j pi p k / P) / P = (w @ F_conj)_k / sqrt(P). That
+    product is one real gemv of w against the float64 view of F_conj (each
+    row interleaves the real and imaginary parts of its L entries), with no
+    real-to-complex cast of w.
     """
     P, L = F_conj.shape
-    c = (w @ F_conj) / np.sqrt(P)
+    c = (w @ F_conj.view(np.float64)).view(complex) / np.sqrt(P)
     c[0] += mu  # lag 0 is the diagonal
     return np.concatenate((c[:0:-1].conj(), c))[_toeplitz_tables(L)[0]]
 
@@ -131,14 +134,17 @@ def dft_weighted_gram(w: np.ndarray, F_conj: np.ndarray, mu: float = 0.0) -> np.
 def dft_row_energies(B: np.ndarray, F_L: np.ndarray) -> np.ndarray:
     """Squared row norms ||(F_L B)_p||^2 of F_L @ B, in O(P L) beyond B B^H.
 
-    F_L is dft_first_columns(P, L) and B has L rows. The p-th diagonal entry
-    of F_L (B B^H) F_L^H is Re(sum_k d'_k exp(-2j pi p k / P)) / P, where
-    d_k sums the k-th lower diagonal of B B^H and d' = (d_0, 2 d_1, ...,
-    2 d_{L-1}) folds in the conjugate upper diagonals. The rounding error
-    scales with the mean row energy, not with each row's own, so a vanishing
-    row can come out slightly negative.
+    F_L is dft_first_columns(P, L), C-contiguous, and B has L rows. The p-th
+    diagonal entry of F_L (B B^H) F_L^H is
+    Re(sum_k d'_k exp(-2j pi p k / P)) / P, where d_k sums the k-th lower
+    diagonal of B B^H and d' = (d_0, 2 d_1, ..., 2 d_{L-1}) folds in the
+    conjugate upper diagonals. Only the real part is needed, and
+    Re(F d') = Re(F) Re(d') - Im(F) Im(d') is one real gemv of the float64
+    view of F_L against that of conj(d'). The rounding error scales with the
+    mean row energy, not with each row's own, so a vanishing row can come out
+    slightly negative.
     """
     P, L = F_L.shape
     d = _toeplitz_tables(L)[1] @ (B @ B.conj().T).ravel()
     d[1:] *= 2
-    return (F_L @ d).real / np.sqrt(P)
+    return (F_L.view(np.float64) @ d.conj().view(np.float64)) / np.sqrt(P)

@@ -212,7 +212,7 @@ def test_criterion_7_per_iteration_cost_scaling():
     # the production loop runs) and compares best-case floors: the min over
     # hundreds of samples is the standard microbenchmark estimator and is
     # immune to co-tenant noise on shared machines
-    from scfde.blind_rx import _am_step
+    from scfde.blind_rx import Compression, _am_step
 
     Nr, L = 64, 9
     times = {}
@@ -223,14 +223,12 @@ def test_criterion_7_per_iteration_cost_scaling():
         ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
         Y = convolve_channel(frame, ch) + 0.3 * complex_randn(rng, P, Nr)
         Yf = dft(Y)
-        F_L = dft_first_columns(P, L)
-        F_conj = F_L.conj()
-        energy = float(np.linalg.norm(Yf) ** 2)
+        c = Compression.of(Yf, np.linalg.norm(Yf) ** 2, L)
         lam = top_left_singular_vector(Yf)
         samples = []
         for n in range(300):
             start = time.perf_counter()
-            lam, _, _ = _am_step(Yf, lam, F_L, F_conj, 0.5, energy)
+            lam, _, _ = _am_step(c, lam, 0.5)
             if n >= 10:  # discard warm-up
                 samples.append(time.perf_counter() - start)
         times[P] = min(samples)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scfde.baseline_rx import mrc_combine
 from scfde.blind_rx import (
     BlindConfig,
+    Compression,
     _am_step,
     alternating_minimization,
     ca_alpha,
@@ -145,11 +146,10 @@ def test_am_on_full_rank_compression_matches_full_width():
     blind = BlindConfig(L_est=4, max_iter=30)
     est = alternating_minimization(Yf, blind)
     assert est.iterations == 30
-    F_L = dft_first_columns(64, 4)
-    energy = float(np.linalg.norm(Yf) ** 2)
+    c = Compression.of(Yf, np.linalg.norm(Yf) ** 2, 4)
     lam, trace = top_left_singular_vector(Yf), []
     for _ in range(30):
-        lam, H_t, residual = _am_step(Yf, lam, F_L, F_L.conj(), blind.mu, energy)
+        lam, H_t, residual = _am_step(c, lam, blind.mu)
         trace.append(residual)
     assert np.linalg.norm(est.lambda_hat - lam) <= 1e-12 * np.linalg.norm(lam)
     assert np.linalg.norm(est.H_t_hat - H_t) <= 1e-12 * np.linalg.norm(H_t)
@@ -169,7 +169,7 @@ def dense_am_step(Yf, lam, F_L, mu, energy):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    L=st.integers(1, 9),
+    L=st.integers(1, 16),
     extra=st.integers(1, 60),
     Nr=st.integers(1, 80),
     mu=st.sampled_from([0.01, 0.5, 0.99]),
@@ -182,7 +182,7 @@ def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
     lam = rng.standard_normal(P) + 1j * rng.standard_normal(P)
     F_L = dft_first_columns(P, L)
     energy = float(np.linalg.norm(Yf) ** 2)
-    lam_new, H_t, residual = _am_step(Yf, lam, F_L, F_L.conj(), mu, energy)
+    lam_new, H_t, residual = _am_step(Compression.of(Yf, energy, L), lam, mu)
     lam_ref, H_ref, residual_ref = dense_am_step(Yf, lam, F_L, mu, energy)
     # the Toeplitz MRC denominator is exact to rounding of the mean bin energy,
     # not of each bin's own, so a bin whose channel nearly vanishes (likely at
@@ -198,10 +198,9 @@ def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
 
 def test_am_step_zero_spectrum_raises_at_bin_zero():
     P, L, Nr = 16, 3, 4
-    Yf = np.ones((P, Nr), dtype=complex)
-    F_L = dft_first_columns(P, L)
+    c = Compression.of(np.ones((P, Nr), dtype=complex), P * Nr, L)
     with pytest.raises(DegenerateBinError) as info:
-        _am_step(Yf, np.zeros(P, dtype=complex), F_L, F_L.conj(), 0.5, float(P * Nr))
+        _am_step(c, np.zeros(P, dtype=complex), 0.5)
     assert info.value.bin_index == 0
 
 
@@ -396,12 +395,12 @@ def test_decode_frame_isolates_a_failed_round_to_its_mode(monkeypatch):
     cfg, payload, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
     step, rounds = blind_rx._am_step, []
 
-    def third_round_fails(Yc, lam, F_L, F_conj, mu, energy):
+    def third_round_fails(c, lam, mu):
         if mu == 0.0:  # a decision-directed round, not an AM iteration
             rounds.append(len(rounds))
             if len(rounds) == 3:  # modes run pilot, qq, ca with two rounds each
                 raise DegenerateBinError(7)
-        return step(Yc, lam, F_L, F_conj, mu, energy)
+        return step(c, lam, mu)
 
     monkeypatch.setattr(blind_rx, "_am_step", third_round_fails)
     result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
@@ -421,9 +420,9 @@ def test_decode_frame_refines_only_the_given_modes(monkeypatch):
     full = decode_frame(Yf, cfg, blind)
     step, rounds = blind_rx._am_step, []
 
-    def counted_step(Yc, lam, F_L, F_conj, mu, energy):
+    def counted_step(c, lam, mu):
         rounds.extend([mu] if mu == 0.0 else [])
-        return step(Yc, lam, F_L, F_conj, mu, energy)
+        return step(c, lam, mu)
 
     def same_decode(a, b):
         return (

@@ -163,7 +163,7 @@ def test_exit_code_2_on_config_errors(capsys):
     assert main(["sweep", "--config", "/nonexistent.cfg"]) == 2
 
 
-def test_exit_code_2_on_invalid_combinations(capsys):
+def test_exit_code_2_on_invalid_combinations(tmp_path, capsys):
     # each is rejected while the configuration is built, before any trial
     assert main(["sweep", "--seq-len", "16", "--taps", "9"]) == 2  # frame too short
     assert main(["sweep", "--seq-len", "64", "--taps-est", "40"]) == 2  # P <= 2 L_est
@@ -180,6 +180,10 @@ def test_exit_code_2_on_invalid_combinations(capsys):
     assert main(["sweep", "--snr", ",", "--seq-len", "64"]) == 2  # no SNR
     assert main(["sweep", "--seq-len", "64,64"]) == 2  # repeated length
     assert main(["sweep", "--frames", "abc"]) == 2  # not an integer
+    same = tmp_path / "same.csv"
+    for dump in (same, tmp_path / "sub" / ".." / "same.csv"):  # dump overwrites the CSV
+        assert main(["sweep", *FAST, "--out", str(same), "--dump-trials", str(dump)]) == 2
+    assert not same.exists()
 
 
 def test_exit_code_3_on_unwritable_output(tmp_path, capsys):

@@ -159,6 +159,33 @@ def test_csv_byte_identical_across_runs_and_workers():
     assert text1 == text2 == text3
 
 
+def test_pool_starts_no_more_workers_than_trials(monkeypatch):
+    # a forking pool starts all max_workers processes at the first submit,
+    # so the request is capped at the task count; the fake starts none
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = dataclasses.replace(SMALL, frames_per_point=2)
+    pooled = sweep(dataclasses.replace(cfg, workers=8))
+    assert requested == [2]
+    assert render_csv(cfg, pooled) == render_csv(cfg, sweep(cfg))
+    residual_trace(dataclasses.replace(cfg, frames_per_point=1, workers=8))
+    assert requested == [2]  # a single trial runs without a pool
+
+
 def test_dump_rows_reaggregate_to_csv(tmp_path):
     out = tmp_path / "point.csv"
     dump = tmp_path / "trials.csv"
