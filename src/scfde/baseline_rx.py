@@ -26,16 +26,20 @@ from .errors import DegenerateBinError
 @dataclass(frozen=True)
 class OfdmPilotConfig:
     """Subcarrier plan: P bins, ceil(pilot_fraction * P) pilot tones on a
-    (near-)uniform grid, and L_trunc taps kept by the interpolator."""
+    (near-)uniform grid, and L_trunc taps kept by the interpolator (None,
+    the default, keeps all n_pilots pilot taps: classic parameter-free FFT
+    interpolation, no channel-length side information)."""
 
     P: int
     M: int
-    L_trunc: int
+    L_trunc: int | None = None
     pilot_fraction: float = 0.10
 
     def __post_init__(self):
         if not 0 < self.pilot_fraction <= 1:
             raise ValueError(f"pilot fraction must be in (0, 1], got {self.pilot_fraction}")
+        if self.L_trunc is None:
+            return
         if self.L_trunc < 1:
             raise ValueError(f"interpolator must keep >= 1 tap, got {self.L_trunc}")
         if self.n_pilots < self.L_trunc:

@@ -42,6 +42,9 @@ from .matrixkit import (
 # decision-directed tap re-solves each correction mode runs after AM
 _DD_ROUNDS = 2
 
+# the correction modes decode_frame knows, each one estimate of the scale
+MODES = ("pilot", "qq", "ca")
+
 
 @dataclass
 class BlindConfig:
@@ -77,25 +80,22 @@ class Compression:
     C-contiguous, and F_rows is F_L^H, the conjugate DFT columns as L x P
     rows: with P along the rows' contiguous axis, every elementwise product
     and every reduction of a step runs along the long P axis, not along the
-    K- or L-long one. F_L and F_conj = conj(F_L) are the same columns P x L,
-    C-contiguous, as the O(P L) Toeplitz forms of matrixkit take them. energy
-    is the full ||Yf||_F^2. The decision-directed rounds step on the same
-    problem.
+    K- or L-long one. F_L holds the same columns P x L, C-contiguous, as the
+    O(P L) Toeplitz forms of matrixkit take them. energy is the full
+    ||Yf||_F^2. The decision-directed rounds step on the same problem.
     """
 
     Y_rows: np.ndarray = field(repr=False)
     energy: float
     F_L: np.ndarray = field(repr=False)
-    F_conj: np.ndarray = field(repr=False)
     F_rows: np.ndarray = field(repr=False)
 
     @classmethod
     def of(cls, Yc: np.ndarray, energy: float, L: int) -> Compression:
         """Lay out the P x K matrix Yc and the first L DFT columns."""
         F_L = dft_first_columns(Yc.shape[0], L)
-        F_conj = F_L.conj()
         rows = np.ascontiguousarray(Yc.T)
-        return cls(rows, float(energy), F_L, F_conj, np.ascontiguousarray(F_conj.T))
+        return cls(rows, float(energy), F_L, np.ascontiguousarray(F_L.conj().T))
 
 
 @dataclass
@@ -142,7 +142,7 @@ def _am_step(
     Returns (updated lam, H_t, relative residual). Raises
     DegenerateBinError where the per-bin channel vanishes.
     """
-    gram = dft_weighted_gram(lam.real**2 + lam.imag**2, c.F_conj, mu)
+    gram = dft_weighted_gram(lam.real**2 + lam.imag**2, c.F_L, mu)
     H_t = np.linalg.solve(gram, (c.F_rows * lam.conj()) @ c.Y_rows.T)
     num = (H_t.conj() @ c.Y_rows * c.F_rows).sum(0)
     den = dft_row_energies(H_t, c.F_L)
@@ -228,13 +228,10 @@ def ca_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
     alpha_mid = data[k_max] / corner1
     data_mid = data / alpha_mid
 
-    # the scaled max sample is the corner symbol by construction
+    # the scaled max sample slices to the corner by construction (a NaN one
+    # to point 0, which is the corner too), so the cluster is never empty
     _, hard = qam_demodulate(data_mid, const.order)
-    members = np.flatnonzero(hard == corner1)
-    if members.size == 0:  # unreachable in exact arithmetic; keep a sane fallback
-        warnings.warn("no sample demodulated to the corner; using the max sample")
-        members = np.array([k_max])
-    centroid = np.mean(data_mid[members])
+    centroid = np.mean(data_mid[hard == corner1])
 
     pilot_mid = x_hat[cfg.pilot_index] / alpha_mid
     best_q = min(
@@ -320,7 +317,7 @@ def decode_frame(
     Yf: np.ndarray,
     frame_cfg: FrameConfig,
     cfg: BlindConfig,
-    modes: tuple = ("pilot", "qq", "ca"),
+    modes: tuple = MODES,
 ) -> BlindDecodeResult:
     """Run the blind factorization once, then decode each of the given
     modes from its x_hat = idft(lambda_hat).
@@ -332,7 +329,11 @@ def decode_frame(
     AM's compression (the least-squares taps given the decided frame, then
     MRC), and decides again on the new x_hat. An error in any of these steps
     fails its mode only. The result covers the given modes and no other.
+    Raises ValueError for a mode outside MODES, before AM runs.
     """
+    unknown = [mode for mode in modes if mode not in MODES]
+    if unknown:
+        raise ValueError(f"unknown modes: {unknown}; valid: {MODES}")
     est = alternating_minimization(Yf, cfg)
     c = est.compression
     x_hat = idft(est.lambda_hat)

@@ -15,6 +15,8 @@ centroids (arithmetic mean of the M/4 symbols in each quadrant).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 SUPPORTED_ORDERS = (4, 16, 64, 256)
@@ -111,14 +113,10 @@ class Constellation:
         return complex(np.mean(self.points[sel]))
 
 
-_CACHE: dict[int, Constellation] = {}
-
-
+@lru_cache(maxsize=None)
 def get_constellation(order: int) -> Constellation:
     """Shared immutable instance per order (safe across trial workers)."""
-    if order not in _CACHE:
-        _CACHE[order] = Constellation(order)
-    return _CACHE[order]
+    return Constellation(order)
 
 
 def qam_modulate(bits: np.ndarray, order: int) -> np.ndarray:

@@ -56,11 +56,10 @@ class SimulationConfig:
     frames_per_point: int = 10
     seed: int = 0
     receivers: tuple = RECEIVERS
-    mu: float = 0.5
-    eps: float = 1e-4
-    max_iter: int = 100
+    mu: float = BlindConfig.mu
+    eps: float = BlindConfig.eps
+    max_iter: int = BlindConfig.max_iter
     pdp_ratio: float = 0.5
-    pilot_fraction: float = 0.10
     ofdm_taps: int | None = None
     workers: int = 1
     out_path: str | None = None
@@ -97,6 +96,13 @@ class SimulationConfig:
             )
         if self.Nr < 1:
             raise ValueError(f"antenna count must be >= 1, got {self.Nr}")
+        for snr in self.snr_db_list:
+            try:  # the noise energy of the largest receive matrix
+                energy = max(self.seq_lengths) * self.Nr * snr_db_to_noise_variance(snr)
+            except OverflowError:
+                energy = math.inf
+            if not math.isfinite(energy):
+                raise ValueError(f"SNR {snr} dB overflows the receive energy")
         if (
             self.out_path is not None
             and self.dump_path is not None
@@ -120,14 +126,9 @@ class SimulationConfig:
         return BlindConfig(L_est=self.L_est, mu=self.mu, eps=self.eps, max_iter=self.max_iter)
 
     def ofdm_config(self, P: int) -> OfdmPilotConfig:
-        """Baseline plan for one sequence length. Unless ofdm_taps is set the
-        interpolator keeps all pilot taps (classic parameter-free FFT
-        interpolation, no channel-length side information)."""
-        n_pilots = int(np.ceil(self.pilot_fraction * P))
-        L_trunc = self.ofdm_taps if self.ofdm_taps is not None else n_pilots
-        return OfdmPilotConfig(
-            P=P, M=self.M, L_trunc=L_trunc, pilot_fraction=self.pilot_fraction
-        )
+        """Baseline plan for one sequence length; ofdm_taps None keeps all
+        pilot taps (OfdmPilotConfig.L_trunc)."""
+        return OfdmPilotConfig(P=P, M=self.M, L_trunc=self.ofdm_taps)
 
     def selected(self) -> tuple:
         """Selected receivers in canonical order."""
@@ -298,16 +299,12 @@ def run_trial(
     return results
 
 
-def _trial_task(args):
-    return run_trial(*args)
-
-
-def _map_cells(cfg: SimulationConfig, task, cells: list) -> list[list]:
-    """task((cfg, P, snr_db, trial_index)) for every trial of every (P, snr_db)
+def _map_cells(cfg: SimulationConfig, fn, cells: list) -> list[list]:
+    """fn(cfg, P, snr_db, trial_index) for every trial of every (P, snr_db)
     cell; returns one list per cell, in cell order, with its trials in order.
 
-    All tasks go through one pool map of at most cfg.workers processes and
-    never more than there are tasks (a forking pool starts all of its
+    All calls go through one pool map of at most cfg.workers processes and
+    never more than there are trials (a forking pool starts all of its
     workers at the first submit), largest P first so the longest frames
     start early and the short ones fill the tail; the result order never
     depends on the schedule.
@@ -315,12 +312,13 @@ def _map_cells(cfg: SimulationConfig, task, cells: list) -> list[list]:
     order = sorted(cells, key=lambda cell: -cell[0])
     n = cfg.frames_per_point
     tasks = [(cfg, P, snr_db, i) for P, snr_db in order for i in range(n)]
+    columns = zip(*tasks)
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, tasks, chunksize=1))
+            results = list(pool.map(fn, *columns, chunksize=1))
     else:
-        results = [task(t) for t in tasks]
+        results = list(map(fn, *columns))
     by_cell = {cell: results[k * n : (k + 1) * n] for k, cell in enumerate(order)}
     return [by_cell[cell] for cell in cells]
 
@@ -429,7 +427,7 @@ def sweep(cfg: SimulationConfig) -> list[BerPoint]:
     cells = [(P, snr_db) for P in cfg.seq_lengths for snr_db in cfg.snr_db_list]
     points: list[BerPoint] = []
     dump_rows: list[tuple] = []
-    for (P, snr_db), outcomes in zip(cells, _map_cells(cfg, _trial_task, cells)):
+    for (P, snr_db), outcomes in zip(cells, _map_cells(cfg, run_trial, cells)):
         points.extend(aggregate(cfg, P, snr_db, outcomes))
         if cfg.dump_path is not None:
             # _map_cells returns each cell's trials in index order
@@ -476,17 +474,13 @@ def trace_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) 
     return alternating_minimization(draw.blind_received(), cfg.blind_config()).residual_trace
 
 
-def _trace_task(args):
-    return trace_trial(*args)
-
-
 def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:
     """Mean per-iteration normalized error for each configured SNR and, within
     it, each sequence length. Frames that stop early hold their final value in
     the average."""
     cells = [(P, snr_db) for snr_db in cfg.snr_db_list for P in cfg.seq_lengths]
     traces: list[ResidualTrace] = []
-    for (P, snr_db), runs in zip(cells, _map_cells(cfg, _trace_task, cells)):
+    for (P, snr_db), runs in zip(cells, _map_cells(cfg, trace_trial, cells)):
         depth = max(len(r) for r in runs)
         padded = np.vstack([
             np.concatenate([r, np.full(depth - len(r), r[-1])]) for r in runs

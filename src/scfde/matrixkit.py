@@ -17,6 +17,7 @@ unitary DFT of the received matrix and F_L holds the first L columns of F.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -115,18 +116,19 @@ def _toeplitz_tables(L: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, sums
 
 
-def dft_weighted_gram(w: np.ndarray, F_conj: np.ndarray, mu: float = 0.0) -> np.ndarray:
+def dft_weighted_gram(w: np.ndarray, F_L: np.ndarray, mu: float = 0.0) -> np.ndarray:
     """F_L^H diag(w) F_L + mu I for real weights w, in O(P L).
 
-    F_conj is conj(dft_first_columns(P, L)), C-contiguous. Because F_L holds
-    DFT columns, F_L^H diag(w) F_L is Hermitian Toeplitz with first column
-    c_k = sum_p w_p exp(2j pi p k / P) / P = (w @ F_conj)_k / sqrt(P). That
-    product is one real gemv of w against the float64 view of F_conj (each
-    row interleaves the real and imaginary parts of its L entries), with no
-    real-to-complex cast of w.
+    F_L is dft_first_columns(P, L), C-contiguous. Because F_L holds DFT
+    columns, F_L^H diag(w) F_L is Hermitian Toeplitz with first column
+    c_k = sum_p w_p exp(2j pi p k / P) / P = conj(w @ F_L)_k / sqrt(P), the
+    conjugate because w is real. That product is one real gemv of w against
+    the float64 view of F_L (each row interleaves the real and imaginary
+    parts of its L entries), with no real-to-complex cast of w.
     """
-    P, L = F_conj.shape
-    c = (w @ F_conj.view(np.float64)).view(complex) / np.sqrt(P)
+    P, L = F_L.shape
+    # math.sqrt: a numpy scalar sqrt per call would cost more than the conj
+    c = (w @ F_L.view(np.float64)).view(complex).conj() / math.sqrt(P)
     c[0] += mu  # lag 0 is the diagonal
     return np.concatenate((c[:0:-1].conj(), c))[_toeplitz_tables(L)[0]]
 

@@ -483,3 +483,17 @@ def test_decode_frame_isolates_pilot_failure_from_ca(monkeypatch):
     result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.failures) == {"pilot", "qq"}
     assert set(result.modes) == {"ca"}
+
+
+def test_decode_frame_rejects_unknown_modes(monkeypatch):
+    import scfde.blind_rx as blind_rx
+
+    cfg, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
+
+    def no_am(*args):
+        raise AssertionError("AM ran before the modes were checked")
+
+    monkeypatch.setattr(blind_rx, "alternating_minimization", no_am)
+    for modes in (("bogus", "PILOT"), ("pilot", "Pilot"), ("qq", "")):
+        with pytest.raises(ValueError, match="unknown modes"):
+            blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2), modes)

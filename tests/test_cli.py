@@ -180,6 +180,8 @@ def test_exit_code_2_on_invalid_combinations(tmp_path, capsys):
     assert main(["sweep", "--snr", ",", "--seq-len", "64"]) == 2  # no SNR
     assert main(["sweep", "--seq-len", "64,64"]) == 2  # repeated length
     assert main(["sweep", "--frames", "abc"]) == 2  # not an integer
+    assert main(["sweep", *FAST, "--snr=-4000"]) == 2  # noise variance overflows
+    assert main(["trace", *FAST, "--snr=-3080"]) == 2  # receive energy overflows
     same = tmp_path / "same.csv"
     for dump in (same, tmp_path / "sub" / ".." / "same.csv"):  # dump overwrites the CSV
         assert main(["sweep", *FAST, "--out", str(same), "--dump-trials", str(dump)]) == 2

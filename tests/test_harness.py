@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scfde.harness as harness
-from scfde.baseline_rx import ofdm_transmit
+from scfde.baseline_rx import OfdmPilotConfig, estimate_channel, ofdm_transmit
 from scfde.channel import (
     PowerDelayProfile,
     complex_noise,
@@ -174,8 +174,8 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     cfg = dataclasses.replace(SMALL, frames_per_point=2)
@@ -352,6 +352,12 @@ def test_selected_receivers_canonical_order():
 
 
 def test_ofdm_config_defaults_to_all_pilot_taps():
-    assert SMALL.ofdm_config(64).L_trunc == 7  # ceil(0.1 * 64)
+    plan = SMALL.ofdm_config(64)
+    assert plan.L_trunc is None
+    # None keeps every pilot tap: the same estimate as L_trunc = ceil(0.1 * 64)
+    rng = np.random.default_rng(5)
+    Yf = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+    explicit = OfdmPilotConfig(P=64, M=SMALL.M, L_trunc=7)
+    assert np.array_equal(estimate_channel(Yf, plan), estimate_channel(Yf, explicit))
     informed = dataclasses.replace(SMALL, ofdm_taps=3)
     assert informed.ofdm_config(64).L_trunc == 3

@@ -273,7 +273,7 @@ def test_toeplitz_forms_match_dense_products(L, extra, Nr, mu, seed):
     lam = random_complex(rng, P)
     A = lam[:, None] * F_L
     dense_gram = A.conj().T @ A + mu * np.eye(L)
-    gram = dft_weighted_gram(np.abs(lam) ** 2, F_L.conj(), mu)
+    gram = dft_weighted_gram(np.abs(lam) ** 2, F_L, mu)
     assert np.linalg.norm(gram - dense_gram) <= 1e-12 * np.linalg.norm(dense_gram)
 
     H = random_complex(rng, L, Nr)

@@ -21,6 +21,9 @@ REMOVED = (
     "ChannelRealization",
     "TrialRecord",
     "_mode_alpha",
+    "_trial_task",
+    "_trace_task",
+    "_CACHE",
 )
 
 
