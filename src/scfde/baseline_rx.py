@@ -16,16 +16,20 @@ channel model, which stands in for CP-OFDM with a sufficient prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .constellation import get_constellation, qam_demodulate, qam_modulate
 from .errors import DegenerateBinError
 
+# share of the P subcarriers that carry a pilot tone
+_PILOT_FRACTION = 0.10
+
 
 @dataclass(frozen=True)
 class OfdmPilotConfig:
-    """Subcarrier plan: P bins, ceil(pilot_fraction * P) pilot tones on a
+    """Subcarrier plan: P bins, ceil(_PILOT_FRACTION * P) pilot tones on a
     (near-)uniform grid, and L_trunc taps kept by the interpolator (None,
     the default, keeps all n_pilots pilot taps: classic parameter-free FFT
     interpolation, no channel-length side information)."""
@@ -33,31 +37,26 @@ class OfdmPilotConfig:
     P: int
     M: int
     L_trunc: int | None = None
-    pilot_fraction: float = 0.10
 
     def __post_init__(self):
-        if not 0 < self.pilot_fraction <= 1:
-            raise ValueError(f"pilot fraction must be in (0, 1], got {self.pilot_fraction}")
         if self.L_trunc is None:
             return
         if self.L_trunc < 1:
             raise ValueError(f"interpolator must keep >= 1 tap, got {self.L_trunc}")
         if self.n_pilots < self.L_trunc:
-            raise ValueError(
-                f"{self.n_pilots} pilots cannot resolve {self.L_trunc} taps"
-            )
+            raise ValueError(f"{self.n_pilots} pilots cannot resolve {self.L_trunc} taps")
 
     @property
     def n_pilots(self) -> int:
-        return int(np.ceil(self.pilot_fraction * self.P))
+        return int(np.ceil(_PILOT_FRACTION * self.P))
 
-    @property
+    @cached_property
     def pilot_indices(self) -> np.ndarray:
         idx = np.round(np.arange(self.n_pilots) * self.P / self.n_pilots).astype(int)
         idx.flags.writeable = False
         return idx
 
-    @property
+    @cached_property
     def data_indices(self) -> np.ndarray:
         mask = np.ones(self.P, dtype=bool)
         mask[self.pilot_indices] = False

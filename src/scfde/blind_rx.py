@@ -13,9 +13,9 @@ times alpha. Each correction mode is one estimate of alpha, taken from the
 single pilot alone (pilot_alpha), from the pilot plus a quadrant-centroid
 average (pilot_alpha times qq_alpha), or from the corner-symbol cluster
 centroid with the pilot picking among the four quadrant rotations
-(ca_alpha). decode_frame then refines each mode on its own: it slices
-x_hat / alpha, rebuilds the frame from those decisions, re-solves the taps
-by least squares given that frame and updates the spectrum by MRC.
+(ca_alpha). A mode's scale sets only its first decisions, the slice of
+x_hat / alpha; decode_frame then re-solves the taps given the frame rebuilt
+from the decisions and slices the MRC update at that frame's scale.
 """
 
 from __future__ import annotations
@@ -267,36 +267,35 @@ def qq_alpha(x_derot: np.ndarray, cfg: FrameConfig) -> complex:
 
 @dataclass
 class ModeEstimate:
-    """One correction mode's decoded frame.
-
-    x_hat / alpha is the mode's time-domain frame estimate, bits and symbols
-    are the payload decisions sliced from it, and dd_changed counts the
-    symbol decisions the last decision-directed round changed (0 means a
-    fixed point; NaN when no round ran).
-    """
+    """One correction mode's decoded frame: x_hat, its time-domain estimate
+    at the transmitted scale, the payload decisions bits and symbols sliced
+    from it, and dd_changed, the symbol decisions the last decision-directed
+    round changed (0 means a fixed point; NaN when no round ran)."""
 
     x_hat: np.ndarray = field(repr=False)
-    alpha: complex
     bits: np.ndarray = field(repr=False)
     symbols: np.ndarray = field(repr=False)
     dd_changed: int | float = math.nan
 
 
-def _decide(x_hat: np.ndarray, mode: str, cfg: FrameConfig) -> ModeEstimate:
-    """Estimate the mode's global scale on x_hat, then slice x_hat / alpha.
-
-    The scales are the pilot ratio ("pilot"), the pilot ratio times the
-    quadrant residue of x_hat / pilot ratio ("qq"), and the centroid scale
-    ("ca"). Raises the estimator's ReceiverError.
-    """
+def _mode_scale(x_hat: np.ndarray, mode: str, cfg: FrameConfig) -> complex:
+    """The mode's scale estimate on x_hat: the pilot ratio ("pilot"), times
+    the quadrant residue of x_hat over it ("qq"), or the centroid scale
+    ("ca"). Raises the estimator's ReceiverError."""
     if mode == "ca":
-        alpha = ca_alpha(x_hat, cfg)
-    else:
-        alpha = pilot_alpha(x_hat, cfg)
-        if mode == "qq":
-            alpha = alpha * qq_alpha(x_hat / alpha, cfg)
-    bits, symbols = qam_demodulate(extract_data(cfg, x_hat) / alpha, cfg.M)
-    return ModeEstimate(x_hat=x_hat, alpha=alpha, bits=bits, symbols=symbols)
+        return ca_alpha(x_hat, cfg)
+    alpha = pilot_alpha(x_hat, cfg)
+    if mode == "qq":
+        alpha = alpha * qq_alpha(x_hat / alpha, cfg)
+    return alpha
+
+
+def _slice(x_hat: np.ndarray, cfg: FrameConfig, prior: np.ndarray | None = None) -> ModeEstimate:
+    """Slice x_hat, a frame estimate at the transmitted scale; prior is the
+    symbols it was refined from, if any (dd_changed)."""
+    bits, symbols = qam_demodulate(extract_data(cfg, x_hat), cfg.M)
+    changed = math.nan if prior is None else int(np.count_nonzero(symbols != prior))
+    return ModeEstimate(x_hat=x_hat, bits=bits, symbols=symbols, dd_changed=changed)
 
 
 @dataclass
@@ -320,35 +319,36 @@ def decode_frame(
     modes: tuple = MODES,
 ) -> BlindDecodeResult:
     """Run the blind factorization once, then decode each of the given
-    modes from its x_hat = idft(lambda_hat).
+    modes from AM's x_hat = idft(lambda_hat).
 
-    A mode first decides on AM's x_hat (_decide: its scale, then the
-    slicer), then runs _DD_ROUNDS decision-directed rounds. One round
-    rebuilds the frame from the pilot, the guard zeros and the last
-    decisions, takes its spectrum as lambda in one unregularized _am_step on
-    AM's compression (the least-squares taps given the decided frame, then
-    MRC), and decides again on the new x_hat. An error in any of these steps
-    fails its mode only. The result covers the given modes and no other.
-    Raises ValueError for a mode outside MODES, before AM runs.
+    A mode slices x_hat / alpha, alpha its scale estimate (_mode_scale).
+    Each of _DD_ROUNDS rounds then rebuilds the frame from the pilot, the
+    guard zeros and the decisions, re-solves the taps given that frame by
+    one unregularized _am_step on AM's compression, and slices the new x_hat
+    at that frame's scale. A round depends on its input decisions alone, so
+    the modes that reach one decision vector share one run of its round (a
+    round that raises is not kept, and fails each of them alike). The result
+    covers the given modes and no other. Raises ValueError for a mode
+    outside MODES, before AM runs.
     """
     unknown = [mode for mode in modes if mode not in MODES]
     if unknown:
         raise ValueError(f"unknown modes: {unknown}; valid: {MODES}")
     est = alternating_minimization(Yf, cfg)
-    c = est.compression
     x_hat = idft(est.lambda_hat)
-
+    rounds: dict[bytes, ModeEstimate] = {}  # each round's outcome, by its input bits
     decoded: dict[str, ModeEstimate] = {}
     failures: dict[str, ReceiverError] = {}
     for mode in modes:
         try:
-            decided = _decide(x_hat, mode, frame_cfg)
+            decided = _slice(x_hat / _mode_scale(x_hat, mode, frame_cfg), frame_cfg)
             for _ in range(_DD_ROUNDS):
-                frame = build_frame(frame_cfg, decided.bits)
-                lam, _, _ = _am_step(c, dft(frame), 0.0)
-                prior = decided.symbols
-                decided = _decide(idft(lam), mode, frame_cfg)
-                decided.dd_changed = int(np.count_nonzero(decided.symbols != prior))
+                key = decided.bits.tobytes()
+                if key not in rounds:
+                    frame = build_frame(frame_cfg, decided.bits)
+                    lam, _, _ = _am_step(est.compression, dft(frame), 0.0)
+                    rounds[key] = _slice(idft(lam), frame_cfg, decided.symbols)
+                decided = rounds[key]
         except ReceiverError as err:
             failures[mode] = err
         else:

@@ -149,4 +149,4 @@ def dft_row_energies(B: np.ndarray, F_L: np.ndarray) -> np.ndarray:
     P, L = F_L.shape
     d = _toeplitz_tables(L)[1] @ (B @ B.conj().T).ravel()
     d[1:] *= 2
-    return (F_L.view(np.float64) @ d.conj().view(np.float64)) / np.sqrt(P)
+    return (F_L.view(np.float64) @ d.conj().view(np.float64)) / math.sqrt(P)

@@ -137,7 +137,7 @@ def test_criterion_3_noiseless_blind_recovery():
         if est.converged and est.residual_trace[-1] >= 1e-3:
             converged_ok = False
         pilot = result.modes["pilot"]
-        _, hard = qam_demodulate(extract_data(cfg, pilot.x_hat) / pilot.alpha, M)
+        _, hard = qam_demodulate(extract_data(cfg, pilot.x_hat), M)
         if np.array_equal(hard, qam_modulate(payload, M)):
             clean += 1
     ok = clean >= 48 and converged_ok
@@ -211,11 +211,12 @@ def test_criterion_7_per_iteration_cost_scaling():
     # times single iterations of the decoder's update (_am_step, the function
     # the production loop runs) and compares best-case floors: the min over
     # hundreds of samples is the standard microbenchmark estimator and is
-    # immune to co-tenant noise on shared machines
+    # immune to short co-tenant spikes; the two sizes take turns, sample by
+    # sample, so a slow phase of the machine hits both of them alike
     from scfde.blind_rx import Compression, _am_step
 
     Nr, L = 64, 9
-    times = {}
+    comps, lams, samples = {}, {}, {}
     for P in (512, 1024):
         cfg = FrameConfig(P=P, L=L, M=64)
         rng = np.random.default_rng(700 + P)
@@ -223,15 +224,16 @@ def test_criterion_7_per_iteration_cost_scaling():
         ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
         Y = convolve_channel(frame, ch) + 0.3 * complex_randn(rng, P, Nr)
         Yf = dft(Y)
-        c = Compression.of(Yf, np.linalg.norm(Yf) ** 2, L)
-        lam = top_left_singular_vector(Yf)
-        samples = []
-        for n in range(300):
+        comps[P] = Compression.of(Yf, np.linalg.norm(Yf) ** 2, L)
+        lams[P] = top_left_singular_vector(Yf)
+        samples[P] = []
+    for n in range(300):
+        for P, c in comps.items():
             start = time.perf_counter()
-            lam, _, _ = _am_step(c, lam, 0.5)
+            lams[P], _, _ = _am_step(c, lams[P], 0.5)
             if n >= 10:  # discard warm-up
-                samples.append(time.perf_counter() - start)
-        times[P] = min(samples)
+                samples[P].append(time.perf_counter() - start)
+    times = {P: min(s) for P, s in samples.items()}
     ratio = times[1024] / times[512]
     ok = ratio <= 2.5
     report(

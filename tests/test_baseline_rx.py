@@ -127,6 +127,12 @@ def test_pilot_count_must_resolve_taps():
         OfdmPilotConfig(P=32, M=16, L_trunc=8)  # only 4 pilots
 
 
-def test_pilot_fraction_validated():
-    with pytest.raises(ValueError):
-        OfdmPilotConfig(P=32, M=16, L_trunc=2, pilot_fraction=0.0)
+def test_subcarrier_indices_built_once_per_plan():
+    cfg = OfdmPilotConfig(P=64, M=16, L_trunc=4)
+    untouched = OfdmPilotConfig(P=64, M=16, L_trunc=4)
+    for name in ("pilot_indices", "data_indices"):
+        idx = getattr(cfg, name)
+        assert getattr(cfg, name) is idx, name
+        assert not idx.flags.writeable, name
+    # the cached arrays stay out of equality and hashing
+    assert cfg == untouched and hash(cfg) == hash(untouched)

@@ -342,9 +342,8 @@ def test_decode_frame_shares_estimate_and_scales_exactly(monkeypatch):
         "qq": alpha_pilot * qq_alpha(x_hat / alpha_pilot, cfg),
     }
     for mode, decoded in result.modes.items():
-        assert np.array_equal(decoded.x_hat, x_hat), mode
-        assert decoded.alpha == alphas[mode], mode
-        bits, symbols = qam_demodulate(extract_data(cfg, x_hat) / decoded.alpha, cfg.M)
+        assert np.array_equal(decoded.x_hat, x_hat / alphas[mode]), mode
+        bits, symbols = qam_demodulate(extract_data(cfg, x_hat / alphas[mode]), cfg.M)
         assert np.array_equal(decoded.bits, bits), mode
         assert np.array_equal(decoded.symbols, symbols), mode
         assert np.isnan(decoded.dd_changed), mode
@@ -353,20 +352,41 @@ def test_decode_frame_shares_estimate_and_scales_exactly(monkeypatch):
 
 def test_decode_frame_rounds_are_a_fixed_point_on_a_noiseless_frame():
     # decisions that are all right rebuild the true spectrum, from which the
-    # unregularized re-solve returns the exact taps and MRC the exact spectrum
+    # unregularized re-solve returns the exact taps and MRC the exact spectrum,
+    # at the transmitted scale whatever scale estimate took the first decisions
     cfg, payload, frame, ch, Yf = noiseless_setup(128, 3, 8, 16, seed=18)
     result = decode_frame(Yf, cfg, BlindConfig(L_est=3))
     assert set(result.modes) == {"pilot", "ca", "qq"}
     truth = dft(frame)
-    scales = {}
     for mode, decoded in result.modes.items():
         assert decoded.dd_changed == 0, mode
         assert np.array_equal(decoded.bits, payload), mode
         lam = dft(decoded.x_hat)
-        scales[mode] = np.vdot(truth, lam) / np.vdot(truth, truth)
-        assert np.linalg.norm(lam - scales[mode] * truth) <= 1e-10 * np.linalg.norm(lam), mode
-    # the pilot reads that scale exactly; CA and QQ average over the payload
-    assert abs(result.modes["pilot"].alpha - scales["pilot"]) <= 1e-10 * abs(scales["pilot"])
+        scale = np.vdot(truth, lam) / np.vdot(truth, truth)
+        assert abs(scale - 1) <= 1e-10, mode
+        assert np.linalg.norm(lam - truth) <= 1e-10 * np.linalg.norm(lam), mode
+
+
+def test_decode_frame_re_solves_each_decision_vector_once(monkeypatch):
+    # all three modes decide the payload on this frame (QQ despite its bias),
+    # and the rounds are a fixed point there, so one unregularized re-solve
+    # serves both rounds of every mode
+    import scfde.blind_rx as blind_rx
+
+    cfg, payload, _, _, Yf = noiseless_setup(128, 3, 8, 16, seed=18)
+    step, rounds = blind_rx._am_step, []
+
+    def counted_step(c, lam, mu):
+        rounds.extend([mu] if mu == 0.0 else [])
+        return step(c, lam, mu)
+
+    monkeypatch.setattr(blind_rx, "_am_step", counted_step)
+    result = decode_frame(Yf, cfg, BlindConfig(L_est=3))
+    assert len(rounds) == 1
+    assert len({id(decoded) for decoded in result.modes.values()}) == 1
+    monkeypatch.setattr(blind_rx, "_DD_ROUNDS", 0)
+    first = decode_frame(Yf, cfg, BlindConfig(L_est=3)).modes
+    assert all(np.array_equal(d.bits, payload) for d in first.values())
 
 
 def test_dd_changed_counts_the_decisions_the_last_round_moved(monkeypatch):
@@ -389,27 +409,39 @@ def test_dd_changed_counts_the_decisions_the_last_round_moved(monkeypatch):
     assert moved > 0  # the frame is noisy enough for the rounds to move decisions
 
 
-def test_decode_frame_isolates_a_failed_round_to_its_mode(monkeypatch):
+def test_decode_frame_fails_exactly_the_modes_reaching_a_failed_round(monkeypatch):
     import scfde.blind_rx as blind_rx
 
-    cfg, payload, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
-    step, rounds = blind_rx._am_step, []
+    cfg, payload, frame, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
+    truth = dft(frame)
+    step, ca_alpha_of = blind_rx._am_step, blind_rx.ca_alpha
 
-    def third_round_fails(c, lam, mu):
-        if mu == 0.0:  # a decision-directed round, not an AM iteration
-            rounds.append(len(rounds))
-            if len(rounds) == 3:  # modes run pilot, qq, ca with two rounds each
+    def round_fails_on(fails_on_truth):
+        def stepped(c, lam, mu):
+            # a decision-directed round, not an AM iteration, on the chosen frame
+            if mu == 0.0 and np.array_equal(lam, truth) == fails_on_truth:
                 raise DegenerateBinError(7)
-        return step(c, lam, mu)
+            return step(c, lam, mu)
 
-    monkeypatch.setattr(blind_rx, "_am_step", third_round_fails)
+        return stepped
+
+    # a quarter-turned CA scale leads CA alone to rotated decisions, whose
+    # round fails; pilot and QQ decide the payload and decode it
+    monkeypatch.setattr(blind_rx, "ca_alpha", lambda x, cfg: 1j * ca_alpha_of(x, cfg))
+    monkeypatch.setattr(blind_rx, "_am_step", round_fails_on(False))
     result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
-    assert set(result.failures) == {"qq"}
-    assert result.failures["qq"].bin_index == 7
-    assert set(result.modes) == {"pilot", "ca"}
-    assert len(rounds) == 5  # qq stopped at its first round, ca ran both
+    assert set(result.failures) == {"ca"}
+    assert result.failures["ca"].bin_index == 7
+    assert set(result.modes) == {"pilot", "qq"}
     for decoded in result.modes.values():
         assert np.array_equal(decoded.bits, payload)
+
+    # the payload's round fails both modes that reach it, and CA, rotated
+    # away from it, decodes
+    monkeypatch.setattr(blind_rx, "_am_step", round_fails_on(True))
+    result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
+    assert set(result.failures) == {"pilot", "qq"} and set(result.modes) == {"ca"}
+    assert all(err.bin_index == 7 for err in result.failures.values())
 
 
 def test_decode_frame_refines_only_the_given_modes(monkeypatch):
@@ -426,8 +458,7 @@ def test_decode_frame_refines_only_the_given_modes(monkeypatch):
 
     def same_decode(a, b):
         return (
-            a.alpha == b.alpha
-            and np.array_equal(a.x_hat, b.x_hat)
+            np.array_equal(a.x_hat, b.x_hat)
             and np.array_equal(a.bits, b.bits)
             and np.array_equal(a.symbols, b.symbols)
             and a.dd_changed == b.dd_changed
@@ -438,7 +469,7 @@ def test_decode_frame_refines_only_the_given_modes(monkeypatch):
         rounds.clear()
         result = blind_rx.decode_frame(Yf, cfg, blind, (mode,))
         assert set(result.modes) == {mode} and not result.failures
-        assert len(rounds) == blind_rx._DD_ROUNDS, mode
+        assert 1 <= len(rounds) <= blind_rx._DD_ROUNDS, mode
         assert same_decode(result.modes[mode], full.modes[mode]), mode
     # the order of the modes does not change any of them
     reversed_modes = blind_rx.decode_frame(Yf, cfg, blind, ("ca", "qq", "pilot"))

@@ -24,6 +24,7 @@ REMOVED = (
     "_trial_task",
     "_trace_task",
     "_CACHE",
+    "_decide",
 )
 
 
