@@ -72,17 +72,18 @@ class Constellation:
         half = self.bits_per_symbol // 2
         m = self._m
 
-        def ranks(coord):
+        def codes(coord):
             # level (m-1) - 2r has rank r; NaN falls to the first pair
             t = np.floor(((m - 1) - coord / self._scale) / 2.0)
             lo = np.fmin(np.fmax(t, 0.0), m - 2).astype(np.int64)
-            pair = np.stack([lo, lo + 1], axis=-1)
-            return pair ^ (pair >> 1)  # Gray code of each rank
+            hi = lo + 1
+            g_lo, g_hi = lo ^ (lo >> 1), hi ^ (hi >> 1)  # Gray code of each rank
+            return np.minimum(g_lo, g_hi), np.maximum(g_lo, g_hi)
 
-        gray_i = ranks(z.real) << half
-        gray_q = ranks(z.imag)
-        cells = gray_i[:, :, None] | gray_q[:, None, :]
-        return np.sort(cells.reshape(-1, 4), axis=1)
+        i_min, i_max = (g << half for g in codes(z.real))
+        q_min, q_max = codes(z.imag)
+        # the in-phase code is the high bit group, so this is index order
+        return np.stack([i_min | q_min, i_min | q_max, i_max | q_min, i_max | q_max], axis=1)
 
     # -- quadrant geometry -------------------------------------------------
 

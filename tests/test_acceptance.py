@@ -22,6 +22,7 @@ from scfde.constellation import get_constellation, qam_demodulate, qam_modulate
 from scfde.frame import FrameConfig, build_frame, extract_data, random_payload
 from scfde.matrixkit import (
     circulant_eigenvalues,
+    compress_columns,
     dft,
     dft_first_columns,
     regularized_ls,
@@ -209,7 +210,8 @@ def test_criterion_6_sequence_length_scaling():
 
 def test_criterion_7_per_iteration_cost_scaling():
     # times single iterations of the decoder's update (_am_step, the function
-    # the production loop runs) and compares best-case floors: the min over
+    # the production loop runs, on the P x K compression of Yf it runs on,
+    # K = min(Nr, L_est)) and compares best-case floors: the min over
     # hundreds of samples is the standard microbenchmark estimator and is
     # immune to short co-tenant spikes; the two sizes take turns, sample by
     # sample, so a slow phase of the machine hits both of them alike
@@ -224,7 +226,8 @@ def test_criterion_7_per_iteration_cost_scaling():
         ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
         Y = convolve_channel(frame, ch) + 0.3 * complex_randn(rng, P, Nr)
         Yf = dft(Y)
-        comps[P] = Compression.of(Yf, np.linalg.norm(Yf) ** 2, L)
+        Yc, _ = compress_columns(Yf, min(Nr, L))
+        comps[P] = Compression.of(Yc, np.linalg.norm(Yf) ** 2, L)
         lams[P] = top_left_singular_vector(Yf)
         samples[P] = []
     for n in range(300):

@@ -1,6 +1,9 @@
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import scfde
@@ -25,6 +28,7 @@ REMOVED = (
     "_trace_task",
     "_CACHE",
     "_decide",
+    "__all__",
 )
 
 
@@ -35,10 +39,21 @@ def submodules():
     ]
 
 
-def test_public_names_unique_and_resolvable():
-    assert len(scfde.__all__) == len(set(scfde.__all__))
-    for name in scfde.__all__:
-        assert getattr(scfde, name) is not None, name
+def test_leaf_modules_import_alone():
+    # the package root holds only __version__, so a leaf module pulls in
+    # neither the harness nor the process-pool machinery
+    code = (
+        "import sys, scfde.constellation, scfde.matrixkit; "
+        "print(*sorted(m for m in ('scfde.harness', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    path = [str(Path(scfde.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == []
 
 
 def test_removed_names_are_gone():
