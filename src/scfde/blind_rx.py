@@ -33,7 +33,6 @@ from .matrixkit import (
     compress_columns,
     dft,
     dft_first_columns,
-    dft_row_energies,
     dft_weighted_gram,
     idft,
 )
@@ -42,8 +41,9 @@ from .matrixkit import (
 # decision-directed tap re-solves each correction mode runs after AM
 _DD_ROUNDS = 2
 
-# the correction modes decode_frame knows, each one estimate of the scale
-MODES = ("pilot", "qq", "ca")
+# the correction modes decode_frame knows, each one estimate of the scale, in
+# the order the harness reports them
+MODES = ("pilot", "ca", "qq")
 
 
 @dataclass
@@ -80,8 +80,8 @@ class Compression:
     C-contiguous, and F_rows is F_L^H, the conjugate DFT columns as L x P
     rows: with P along the rows' contiguous axis, every elementwise product
     and every reduction of a step runs along the long P axis, not along the
-    K- or L-long one. F_L holds the same columns P x L, C-contiguous, as the
-    O(P L) Toeplitz forms of matrixkit take them. energy is the full
+    K- or L-long one. F_L holds the same columns P x L, C-contiguous, as
+    matrixkit's O(P L) Toeplitz Gram takes them. energy is the full
     ||Yf||_F^2. The decision-directed rounds step on the same problem.
     """
 
@@ -127,16 +127,17 @@ def _am_step(
     given the spectrum lam, then the per-bin MRC update of the spectrum given
     that channel.
 
-    Only two products touch all of Yc, A^H Yc and (Yc H_t^H)^T (P x L x K
-    each, with A = diag(lam) F_L): the ridge right-hand side is
-    (F_L^H diag(conj lam)) Yc, F_rows scaled along P, and the MRC numerator
-    is the column sum of conj(H_t) Yc^T times F_rows elementwise. With the
+    Only two products are P x L x K in size (A = diag(lam) F_L): the ridge
+    right-hand side A^H Yc = (F_L^H diag(conj lam)) Yc, F_rows scaled along
+    P, and G = H_t^H F_L^H, the K x P conjugate transpose of the per-bin
+    channel F_L H_t. Both MRC terms are read off G: the numerator is the
+    column sum of G times Y_rows elementwise, and the denominator
+    ||(F_L H_t)_p||^2 is the exact sum of squares of G's column p. With the
     operands row-major (Compression) these run along P, so at K and L of 5
-    to 9 a step costs little more than its two products. The rest is O(P L)
-    because F_L holds DFT columns: the ridge Gram A^H A + mu I is Hermitian
-    Toeplitz (dft_weighted_gram), and so is the MRC denominator, the
-    diagonal of F_L (H_t H_t^H) F_L^H (dft_row_energies). The post-update
-    residual follows from MRC optimality,
+    to 9 a step costs little more than its two products. The ridge Gram
+    A^H A + mu I is O(P L) because F_L holds DFT columns: it is Hermitian
+    Toeplitz (dft_weighted_gram). The post-update residual follows from MRC
+    optimality,
     ||Yf - diag(lam) F H_t||^2 = ||Yf||^2 - sum_p |num_p|^2 / den_p.
 
     Returns (updated lam, H_t, relative residual). Raises
@@ -144,8 +145,9 @@ def _am_step(
     """
     gram = dft_weighted_gram(lam.real**2 + lam.imag**2, c.F_L, mu)
     H_t = np.linalg.solve(gram, (c.F_rows * lam.conj()) @ c.Y_rows.T)
-    num = (H_t.conj() @ c.Y_rows * c.F_rows).sum(0)
-    den = dft_row_energies(H_t, c.F_L)
+    G = H_t.conj().T @ c.F_rows
+    num = (G * c.Y_rows).sum(0)
+    den = (G.real**2 + G.imag**2).sum(0)
     if den.min() <= 0.0:
         raise DegenerateBinError(int(np.flatnonzero(den <= 0.0)[0]))
     lam = num / den

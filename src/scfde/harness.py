@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .baseline_rx import OfdmPilotConfig, ofdm_mrc_receive, ofdm_transmit
-from .blind_rx import BlindConfig, alternating_minimization, decode_frame
+from .blind_rx import MODES, BlindConfig, alternating_minimization, decode_frame
 from .channel import (
     PowerDelayProfile,
     complex_noise,
@@ -39,8 +39,8 @@ from .errors import ReceiverError
 from .frame import FrameConfig, build_frame, random_payload
 from .matrixkit import dft
 
-RECEIVERS = ("blind_pilot", "blind_ca", "blind_qq", "mrc_ofdm")
-_BLIND_MODE = {"blind_pilot": "pilot", "blind_ca": "ca", "blind_qq": "qq"}
+_BLIND_MODE = {f"blind_{mode}": mode for mode in MODES}
+RECEIVERS = (*_BLIND_MODE, "mrc_ofdm")
 
 
 @dataclass(frozen=True)

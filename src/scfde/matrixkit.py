@@ -1,8 +1,8 @@
 """Numerical kernel: the unitary DFT pair, circulant eigenvalues, the rank-K
 compression of a matrix onto its dominant right singular subspace (one Gram
 eigendecomposition; the dominant left singular vector is its K = 1 case),
-ridge-regularized least squares, and the O(P L) Toeplitz forms of the
-quadratic products of F_L.
+ridge-regularized least squares, and the O(P L) Hermitian Toeplitz form
+of the weighted Gram F_L^H diag(w) F_L.
 
 DFT convention. The unitary matrix F[k, n] = exp(-2j*pi*k*n/P) / sqrt(P)
 is used for all forward/inverse transforms (dft/idft), while the
@@ -99,21 +99,15 @@ def regularized_ls(A: np.ndarray, Yf: np.ndarray, mu: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _toeplitz_tables(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables for L x L Hermitian Toeplitz matrices (read-only cache).
-
+def _toeplitz_gather(L: int) -> np.ndarray:
+    """Index table of L x L Hermitian Toeplitz matrices (read-only cache):
     gather[l, m] = l - m + L - 1 picks entry (l, m) from the stacked lags
-    (conj(c_{L-1}), ..., conj(c_1), c_0, c_1, ..., c_{L-1}); row k of the
-    0/1 matrix sums adds up the k-th lower diagonal of a flattened L x L
-    matrix.
+    (conj(c_{L-1}), ..., conj(c_1), c_0, c_1, ..., c_{L-1}).
     """
     taps = np.arange(L)
-    lag = taps[:, None] - taps[None, :]
-    sums = (lag.ravel()[None, :] == taps[:, None]).astype(complex)
-    gather = lag + L - 1
+    gather = taps[:, None] - taps[None, :] + L - 1
     gather.flags.writeable = False
-    sums.flags.writeable = False
-    return gather, sums
+    return gather
 
 
 def dft_weighted_gram(w: np.ndarray, F_L: np.ndarray, mu: float = 0.0) -> np.ndarray:
@@ -130,23 +124,5 @@ def dft_weighted_gram(w: np.ndarray, F_L: np.ndarray, mu: float = 0.0) -> np.nda
     # math.sqrt: a numpy scalar sqrt per call would cost more than the conj
     c = (w @ F_L.view(np.float64)).view(complex).conj() / math.sqrt(P)
     c[0] += mu  # lag 0 is the diagonal
-    return np.concatenate((c[:0:-1].conj(), c))[_toeplitz_tables(L)[0]]
+    return np.concatenate((c[:0:-1].conj(), c))[_toeplitz_gather(L)]
 
-
-def dft_row_energies(B: np.ndarray, F_L: np.ndarray) -> np.ndarray:
-    """Squared row norms ||(F_L B)_p||^2 of F_L @ B, in O(P L) beyond B B^H.
-
-    F_L is dft_first_columns(P, L), C-contiguous, and B has L rows. The p-th
-    diagonal entry of F_L (B B^H) F_L^H is
-    Re(sum_k d'_k exp(-2j pi p k / P)) / P, where d_k sums the k-th lower
-    diagonal of B B^H and d' = (d_0, 2 d_1, ..., 2 d_{L-1}) folds in the
-    conjugate upper diagonals. Only the real part is needed, and
-    Re(F d') = Re(F) Re(d') - Im(F) Im(d') is one real gemv of the float64
-    view of F_L against that of conj(d'). The rounding error scales with the
-    mean row energy, not with each row's own, so a vanishing row can come out
-    slightly negative.
-    """
-    P, L = F_L.shape
-    d = _toeplitz_tables(L)[1] @ (B @ B.conj().T).ravel()
-    d[1:] *= 2
-    return (F_L.view(np.float64) @ d.conj().view(np.float64)) / math.sqrt(P)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scfde.baseline_rx import mrc_combine
@@ -175,6 +175,7 @@ def dense_am_step(Yf, lam, F_L, mu, energy):
     mu=st.sampled_from([0.01, 0.5, 0.99]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(L=12, extra=1, Nr=1, mu=0.5, seed=2558169)
 def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
     P = 2 * L + extra  # Nr > P happens too
     rng = np.random.default_rng(seed)
@@ -184,12 +185,7 @@ def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
     energy = float(np.linalg.norm(Yf) ** 2)
     lam_new, H_t, residual = _am_step(Compression.of(Yf, energy, L), lam, mu)
     lam_ref, H_ref, residual_ref = dense_am_step(Yf, lam, F_L, mu, energy)
-    # the Toeplitz MRC denominator is exact to rounding of the mean bin energy,
-    # not of each bin's own, so a bin whose channel nearly vanishes (likely at
-    # Nr = 1) loses accuracy by the ratio of the two
-    den_ref = np.linalg.norm(F_L @ H_ref, axis=1) ** 2
-    depth = max(1.0, den_ref.mean() / den_ref.min())
-    assert np.linalg.norm(lam_new - lam_ref) <= 1e-12 * depth * np.linalg.norm(lam_ref)
+    assert np.linalg.norm(lam_new - lam_ref) <= 1e-12 * np.linalg.norm(lam_ref)
     assert np.linalg.norm(H_t - H_ref) <= 1e-12 * np.linalg.norm(H_ref)
     # compared squared: at a perfect fit (Nr = 1) both residuals are square
     # roots of a rounding-level difference of energies
@@ -217,7 +213,7 @@ def test_alternating_minimization_preconditions():
         BlindConfig(L_est=0)
 
 
-def test_pilot_derotate_pure_scale():
+def test_pilot_alpha_pure_scale():
     cfg = FrameConfig(P=32, L=2, M=16)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(6)))
     alpha = 2.0 * np.exp(0.3j)
@@ -229,14 +225,14 @@ def test_pilot_derotate_pure_scale():
     assert np.isclose(x_derot[cfg.pilot_index], cfg.pilot_value, rtol=1e-12)
 
 
-def test_pilot_derotate_identity():
+def test_pilot_alpha_identity():
     cfg = FrameConfig(P=32, L=2, M=16)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(7)))
     alpha_hat = pilot_alpha(frame, cfg)
     assert abs(alpha_hat - 1.0) < 1e-12
 
 
-def test_pilot_derotate_noisy_pilot_single_sample_oracle():
+def test_pilot_alpha_noisy_pilot_single_sample_oracle():
     cfg = FrameConfig(P=32, L=2, M=16)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(8)))
     alpha = 1.3 * np.exp(-0.2j)

@@ -9,7 +9,6 @@ from scfde.matrixkit import (
     compress_columns,
     dft,
     dft_first_columns,
-    dft_row_energies,
     dft_weighted_gram,
     idft,
     regularized_ls,
@@ -262,11 +261,10 @@ def test_dft_first_columns_bounds_checked():
 @given(
     L=st.integers(1, 9),
     extra=st.integers(0, 80),
-    Nr=st.integers(1, 12),
     mu=st.sampled_from([0.0, 0.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_toeplitz_forms_match_dense_products(L, extra, Nr, mu, seed):
+def test_toeplitz_forms_match_dense_products(L, extra, mu, seed):
     P = L + extra
     rng = np.random.default_rng(seed)
     F_L = dft_first_columns(P, L)
@@ -275,8 +273,3 @@ def test_toeplitz_forms_match_dense_products(L, extra, Nr, mu, seed):
     dense_gram = A.conj().T @ A + mu * np.eye(L)
     gram = dft_weighted_gram(np.abs(lam) ** 2, F_L, mu)
     assert np.linalg.norm(gram - dense_gram) <= 1e-12 * np.linalg.norm(dense_gram)
-
-    H = random_complex(rng, L, Nr)
-    dense_energies = np.linalg.norm(F_L @ H, axis=1) ** 2
-    energies = dft_row_energies(H, F_L)
-    assert np.linalg.norm(energies - dense_energies) <= 1e-12 * np.linalg.norm(dense_energies)

@@ -29,6 +29,8 @@ REMOVED = (
     "_CACHE",
     "_decide",
     "__all__",
+    "dft_row_energies",
+    "_toeplitz_tables",
 )
 
 
