@@ -46,7 +46,7 @@ _DD_ROUNDS = 2
 MODES = ("pilot", "ca", "qq")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlindConfig:
     """Knobs of the alternating-minimization decoder.
 
@@ -183,7 +183,6 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
 
     trace = []
     converged = False
-    H_t = np.zeros((cfg.L_est, V_K.shape[1]), dtype=complex)
     for _ in range(cfg.max_iter):
         lam, H_t, residual = _am_step(c, lam, cfg.mu)
         trace.append(residual)

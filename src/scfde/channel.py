@@ -1,9 +1,10 @@
 """Frequency-selective Rayleigh channel and AWGN front end.
 
 Taps are independent zero-mean circularly-symmetric complex Gaussians whose
-variances follow a normalized power-delay profile, so the expected channel
-energy per antenna is 1. With the unit-average-energy constellation this
-fixes the SNR convention used everywhere in the package:
+variances are a plain array of tap powers. The simulator takes them from
+``geometric_profile``, which decays as ratio**l and sums to 1, so the
+expected channel energy per antenna is 1. With the unit-average-energy
+constellation this fixes the SNR convention used everywhere in the package:
 
     noise variance per complex sample = 10^(-snr_db / 10).
 
@@ -22,42 +23,26 @@ import numpy as np
 from .matrixkit import dft_first_columns
 
 
-class PowerDelayProfile:
-    """Per-tap average powers; normalized to sum 1 and non-increasing."""
-
-    def __init__(self, powers):
-        p = np.asarray(powers, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("powers must be a non-empty 1-D sequence")
-        if np.any(p < 0):
-            raise ValueError("tap powers must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"tap powers must sum to 1, got {p.sum()!r}")
-        if np.any(np.diff(p) > 0):
-            raise ValueError("tap powers must be non-increasing")
-        p.flags.writeable = False
-        self.powers = p
-
-    @property
-    def L(self) -> int:
-        return self.powers.size
-
-    @classmethod
-    def geometric(cls, L: int, ratio: float = 0.5) -> "PowerDelayProfile":
-        """Geometrically decaying profile p[l] proportional to ratio**l."""
-        if not 0 < ratio <= 1:
-            raise ValueError(f"decay ratio must be in (0, 1], got {ratio}")
-        p = ratio ** np.arange(L)
-        return cls(p / p.sum())
+def geometric_profile(L: int, ratio: float) -> np.ndarray:
+    """Tap powers p[l] proportional to ratio**l, l < L, normalized to sum 1."""
+    if L < 1:
+        raise ValueError(f"tap count must be >= 1, got {L}")
+    if not 0 < ratio <= 1:
+        raise ValueError(f"decay ratio must be in (0, 1], got {ratio}")
+    p = ratio ** np.arange(L)
+    return p / p.sum()
 
 
-def draw_channel(pdp: PowerDelayProfile, Nr: int, rng: np.random.Generator) -> np.ndarray:
+def draw_channel(powers: np.ndarray, Nr: int, rng: np.random.Generator) -> np.ndarray:
     """L x Nr tap matrix (column r = taps of antenna r) with h[l, r] ~
-    CN(0, p[l]), independent across l and r."""
+    CN(0, powers[l]), independent across l and r."""
+    if np.any(powers < 0):
+        raise ValueError("tap powers must be nonnegative")
     if Nr < 1:
         raise ValueError(f"antenna count must be >= 1, got {Nr}")
-    sigma = np.sqrt(pdp.powers / 2.0)[:, None]
-    return sigma * (rng.standard_normal((pdp.L, Nr)) + 1j * rng.standard_normal((pdp.L, Nr)))
+    L = powers.size
+    sigma = np.sqrt(powers / 2.0)[:, None]
+    return sigma * (rng.standard_normal((L, Nr)) + 1j * rng.standard_normal((L, Nr)))
 
 
 def snr_db_to_noise_variance(snr_db: float) -> float:

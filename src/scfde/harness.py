@@ -28,10 +28,10 @@ from . import __version__
 from .baseline_rx import OfdmPilotConfig, ofdm_mrc_receive, ofdm_transmit
 from .blind_rx import MODES, BlindConfig, alternating_minimization, decode_frame
 from .channel import (
-    PowerDelayProfile,
     complex_noise,
     draw_channel,
     frequency_response,
+    geometric_profile,
     receive_spectrum,
     snr_db_to_noise_variance,
 )
@@ -114,7 +114,7 @@ class SimulationConfig:
             )
         # build every per-P plan now, so an invalid combination is reported
         # before any trial runs
-        PowerDelayProfile.geometric(self.L, self.pdp_ratio)
+        geometric_profile(self.L, self.pdp_ratio)
         self.blind_config()
         for P in self.seq_lengths:
             FrameConfig(P=P, L=self.L, M=self.M)
@@ -232,7 +232,7 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
     payload = random_payload(frame_cfg, rng)
     ofdm_cfg = cfg.ofdm_config(P)
     ofdm_payload = random_payload(ofdm_cfg, rng)
-    taps = draw_channel(PowerDelayProfile.geometric(cfg.L, cfg.pdp_ratio), cfg.Nr, rng)
+    taps = draw_channel(geometric_profile(cfg.L, cfg.pdp_ratio), cfg.Nr, rng)
     noise = complex_noise((P, cfg.Nr), snr_db_to_noise_variance(snr_db), rng)
     return TrialDraw(
         frame_cfg=frame_cfg,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from scfde.blind_rx import (
     pilot_alpha,
     qq_alpha,
 )
-from scfde.channel import PowerDelayProfile, convolve_channel, draw_channel
+from scfde.channel import convolve_channel, draw_channel, geometric_profile
 from scfde.constellation import get_constellation, qam_demodulate, qam_modulate
 from scfde.errors import DegenerateBinError, PilotLossError
 from scfde.frame import FrameConfig, build_frame, extract_data, random_payload
@@ -33,7 +35,7 @@ def noiseless_setup(P, L, Nr, M, seed):
     cfg = FrameConfig(P=P, L=L, M=M)
     payload = random_payload(cfg, rng)
     frame = build_frame(cfg, payload)
-    ch = draw_channel(PowerDelayProfile.geometric(L), Nr, rng)
+    ch = draw_channel(geometric_profile(L, 0.5), Nr, rng)
     Yf = dft(convolve_channel(frame, ch))
     return cfg, payload, frame, ch, Yf
 
@@ -213,6 +215,13 @@ def test_alternating_minimization_preconditions():
         BlindConfig(L_est=0)
 
 
+def test_blind_config_is_frozen():
+    # a checked config stays checked: max_iter >= 1 cannot be undone later
+    cfg = BlindConfig(L_est=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_iter = 0
+
+
 def test_pilot_alpha_pure_scale():
     cfg = FrameConfig(P=32, L=2, M=16)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(6)))
@@ -253,14 +262,14 @@ def test_pilot_annihilated_raises():
         pilot_alpha(x_hat, cfg)
 
 
-def test_centroids_adjust_identity_on_clean_frame():
+def test_ca_alpha_identity_on_clean_frame():
     cfg = FrameConfig(P=64, L=2, M=64)
     frame = build_frame(cfg, random_payload(cfg, np.random.default_rng(10)))
     out = frame / ca_alpha(frame, cfg)
     assert np.allclose(out, frame, rtol=0, atol=1e-9)
 
 
-def test_centroids_adjust_resolves_quadrant_rotations():
+def test_ca_alpha_resolves_quadrant_rotations():
     cfg, bits, frame, _ = all_symbol_frame(64)
     tx = qam_modulate(bits, 64)
     for k in range(4):
@@ -271,7 +280,7 @@ def test_centroids_adjust_resolves_quadrant_rotations():
         assert np.array_equal(hard, tx)
 
 
-def test_centroids_adjust_known_distortion_exact_decisions():
+def test_ca_alpha_known_distortion_exact_decisions():
     cfg, bits, frame, x_hat = all_symbol_frame(64, distortion=2.0 * np.exp(0.1j))
     out = x_hat / ca_alpha(x_hat, cfg)
     _, hard = qam_demodulate(extract_data(cfg, out), 64)

@@ -6,10 +6,10 @@ import pytest
 import scfde.harness as harness
 from scfde.baseline_rx import OfdmPilotConfig, estimate_channel, ofdm_transmit
 from scfde.channel import (
-    PowerDelayProfile,
     complex_noise,
     convolve_channel,
     draw_channel,
+    geometric_profile,
     snr_db_to_noise_variance,
 )
 from scfde.errors import DegenerateBinError
@@ -87,7 +87,7 @@ def test_draw_trial_matches_time_domain_reference():
         frame_cfg = FrameConfig(P=P, L=L, M=16)
         payload = ref.integers(0, 2, size=frame_cfg.payload_bits)
         ofdm_payload = ref.integers(0, 2, size=cfg.ofdm_config(P).payload_bits)
-        ch = draw_channel(PowerDelayProfile.geometric(L, cfg.pdp_ratio), Nr, ref)
+        ch = draw_channel(geometric_profile(L, cfg.pdp_ratio), Nr, ref)
         noise = complex_noise((P, Nr), snr_db_to_noise_variance(5.0), ref)
         assert np.array_equal(draw.payload, payload)
         assert np.array_equal(draw.ofdm_payload, ofdm_payload)

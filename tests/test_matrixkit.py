@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfde.channel import PowerDelayProfile, convolve_channel, draw_channel
+from scfde.channel import convolve_channel, draw_channel, geometric_profile
 from scfde.matrixkit import (
     circulant_eigenvalues,
     compress_columns,
@@ -102,7 +102,7 @@ def test_frequency_model_identity_noiseless():
     for P in (16, 64, 256):
         L = 4
         x = random_complex(rng, P)
-        ch = draw_channel(PowerDelayProfile.geometric(L), 3, rng)
+        ch = draw_channel(geometric_profile(L, 0.5), 3, rng)
         Yf = dft(convolve_channel(x, ch))
         model = circulant_eigenvalues(x)[:, None] * (dft_first_columns(P, L) @ ch)
         assert np.linalg.norm(Yf - model) / np.linalg.norm(Yf) < 1e-10

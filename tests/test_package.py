@@ -31,6 +31,7 @@ REMOVED = (
     "__all__",
     "dft_row_energies",
     "_toeplitz_tables",
+    "PowerDelayProfile",
 )
 
 
