@@ -41,11 +41,6 @@ from .matrixkit import (
 # decision-directed tap re-solves each correction mode runs after AM
 _DD_ROUNDS = 2
 
-# the correction modes decode_frame knows, each one estimate of the scale, in
-# the order the harness reports them
-MODES = ("pilot", "ca", "qq")
-
-
 @dataclass(frozen=True)
 class BlindConfig:
     """Knobs of the alternating-minimization decoder.
@@ -279,16 +274,15 @@ class ModeEstimate:
     dd_changed: int | float = math.nan
 
 
-def _mode_scale(x_hat: np.ndarray, mode: str, cfg: FrameConfig) -> complex:
-    """The mode's scale estimate on x_hat: the pilot ratio ("pilot"), times
-    the quadrant residue of x_hat over it ("qq"), or the centroid scale
-    ("ca"). Raises the estimator's ReceiverError."""
-    if mode == "ca":
-        return ca_alpha(x_hat, cfg)
+def _pilot_qq_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
+    """QQ's scale: the pilot ratio times the quadrant residue of x_hat over it."""
     alpha = pilot_alpha(x_hat, cfg)
-    if mode == "qq":
-        alpha = alpha * qq_alpha(x_hat / alpha, cfg)
-    return alpha
+    return alpha * qq_alpha(x_hat / alpha, cfg)
+
+
+# the blind receivers, by the name the harness reports, in CSV order: each is
+# the estimator of the global scale that sets its first decisions
+MODES = {"blind_pilot": pilot_alpha, "blind_ca": ca_alpha, "blind_qq": _pilot_qq_alpha}
 
 
 def _slice(x_hat: np.ndarray, cfg: FrameConfig, prior: np.ndarray | None = None) -> ModeEstimate:
@@ -301,7 +295,8 @@ def _slice(x_hat: np.ndarray, cfg: FrameConfig, prior: np.ndarray | None = None)
 
 @dataclass
 class BlindDecodeResult:
-    """The shared AM factorization and one decoded frame per correction mode.
+    """The shared AM factorization and one decoded frame per mode, keyed by
+    its MODES name.
 
     A mode that fails on its own (e.g. an annihilated pilot, or a degenerate
     bin in one of its rounds) lands in ``failures`` instead of taking the
@@ -317,12 +312,12 @@ def decode_frame(
     Yf: np.ndarray,
     frame_cfg: FrameConfig,
     cfg: BlindConfig,
-    modes: tuple = MODES,
+    modes: tuple = tuple(MODES),
 ) -> BlindDecodeResult:
     """Run the blind factorization once, then decode each of the given
     modes from AM's x_hat = idft(lambda_hat).
 
-    A mode slices x_hat / alpha, alpha its scale estimate (_mode_scale).
+    A mode slices x_hat / alpha, alpha its scale estimate (MODES[mode]).
     Each of _DD_ROUNDS rounds then rebuilds the frame from the pilot, the
     guard zeros and the decisions, re-solves the taps given that frame by
     one unregularized _am_step on AM's compression, and slices the new x_hat
@@ -334,7 +329,7 @@ def decode_frame(
     """
     unknown = [mode for mode in modes if mode not in MODES]
     if unknown:
-        raise ValueError(f"unknown modes: {unknown}; valid: {MODES}")
+        raise ValueError(f"unknown modes: {unknown}; valid: {tuple(MODES)}")
     est = alternating_minimization(Yf, cfg)
     x_hat = idft(est.lambda_hat)
     rounds: dict[bytes, ModeEstimate] = {}  # each round's outcome, by its input bits
@@ -342,7 +337,7 @@ def decode_frame(
     failures: dict[str, ReceiverError] = {}
     for mode in modes:
         try:
-            decided = _slice(x_hat / _mode_scale(x_hat, mode, frame_cfg), frame_cfg)
+            decided = _slice(x_hat / MODES[mode](x_hat, frame_cfg), frame_cfg)
             for _ in range(_DD_ROUNDS):
                 key = decided.bits.tobytes()
                 if key not in rounds:

@@ -6,7 +6,8 @@ error of the blind decoder. Every flag can also live in a flat key=value
 config file (``--config``); explicit flags win over the file, which wins
 over the preset, which wins over built-in defaults.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 every frame
+Exit codes: 0 success, 2 configuration error, 3 I/O error (an output path
+whose directory is missing exits 3 before any trial runs), 4 every frame
 failed at some sweep point.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .harness import (
@@ -173,6 +175,10 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"scfde: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    for path in (cfg.out_path, cfg.dump_path):
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            print(f"scfde: I/O error: no directory for {path!r}", file=sys.stderr)
+            return EXIT_IO
 
     try:
         if args.command == "sweep":

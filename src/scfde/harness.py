@@ -39,8 +39,7 @@ from .errors import ReceiverError
 from .frame import FrameConfig, build_frame, random_payload
 from .matrixkit import dft
 
-_BLIND_MODE = {f"blind_{mode}": mode for mode in MODES}
-RECEIVERS = (*_BLIND_MODE, "mrc_ofdm")
+RECEIVERS = (*MODES, "mrc_ofdm")
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,8 @@ class SimulationConfig:
             raise ValueError(f"unknown receivers: {sorted(bad)}; valid: {RECEIVERS}")
         if not self.receivers:
             raise ValueError("at least one receiver must be selected")
+        # canonical order, once: the rows and the echo follow RECEIVERS
+        object.__setattr__(self, "receivers", tuple(r for r in RECEIVERS if r in self.receivers))
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
@@ -129,10 +130,6 @@ class SimulationConfig:
         """Baseline plan for one sequence length; ofdm_taps None keeps all
         pilot taps (OfdmPilotConfig.L_trunc)."""
         return OfdmPilotConfig(P=P, M=self.M, L_trunc=self.ofdm_taps)
-
-    def selected(self) -> tuple:
-        """Selected receivers in canonical order."""
-        return tuple(r for r in RECEIVERS if r in self.receivers)
 
 
 PRESETS = {
@@ -259,19 +256,17 @@ def run_trial(
     """
     draw = draw_trial(cfg, P, snr_db, trial_index)
     payload = draw.payload
-    selected = cfg.selected()
     results: dict[str, ReceiverTrial] = {}
 
-    blind_selected = [r for r in selected if r != "mrc_ofdm"]
-    if blind_selected:
-        modes = tuple(_BLIND_MODE[name] for name in blind_selected)
+    blind = tuple(r for r in cfg.receivers if r in MODES)
+    if blind:
         try:
-            decoded = decode_frame(draw.blind_received(), draw.frame_cfg, cfg.blind_config(), modes)
+            decoded = decode_frame(draw.blind_received(), draw.frame_cfg, cfg.blind_config(), blind)
             est, decided = decoded.estimate, decoded.modes
         except ReceiverError:
             decided = {}
-        for name in blind_selected:
-            frame_est = decided.get(_BLIND_MODE[name])
+        for name in blind:
+            frame_est = decided.get(name)
             if frame_est is None:
                 results[name] = ReceiverTrial(failed=True)
                 continue
@@ -284,7 +279,7 @@ def run_trial(
                 dd_changed=frame_est.dd_changed,
             )
 
-    if "mrc_ofdm" in selected:
+    if "mrc_ofdm" in cfg.receivers:
         ofdm_cfg, ofdm_payload = draw.ofdm_cfg, draw.ofdm_payload
         Yf = draw.received(ofdm_transmit(ofdm_payload, ofdm_cfg))
         try:
@@ -330,7 +325,7 @@ def aggregate(
     per receiver (canonical order, trial-index order inside each mean, so
     results are scheduler-independent)."""
     points = []
-    for name in cfg.selected():
+    for name in cfg.receivers:
         trials = [outcome[name] for outcome in outcomes]
         ok = [t for t in trials if not t.failed]
         bits = sum(t.bits for t in ok)
@@ -434,7 +429,7 @@ def sweep(cfg: SimulationConfig) -> list[BerPoint]:
             dump_rows.extend(
                 (P, snr_db, i, name, *astuple(outcome[name]))
                 for i, outcome in enumerate(outcomes)
-                for name in cfg.selected()
+                for name in cfg.receivers
             )
 
     check_ber_monotonicity(points)

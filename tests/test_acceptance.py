@@ -137,7 +137,7 @@ def test_criterion_3_noiseless_blind_recovery():
         est = result.estimate
         if est.converged and est.residual_trace[-1] >= 1e-3:
             converged_ok = False
-        pilot = result.modes["pilot"]
+        pilot = result.modes["blind_pilot"]
         _, hard = qam_demodulate(extract_data(cfg, pilot.x_hat), M)
         if np.array_equal(hard, qam_modulate(payload, M)):
             clean += 1

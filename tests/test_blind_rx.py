@@ -338,13 +338,13 @@ def test_decode_frame_shares_estimate_and_scales_exactly(monkeypatch):
     cfg, payload, frame, ch, Yf = noiseless_setup(64, 2, 8, 16, seed=11)
     monkeypatch.setattr(blind_rx, "_DD_ROUNDS", 0)
     result = decode_frame(Yf, cfg, BlindConfig(L_est=2))
-    assert set(result.modes) == {"pilot", "ca", "qq"}
+    assert set(result.modes) == {"blind_pilot", "blind_ca", "blind_qq"}
     x_hat = idft(result.estimate.lambda_hat)
     alpha_pilot = pilot_alpha(x_hat, cfg)
     alphas = {
-        "pilot": alpha_pilot,
-        "ca": ca_alpha(x_hat, cfg),
-        "qq": alpha_pilot * qq_alpha(x_hat / alpha_pilot, cfg),
+        "blind_pilot": alpha_pilot,
+        "blind_ca": ca_alpha(x_hat, cfg),
+        "blind_qq": alpha_pilot * qq_alpha(x_hat / alpha_pilot, cfg),
     }
     for mode, decoded in result.modes.items():
         assert np.array_equal(decoded.x_hat, x_hat / alphas[mode]), mode
@@ -352,7 +352,7 @@ def test_decode_frame_shares_estimate_and_scales_exactly(monkeypatch):
         assert np.array_equal(decoded.bits, bits), mode
         assert np.array_equal(decoded.symbols, symbols), mode
         assert np.isnan(decoded.dd_changed), mode
-    assert np.array_equal(result.modes["pilot"].bits, payload)
+    assert np.array_equal(result.modes["blind_pilot"].bits, payload)
 
 
 def test_decode_frame_rounds_are_a_fixed_point_on_a_noiseless_frame():
@@ -361,7 +361,7 @@ def test_decode_frame_rounds_are_a_fixed_point_on_a_noiseless_frame():
     # at the transmitted scale whatever scale estimate took the first decisions
     cfg, payload, frame, ch, Yf = noiseless_setup(128, 3, 8, 16, seed=18)
     result = decode_frame(Yf, cfg, BlindConfig(L_est=3))
-    assert set(result.modes) == {"pilot", "ca", "qq"}
+    assert set(result.modes) == {"blind_pilot", "blind_ca", "blind_qq"}
     truth = dft(frame)
     for mode, decoded in result.modes.items():
         assert decoded.dd_changed == 0, mode
@@ -432,12 +432,16 @@ def test_decode_frame_fails_exactly_the_modes_reaching_a_failed_round(monkeypatc
 
     # a quarter-turned CA scale leads CA alone to rotated decisions, whose
     # round fails; pilot and QQ decide the payload and decode it
-    monkeypatch.setattr(blind_rx, "ca_alpha", lambda x, cfg: 1j * ca_alpha_of(x, cfg))
+    def rotated_ca(x, cfg):
+        return 1j * ca_alpha_of(x, cfg)
+
+    monkeypatch.setattr(blind_rx, "ca_alpha", rotated_ca)
+    monkeypatch.setitem(blind_rx.MODES, "blind_ca", rotated_ca)
     monkeypatch.setattr(blind_rx, "_am_step", round_fails_on(False))
     result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
-    assert set(result.failures) == {"ca"}
-    assert result.failures["ca"].bin_index == 7
-    assert set(result.modes) == {"pilot", "qq"}
+    assert set(result.failures) == {"blind_ca"}
+    assert result.failures["blind_ca"].bin_index == 7
+    assert set(result.modes) == {"blind_pilot", "blind_qq"}
     for decoded in result.modes.values():
         assert np.array_equal(decoded.bits, payload)
 
@@ -445,7 +449,8 @@ def test_decode_frame_fails_exactly_the_modes_reaching_a_failed_round(monkeypatc
     # away from it, decodes
     monkeypatch.setattr(blind_rx, "_am_step", round_fails_on(True))
     result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
-    assert set(result.failures) == {"pilot", "qq"} and set(result.modes) == {"ca"}
+    assert set(result.failures) == {"blind_pilot", "blind_qq"}
+    assert set(result.modes) == {"blind_ca"}
     assert all(err.bin_index == 7 for err in result.failures.values())
 
 
@@ -470,15 +475,16 @@ def test_decode_frame_refines_only_the_given_modes(monkeypatch):
         )
 
     monkeypatch.setattr(blind_rx, "_am_step", counted_step)
-    for mode in ("pilot", "qq", "ca"):
+    for mode in ("blind_pilot", "blind_qq", "blind_ca"):
         rounds.clear()
         result = blind_rx.decode_frame(Yf, cfg, blind, (mode,))
         assert set(result.modes) == {mode} and not result.failures
         assert 1 <= len(rounds) <= blind_rx._DD_ROUNDS, mode
         assert same_decode(result.modes[mode], full.modes[mode]), mode
     # the order of the modes does not change any of them
-    reversed_modes = blind_rx.decode_frame(Yf, cfg, blind, ("ca", "qq", "pilot"))
-    assert list(reversed_modes.modes) == ["ca", "qq", "pilot"]
+    backwards = ("blind_ca", "blind_qq", "blind_pilot")
+    reversed_modes = blind_rx.decode_frame(Yf, cfg, blind, backwards)
+    assert tuple(reversed_modes.modes) == backwards
     for mode, decoded in reversed_modes.modes.items():
         assert same_decode(decoded, full.modes[mode]), mode
     # a failure of an unselected mode is left out as well
@@ -486,8 +492,9 @@ def test_decode_frame_refines_only_the_given_modes(monkeypatch):
         raise PilotLossError("synthetic pilot loss")
 
     monkeypatch.setattr(blind_rx, "pilot_alpha", broken_pilot)
-    result = blind_rx.decode_frame(Yf, cfg, blind, ("ca",))
-    assert set(result.modes) == {"ca"} and not result.failures
+    monkeypatch.setitem(blind_rx.MODES, "blind_pilot", broken_pilot)
+    result = blind_rx.decode_frame(Yf, cfg, blind, ("blind_ca",))
+    assert set(result.modes) == {"blind_ca"} and not result.failures
 
 
 def test_decode_frame_invariant_under_unitary_antenna_rotation():
@@ -502,7 +509,7 @@ def test_decode_frame_invariant_under_unitary_antenna_rotation():
         V = np.linalg.eigh(Yf.conj().T @ Yf)[1]
         decisions = []
         for received in (Yf, Yf @ V):
-            decisions.append(decode_frame(received, cfg, blind).modes["pilot"].bits)
+            decisions.append(decode_frame(received, cfg, blind).modes["blind_pilot"].bits)
         assert np.array_equal(decisions[0], decisions[1])
         assert np.count_nonzero(decisions[0] != payload) < payload.size // 100
 
@@ -515,10 +522,11 @@ def test_decode_frame_isolates_pilot_failure_from_ca(monkeypatch):
     def broken_pilot(x_hat, frame_cfg):
         raise PilotLossError("synthetic pilot loss")
 
-    monkeypatch.setattr(blind_rx, "pilot_alpha", broken_pilot)
+    monkeypatch.setattr(blind_rx, "pilot_alpha", broken_pilot)  # QQ's scale calls it
+    monkeypatch.setitem(blind_rx.MODES, "blind_pilot", broken_pilot)
     result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
-    assert set(result.failures) == {"pilot", "qq"}
-    assert set(result.modes) == {"ca"}
+    assert set(result.failures) == {"blind_pilot", "blind_qq"}
+    assert set(result.modes) == {"blind_ca"}
 
 
 def test_decode_frame_rejects_unknown_modes(monkeypatch):
@@ -530,6 +538,7 @@ def test_decode_frame_rejects_unknown_modes(monkeypatch):
         raise AssertionError("AM ran before the modes were checked")
 
     monkeypatch.setattr(blind_rx, "alternating_minimization", no_am)
-    for modes in (("bogus", "PILOT"), ("pilot", "Pilot"), ("qq", "")):
+    # the short names the blind receivers once had are unknown too
+    for modes in (("bogus", "PILOT"), ("blind_pilot", "pilot"), ("ca",), ("qq", "")):
         with pytest.raises(ValueError, match="unknown modes"):
             blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2), modes)

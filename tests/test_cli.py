@@ -195,11 +195,27 @@ def test_exit_code_3_on_unwritable_output(tmp_path, capsys):
     assert rc == 3
 
 
+def test_exit_code_3_before_any_trial_when_an_output_has_no_directory(
+    tmp_path, monkeypatch, capsys
+):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the output paths were checked")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    monkeypatch.setattr(harness, "trace_trial", no_trial)
+    ok, missing = tmp_path / "ok.csv", str(tmp_path / "missing" / "x.csv")
+    assert main(["sweep", *FAST, "--out", str(ok), "--dump-trials", missing]) == 3
+    assert main(["sweep", *FAST, "--out", missing]) == 3
+    assert main(["trace", "--seq-len", "64", "--nr", "4", "--taps", "3", "--out", missing]) == 3
+    assert not ok.exists() and not (tmp_path / "missing").exists()
+    assert "I/O error" in capsys.readouterr().err
+
+
 def test_exit_code_4_when_all_frames_fail(monkeypatch, capsys):
     from scfde.harness import ReceiverTrial
 
     def always_fails(cfg, P, snr_db, trial_index):
-        return {name: ReceiverTrial(failed=True) for name in cfg.selected()}
+        return {name: ReceiverTrial(failed=True) for name in cfg.receivers}
 
     monkeypatch.setattr(harness, "run_trial", always_fails)
     rc = main(["sweep", *FAST])

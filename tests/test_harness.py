@@ -261,7 +261,7 @@ def test_dump_rows_in_cell_and_trial_order_at_any_worker_count(tmp_path):
         for P in (32, 64)
         for snr in (8.0, 14.0)
         for i in range(2)
-        for _ in cfg.selected()
+        for _ in cfg.receivers
     ]
     assert keys == expected
 
@@ -347,8 +347,13 @@ def test_config_validation():
 
 
 def test_selected_receivers_canonical_order():
-    cfg = dataclasses.replace(SMALL, receivers=("mrc_ofdm", "blind_pilot"))
-    assert cfg.selected() == ("blind_pilot", "mrc_ofdm")
+    # a reordered, repeated selection is stored once, in canonical order, so
+    # its CSV (echo included) is the canonical selection's, byte for byte
+    cfg = dataclasses.replace(SMALL, receivers=("mrc_ofdm", "blind_pilot", "mrc_ofdm"))
+    assert cfg.receivers == ("blind_pilot", "mrc_ofdm")
+    assert not hasattr(cfg, "selected")
+    canonical = dataclasses.replace(SMALL, receivers=("blind_pilot", "mrc_ofdm"))
+    assert render_csv(cfg, sweep(cfg)) == render_csv(canonical, sweep(canonical))
 
 
 def test_ofdm_config_defaults_to_all_pilot_taps():

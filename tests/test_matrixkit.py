@@ -108,7 +108,7 @@ def test_frequency_model_identity_noiseless():
         assert np.linalg.norm(Yf - model) / np.linalg.norm(Yf) < 1e-10
 
 
-def test_power_iteration_rank_one():
+def test_top_left_singular_vector_rank_one():
     rng = np.random.default_rng(4)
     u0 = random_complex(rng, 10)
     u0 /= np.linalg.norm(u0)
@@ -117,7 +117,7 @@ def test_power_iteration_rank_one():
     assert abs(np.vdot(u, u0)) > 1 - 1e-8
 
 
-def test_power_iteration_dominant_axis():
+def test_top_left_singular_vector_dominant_axis():
     Yf = np.zeros((8, 4), dtype=complex)
     Yf[0, 0] = 3.0
     Yf[1, 1] = 1.0
@@ -125,7 +125,7 @@ def test_power_iteration_dominant_axis():
     assert abs(u[0]) > 1 - 1e-9
 
 
-def test_power_iteration_matches_svd_oracle():
+def test_top_left_singular_vector_matches_svd_oracle():
     rng = np.random.default_rng(5)
     for _ in range(20):
         Yf = random_complex(rng, 8, 4)
@@ -135,7 +135,7 @@ def test_power_iteration_matches_svd_oracle():
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 
 
-def test_power_iteration_invariant_under_column_permutation():
+def test_top_left_singular_vector_invariant_under_column_permutation():
     rng = np.random.default_rng(6)
     Yf = random_complex(rng, 12, 6)
     u1 = top_left_singular_vector(Yf)
@@ -202,7 +202,7 @@ def test_compress_columns_rejects_bad_rank():
             compress_columns(Yf, K)
 
 
-def test_power_iteration_zero_matrix_rejected():
+def test_top_left_singular_vector_zero_matrix_rejected():
     with pytest.raises(ValueError):
         top_left_singular_vector(np.zeros((4, 2), dtype=complex))
 

@@ -32,6 +32,8 @@ REMOVED = (
     "dft_row_energies",
     "_toeplitz_tables",
     "PowerDelayProfile",
+    "_mode_scale",
+    "_BLIND_MODE",
 )
 
 
