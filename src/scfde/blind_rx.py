@@ -45,10 +45,12 @@ _DD_ROUNDS = 2
 class BlindConfig:
     """Knobs of the alternating-minimization decoder.
 
-    L_est is the assumed tap count (performance degrades only when it drops
-    below the true channel length). The ridge weight mu stabilizes the
-    channel solve and must stay in (0, 1); eps is the relative-residual
-    stopping tolerance and max_iter the iteration cap.
+    L_est is the assumed tap count. Too few taps and too many both cost
+    accuracy, because extra taps fit noise: on fig5 at 4 dB (L = 9),
+    L_est = 16 made 769/2876/434 pilot/CA/QQ bit errors against
+    269/272/243 at L_est = 9 (ROADMAP item 5). The ridge weight mu
+    stabilizes the channel solve and must stay in (0, 1); eps is the
+    relative-residual stopping tolerance and max_iter the iteration cap.
     """
 
     L_est: int

@@ -7,8 +7,8 @@ config file (``--config``); explicit flags win over the file, which wins
 over the preset, which wins over built-in defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error (an output path
-whose directory is missing exits 3 before any trial runs), 4 every frame
-failed at some sweep point.
+that is a directory, or whose directory is missing, exits 3 before any
+trial runs), 4 every frame failed at some sweep point.
 """
 
 from __future__ import annotations
@@ -176,7 +176,12 @@ def main(argv=None) -> int:
         print(f"scfde: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     for path in (cfg.out_path, cfg.dump_path):
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            print(f"scfde: I/O error: {path!r} is a directory", file=sys.stderr)
+            return EXIT_IO
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             print(f"scfde: I/O error: no directory for {path!r}", file=sys.stderr)
             return EXIT_IO
 

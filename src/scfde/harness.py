@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
@@ -384,35 +383,6 @@ def _render(preamble: list[str], header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# SNR step over which check_ber_monotonicity expects the BER not to rise
-MONOTONICITY_STEP_DB = 6.0
-
-
-def check_ber_monotonicity(points: list[BerPoint]) -> list[str]:
-    """Advisory check: flags receivers whose BER rises over a
-    +MONOTONICITY_STEP_DB move.
-
-    The trend is statistical, so violations produce warning strings rather
-    than failures; returns the list of messages (also emitted via warnings).
-    """
-    messages = []
-    by_rx: dict = {}
-    for pt in points:
-        by_rx.setdefault((pt.receiver, pt.P), []).append(pt)
-    for (rx, P), pts in by_rx.items():
-        pts = sorted(pts, key=lambda p: p.snr_db)
-        for lo in pts:
-            for hi in pts:
-                if hi.snr_db >= lo.snr_db + MONOTONICITY_STEP_DB and hi.ber > lo.ber:
-                    messages.append(
-                        f"{rx} P={P}: BER {hi.ber:.3g} at {hi.snr_db} dB exceeds "
-                        f"{lo.ber:.3g} at {lo.snr_db} dB"
-                    )
-    for msg in messages:
-        warnings.warn(msg)
-    return messages
-
-
 def sweep(cfg: SimulationConfig) -> list[BerPoint]:
     """BER sweep over every (P, snr) cell; writes CSV/dump when paths are set.
 
@@ -432,7 +402,6 @@ def sweep(cfg: SimulationConfig) -> list[BerPoint]:
                 for name in cfg.receivers
             )
 
-    check_ber_monotonicity(points)
     if cfg.out_path is not None:
         write_csv(cfg, points, cfg.out_path)
     if cfg.dump_path is not None:

@@ -1,8 +1,8 @@
 """Numerical kernel: the unitary DFT pair, circulant eigenvalues, the rank-K
 compression of a matrix onto its dominant right singular subspace (one Gram
-eigendecomposition; the dominant left singular vector is its K = 1 case),
-ridge-regularized least squares, and the O(P L) Hermitian Toeplitz form
-of the weighted Gram F_L^H diag(w) F_L.
+eigendecomposition; its column 0 is sigma_1 u_1, the dominant left singular
+vector scaled by its singular value), ridge-regularized least squares, and
+the O(P L) Hermitian Toeplitz form of the weighted Gram F_L^H diag(w) F_L.
 
 DFT convention. The unitary matrix F[k, n] = exp(-2j*pi*k*n/P) / sqrt(P)
 is used for all forward/inverse transforms (dft/idft), while the
@@ -73,13 +73,6 @@ def compress_columns(Yf: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix is zero; no dominant singular subspace")
     V_K = np.linalg.eigh(Yf.conj().T @ Yf)[1][:, : -K - 1 : -1]
     return Yf @ V_K, V_K
-
-
-def top_left_singular_vector(Yf: np.ndarray) -> np.ndarray:
-    """Dominant left singular vector of Yf: the K = 1 case of
-    compress_columns, normalized. Unit norm, unspecified global phase."""
-    u = compress_columns(Yf, 1)[0][:, 0]
-    return u / np.linalg.norm(u)
 
 
 def regularized_ls(A: np.ndarray, Yf: np.ndarray, mu: float) -> np.ndarray:

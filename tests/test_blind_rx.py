@@ -22,11 +22,11 @@ from scfde.errors import DegenerateBinError, PilotLossError
 from scfde.frame import FrameConfig, build_frame, extract_data, random_payload
 from scfde.matrixkit import (
     circulant_eigenvalues,
+    compress_columns,
     dft,
     dft_first_columns,
     idft,
     regularized_ls,
-    top_left_singular_vector,
 )
 
 
@@ -76,7 +76,8 @@ def test_mrc_update_never_increases_residual():
     cfg, _, frame, ch, Yf = noiseless_setup(64, 2, 4, 16, seed=2)
     Yf = Yf + 0.1 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
     F_L = dft_first_columns(64, 2)
-    lam = top_left_singular_vector(Yf)
+    Yc = compress_columns(Yf, 2)[0]
+    lam = Yc[:, 0] / np.linalg.norm(Yc[:, 0])
     norm = np.linalg.norm(Yf)
     for _ in range(20):
         H_t = regularized_ls(lam[:, None] * F_L, Yf, 0.5)
@@ -149,7 +150,8 @@ def test_am_on_full_rank_compression_matches_full_width():
     est = alternating_minimization(Yf, blind)
     assert est.iterations == 30
     c = Compression.of(Yf, np.linalg.norm(Yf) ** 2, 4)
-    lam, trace = top_left_singular_vector(Yf), []
+    Yc = compress_columns(Yf, 4)[0]
+    lam, trace = Yc[:, 0] / np.linalg.norm(Yc[:, 0]), []
     for _ in range(30):
         lam, H_t, residual = _am_step(c, lam, blind.mu)
         trace.append(residual)

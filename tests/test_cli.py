@@ -204,10 +204,15 @@ def test_exit_code_3_before_any_trial_when_an_output_has_no_directory(
     monkeypatch.setattr(harness, "run_trial", no_trial)
     monkeypatch.setattr(harness, "trace_trial", no_trial)
     ok, missing = tmp_path / "ok.csv", str(tmp_path / "missing" / "x.csv")
+    folder = tmp_path / "folder"
+    folder.mkdir()
     assert main(["sweep", *FAST, "--out", str(ok), "--dump-trials", missing]) == 3
     assert main(["sweep", *FAST, "--out", missing]) == 3
     assert main(["trace", "--seq-len", "64", "--nr", "4", "--taps", "3", "--out", missing]) == 3
-    assert not ok.exists() and not (tmp_path / "missing").exists()
+    # an output path that names an existing directory fails the same way
+    assert main(["sweep", *FAST, "--out", str(ok), "--dump-trials", str(folder)]) == 3
+    assert main(["sweep", *FAST, "--out", str(folder)]) == 3
+    assert list(tmp_path.iterdir()) == [folder] and not any(folder.iterdir())
     assert "I/O error" in capsys.readouterr().err
 
 

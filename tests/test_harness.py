@@ -16,11 +16,9 @@ from scfde.errors import DegenerateBinError
 from scfde.frame import FrameConfig, build_frame
 from scfde.harness import (
     DUMP_HEADER,
-    BerPoint,
     SimulationConfig,
     _substream,
     aggregate,
-    check_ber_monotonicity,
     draw_trial,
     render_csv,
     render_trace_csv,
@@ -300,21 +298,6 @@ def test_trace_is_finite_and_shaped():
     assert np.all(np.isfinite(traces[0].errors))
     text = render_trace_csv(cfg, traces)
     assert "P,snr_db,iteration,normalized_error" in text
-
-
-def test_monotonicity_checker_flags_inversions():
-    def point(snr, ber):
-        return BerPoint(
-            snr_db=snr, receiver="blind_qq", P=64, Nr=4, L=3, L_est=3, M=16,
-            frames=10, frames_failed=0, bits_total=1000,
-            bit_errors=int(ber * 1000), ber=ber,
-            mean_iterations=1.0, mean_final_residual=0.1,
-        )
-
-    with pytest.warns(UserWarning):
-        flagged = check_ber_monotonicity([point(0.0, 0.01), point(6.0, 0.02)])
-    assert len(flagged) == 1
-    assert check_ber_monotonicity([point(0.0, 0.02), point(6.0, 0.01)]) == []
 
 
 def test_config_validation():

@@ -12,7 +12,6 @@ from scfde.matrixkit import (
     dft_weighted_gram,
     idft,
     regularized_ls,
-    top_left_singular_vector,
 )
 
 
@@ -24,6 +23,13 @@ def unitary_dft_matrix(P):
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def first_compressed_column(Yf, K):
+    """The spectrum AM starts from: column 0 of the rank-K compression,
+    normalized."""
+    Yc = compress_columns(Yf, K)[0]
+    return Yc[:, 0] / np.linalg.norm(Yc[:, 0])
 
 
 def test_forward_inverse_round_trip():
@@ -108,73 +114,85 @@ def test_frequency_model_identity_noiseless():
         assert np.linalg.norm(Yf - model) / np.linalg.norm(Yf) < 1e-10
 
 
-def test_top_left_singular_vector_rank_one():
+def test_first_compressed_column_rank_one():
     rng = np.random.default_rng(4)
     u0 = random_complex(rng, 10)
     u0 /= np.linalg.norm(u0)
     v0 = random_complex(rng, 3)
-    u = top_left_singular_vector(np.outer(u0, v0.conj()))
+    u = first_compressed_column(np.outer(u0, v0.conj()), 3)
     assert abs(np.vdot(u, u0)) > 1 - 1e-8
 
 
-def test_top_left_singular_vector_dominant_axis():
+def test_first_compressed_column_dominant_axis():
     Yf = np.zeros((8, 4), dtype=complex)
     Yf[0, 0] = 3.0
     Yf[1, 1] = 1.0
-    u = top_left_singular_vector(Yf)
+    u = first_compressed_column(Yf, 2)
     assert abs(u[0]) > 1 - 1e-9
 
 
-def test_top_left_singular_vector_matches_svd_oracle():
+def test_first_compressed_column_matches_svd_oracle():
     rng = np.random.default_rng(5)
     for _ in range(20):
         Yf = random_complex(rng, 8, 4)
-        u = top_left_singular_vector(Yf)
+        u = first_compressed_column(Yf, 3)
         u_svd = np.linalg.svd(Yf)[0][:, 0]
         assert abs(np.vdot(u, u_svd)) > 1 - 1e-6
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 
 
-def test_top_left_singular_vector_invariant_under_column_permutation():
+def test_first_compressed_column_invariant_under_column_permutation():
     rng = np.random.default_rng(6)
     Yf = random_complex(rng, 12, 6)
-    u1 = top_left_singular_vector(Yf)
-    u2 = top_left_singular_vector(Yf[:, ::-1])
+    u1 = first_compressed_column(Yf, 3)
+    u2 = first_compressed_column(Yf[:, ::-1], 3)
     assert abs(np.vdot(u1, u2)) > 1 - 1e-9
 
 
-def test_top_singular_vector_near_tied_spectrum_matches_svd():
+def test_first_compressed_column_near_tied_spectrum_matches_svd():
     # singular values 1 and 1 - 1e-6: the eigendecomposition still resolves
     # the dominant direction
     def rot(t):
         return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
 
     A = (rot(0.7) @ np.diag([1.0, 1.0 - 1e-6]) @ rot(0.3)).astype(complex)
-    u = top_left_singular_vector(A)
+    u = first_compressed_column(A, 2)
     assert u.shape == (2,)
     assert abs(np.linalg.norm(u) - 1.0) < 1e-12
     assert abs(np.vdot(u, np.linalg.svd(A)[0][:, 0])) > 1 - 1e-6
 
 
-def test_top_singular_vector_wide_matrix_matches_svd():
+def test_first_compressed_column_wide_matrix_matches_svd():
     # P < Nr: the Nr x Nr Gram matrix is rank-deficient
     rng = np.random.default_rng(11)
     for _ in range(10):
         Yf = random_complex(rng, 4, 9)
-        u = top_left_singular_vector(Yf)
+        u = first_compressed_column(Yf, 9)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
         assert abs(np.vdot(u, np.linalg.svd(Yf)[0][:, 0])) > 1 - 1e-9
 
 
-def test_top_singular_vector_invariant_under_unitary_antenna_rotation():
+def test_first_compressed_column_invariant_under_unitary_antenna_rotation():
     # Yf @ V with V the ascending eigenvectors of Yf^H Yf puts the weakest
     # direction in the first column; the dominant vector must not change
     rng = np.random.default_rng(12)
     Yf = random_complex(rng, 32, 6)
     V = np.linalg.eigh(Yf.conj().T @ Yf)[1]
-    u1 = top_left_singular_vector(Yf)
-    u2 = top_left_singular_vector(Yf @ V)
+    u1 = first_compressed_column(Yf, 6)
+    u2 = first_compressed_column(Yf @ V, 6)
     assert abs(np.vdot(u1, u2)) > 1 - 1e-12
+
+
+@pytest.mark.parametrize("P, Nr", [(40, 6), (5, 12)])
+def test_compress_columns_first_column_does_not_depend_on_rank(P, Nr):
+    # AM starts from column 0 of the rank-K compression it runs on, so that
+    # column must be sigma_1 u_1 whatever K is, also for P < Nr
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        Yf = random_complex(rng, P, Nr)
+        first = compress_columns(Yf, 1)[0][:, 0]
+        for K in (1, 3, Nr):
+            assert np.allclose(compress_columns(Yf, K)[0][:, 0], first, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("P, Nr, K", [(40, 6, 3), (40, 6, 6), (4, 9, 1), (5, 12, 3)])
@@ -202,9 +220,10 @@ def test_compress_columns_rejects_bad_rank():
             compress_columns(Yf, K)
 
 
-def test_top_left_singular_vector_zero_matrix_rejected():
-    with pytest.raises(ValueError):
-        top_left_singular_vector(np.zeros((4, 2), dtype=complex))
+def test_compress_columns_rejects_zero_matrix():
+    for K in (1, 2):
+        with pytest.raises(ValueError):
+            compress_columns(np.zeros((4, 2), dtype=complex), K)
 
 
 def test_regularized_ls_projection_for_orthonormal_columns():
