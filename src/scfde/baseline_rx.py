@@ -91,12 +91,15 @@ def estimate_channel(Yf: np.ndarray, cfg: OfdmPilotConfig) -> np.ndarray:
 
     LS at the pilot bins, then tap-domain interpolation: the inverse DFT of
     the pilot-grid estimates is truncated to L_trunc taps, zero-padded, and
-    transformed back to all P bins.
+    transformed back to all P bins. The zero-padded transform runs along
+    contiguous rows, one per antenna, of the transposed taps, so the P x Nr
+    result is a transposed view holding the same values as a transform
+    along axis 0.
     """
     Yf = np.asarray(Yf, dtype=complex)
     pilots = Yf[cfg.pilot_indices, :] / cfg.pilot_symbol
     taps = np.fft.ifft(pilots, axis=0)[: cfg.L_trunc, :]
-    return np.fft.fft(taps, n=cfg.P, axis=0)
+    return np.fft.fft(np.ascontiguousarray(taps.T), n=cfg.P, axis=1).T
 
 
 def mrc_combine(Yf: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -107,11 +110,11 @@ def mrc_combine(Yf: np.ndarray, H: np.ndarray) -> np.ndarray:
     Raises DegenerateBinError at the first bin whose denominator is zero.
     """
     num = np.einsum("pr,pr->p", Yf, H.conj())
-    den = np.einsum("pr,pr->p", H, H.conj()).real
+    den = (H.real**2 + H.imag**2).sum(1)
     dead = np.flatnonzero(den == 0.0)
     if dead.size:
         raise DegenerateBinError(int(dead[0]))
-    return num / den
+    return num * (1.0 / den)
 
 
 def ofdm_mrc_receive(

@@ -147,9 +147,9 @@ def _am_step(
     den = (G.real**2 + G.imag**2).sum(0)
     if den.min() <= 0.0:
         raise DegenerateBinError(int(np.flatnonzero(den <= 0.0)[0]))
-    lam = num / den
+    lam = num * (1.0 / den)  # the same quotient, without the complex-division loop
     fit = np.vdot(lam, num).real
-    return lam, H_t, np.sqrt(max(c.energy - fit, 0.0) / c.energy)
+    return lam, H_t, math.sqrt(max(c.energy - fit, 0.0) / c.energy)
 
 
 def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstimate:

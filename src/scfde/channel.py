@@ -18,6 +18,8 @@ product with the channel's frequency response; ``convolve_channel`` plus
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .matrixkit import dft_first_columns
@@ -71,7 +73,9 @@ def frequency_response(taps: np.ndarray, P: int) -> np.ndarray:
     L = taps.shape[0]
     if L > P:
         raise ValueError(f"channel has {L} taps but the frame only {P} samples")
-    return np.sqrt(P) * (dft_first_columns(P, L) @ taps)
+    Hf = dft_first_columns(P, L) @ taps
+    Hf *= math.sqrt(P)
+    return Hf
 
 
 def receive_spectrum(Xf: np.ndarray, Hf: np.ndarray, Nf: np.ndarray) -> np.ndarray:
@@ -81,7 +85,9 @@ def receive_spectrum(Xf: np.ndarray, Hf: np.ndarray, Nf: np.ndarray) -> np.ndarr
     frequency response and Nf the unitary DFT of the time-domain noise, so
     Yf equals the unitary DFT of ``convolve_channel(x, taps) + noise``.
     """
-    return np.asarray(Xf, dtype=complex).ravel()[:, None] * Hf + Nf
+    Yf = np.asarray(Xf, dtype=complex).ravel()[:, None] * Hf
+    Yf += Nf
+    return Yf
 
 
 def convolve_channel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -50,9 +50,23 @@ def parse_snr_list(text: str) -> tuple:
             raise ConfigError(f"SNR range bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise ConfigError("SNR range step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step
+        if not math.isfinite(steps):
+            raise ConfigError(f"SNR range {text!r} has too many values to count")
+        count = int(math.floor(steps + 1e-9)) + 1
         if count < 1:
             raise ConfigError(f"empty SNR range {text!r}")
+        # SimulationConfig rejects SNRs that repeat a 32-bit 1e-3 dB key, and
+        # a range with more values than keys between its ends must repeat one
+        lo, hi = start * 1000.0, (start + (count - 1) * step) * 1000.0
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"SNR range {text!r} is not finite in units of 1e-3 dB")
+        keys = min(2**32, round(hi) - round(lo) + 1)
+        if count > keys:
+            raise ConfigError(
+                f"SNR range {text!r} has {count:.3g} values but only {keys:.3g} "
+                "keys at 1e-3 dB resolution, so some would repeat"
+            )
         return tuple(start + i * step for i in range(count))
     try:
         return tuple(float(p) for p in text.split(",") if p.strip() != "")

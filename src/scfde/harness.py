@@ -86,8 +86,9 @@ class SimulationConfig:
         object.__setattr__(self, "receivers", tuple(r for r in RECEIVERS if r in self.receivers))
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not all(math.isfinite(snr) for snr in self.snr_db_list):
-            raise ValueError(f"SNRs must be finite, got {self.snr_db_list}")
+        # _snr_key scales by 1000 before rounding to an integer
+        if not all(math.isfinite(snr * 1000.0) for snr in self.snr_db_list):
+            raise ValueError(f"SNRs must be finite in units of 1e-3 dB, got {self.snr_db_list}")
         keys = [_snr_key(snr) for snr in self.snr_db_list]
         if len(set(keys)) < len(keys):
             raise ValueError(

@@ -38,13 +38,19 @@ def dft_first_columns(P: int, L: int) -> np.ndarray:
 def dft(a: np.ndarray) -> np.ndarray:
     """Forward unitary DFT along axis 0 (P = a.shape[0])."""
     a = np.asarray(a, dtype=complex)
-    return np.fft.fft(a, axis=0) / np.sqrt(a.shape[0])
+    out = np.fft.fft(a, axis=0)
+    # numpy runs complex / real through its complex-division loop, which
+    # computes the same 1/sqrt(P) product at several times the cost
+    out *= 1.0 / math.sqrt(a.shape[0])
+    return out
 
 
 def idft(a: np.ndarray) -> np.ndarray:
     """Inverse unitary DFT along axis 0 (P = a.shape[0])."""
     a = np.asarray(a, dtype=complex)
-    return np.fft.ifft(a, axis=0) * np.sqrt(a.shape[0])
+    out = np.fft.ifft(a, axis=0)
+    out *= math.sqrt(a.shape[0])  # norm="ortho" would round differently at P = 512
+    return out
 
 
 def circulant_eigenvalues(x: np.ndarray) -> np.ndarray:

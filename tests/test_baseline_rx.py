@@ -12,9 +12,12 @@ from scfde.channel import (
     complex_noise,
     convolve_channel,
     draw_channel,
+    frequency_response,
     geometric_profile,
+    receive_spectrum,
     snr_db_to_noise_variance,
 )
+from scfde.constellation import qam_demodulate
 from scfde.matrixkit import dft, idft
 
 
@@ -136,3 +139,48 @@ def test_subcarrier_indices_built_once_per_plan():
         assert not idx.flags.writeable, name
     # the cached arrays stay out of equality and hashing
     assert cfg == untouched and hash(cfg) == hash(untouched)
+
+
+def reference_estimate_channel(Yf, cfg):
+    """estimate_channel with the zero-padded transform along axis 0."""
+    pilots = Yf[cfg.pilot_indices, :] / cfg.pilot_symbol
+    taps = np.fft.ifft(pilots, axis=0)[: cfg.L_trunc, :]
+    return np.fft.fft(taps, n=cfg.P, axis=0)
+
+
+def reference_mrc_combine(Yf, H):
+    """mrc_combine with the denominator read off H times its conjugate."""
+    num = np.einsum("pr,pr->p", Yf, H.conj())
+    den = np.einsum("pr,pr->p", H, H.conj()).real
+    return num / den
+
+
+def fig5_ofdm_frame(snr_db, rng):
+    """One fig5-sized OFDM frame (P = 1024, Nr = 64, L = 9, 64-QAM) at snr_db."""
+    cfg = OfdmPilotConfig(P=1024, M=64)
+    bits = rng.integers(0, 2, cfg.payload_bits)
+    taps = draw_channel(geometric_profile(9, 0.5), 64, rng)
+    noise = complex_noise((1024, 64), snr_db_to_noise_variance(snr_db), rng)
+    Yf = receive_spectrum(ofdm_transmit(bits, cfg), frequency_response(taps, 1024), dft(noise))
+    return cfg, bits, Yf
+
+
+def test_channel_estimate_and_mrc_match_the_reference_formulas():
+    cfg, _, Yf = fig5_ofdm_frame(4.0, np.random.default_rng(43))
+    H = estimate_channel(Yf, cfg)
+    H_ref = reference_estimate_channel(Yf, cfg)
+    assert np.linalg.norm(H - H_ref) <= 1e-13 * np.linalg.norm(H_ref)
+    X_hat, X_ref = mrc_combine(Yf, H), reference_mrc_combine(Yf, H_ref)
+    assert np.max(np.abs(X_hat - X_ref) / np.abs(X_ref)) <= 1e-13
+
+
+def test_ofdm_decisions_match_the_reference_receiver():
+    rng = np.random.default_rng(47)
+    for snr_db in (0.0, 0.0, 2.0, 4.0, 4.0, 7.0, 7.0, 10.0, 14.0, 20.0):
+        cfg, bits, Yf = fig5_ofdm_frame(snr_db, rng)
+        decided, _ = ofdm_mrc_receive(Yf, cfg)
+        X_ref = reference_mrc_combine(Yf, reference_estimate_channel(Yf, cfg))
+        reference, _ = qam_demodulate(X_ref[cfg.data_indices], cfg.M)
+        assert np.array_equal(decided, reference), snr_db
+        if snr_db == 0.0:
+            assert np.count_nonzero(decided != bits)  # the decisions are noisy

@@ -25,6 +25,7 @@ from scfde.matrixkit import (
     compress_columns,
     dft,
     dft_first_columns,
+    dft_weighted_gram,
     idft,
     regularized_ls,
 )
@@ -194,6 +195,35 @@ def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
     # compared squared: at a perfect fit (Nr = 1) both residuals are square
     # roots of a rounding-level difference of energies
     assert abs(residual**2 - residual_ref**2) <= 1e-12
+
+
+def dividing_am_step(c, lam, mu):
+    """_am_step with the spectrum update written as numpy's complex division
+    num / den and the residual taken with np.sqrt."""
+    gram = dft_weighted_gram(lam.real**2 + lam.imag**2, c.F_L, mu)
+    H_t = np.linalg.solve(gram, (c.F_rows * lam.conj()) @ c.Y_rows.T)
+    G = H_t.conj().T @ c.F_rows
+    num = (G * c.Y_rows).sum(0)
+    den = (G.real**2 + G.imag**2).sum(0)
+    lam = num / den
+    fit = np.vdot(lam, num).real
+    return lam, H_t, np.sqrt(max(c.energy - fit, 0.0) / c.energy)
+
+
+@pytest.mark.parametrize("P", [256, 512])
+def test_am_step_is_bit_equal_to_the_dividing_reference(P):
+    rng = np.random.default_rng(P)
+    _, _, _, _, Yf = noiseless_setup(P, 9, 64, 64, seed=P)
+    Yf = Yf + 0.3 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
+    Yc = compress_columns(Yf, 9)[0]
+    c = Compression.of(Yc, np.linalg.norm(Yf) ** 2, 9)
+    lam = ref = Yc[:, 0] / np.linalg.norm(Yc[:, 0])
+    for _ in range(20):
+        lam, H_t, residual = _am_step(c, lam, 0.5)
+        ref, H_ref, residual_ref = dividing_am_step(c, ref, 0.5)
+        assert np.array_equal(lam.view(np.float64), ref.view(np.float64))
+        assert np.array_equal(H_t.view(np.float64), H_ref.view(np.float64))
+        assert residual == residual_ref
 
 
 def test_am_step_zero_spectrum_raises_at_bin_zero():

@@ -12,7 +12,7 @@ from scfde.channel import (
     receive_spectrum,
     snr_db_to_noise_variance,
 )
-from scfde.matrixkit import dft, idft
+from scfde.matrixkit import dft, dft_first_columns, idft
 
 
 def direct_circular_convolution(x, h):
@@ -168,6 +168,20 @@ def test_frequency_response_is_unnormalized_tap_dft():
     assert np.allclose(Hf, np.fft.fft(ch, n=24, axis=0), rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError):
         frequency_response(ch, 4)
+
+
+def test_front_end_is_bit_equal_to_the_out_of_place_reference():
+    rng = np.random.default_rng(41)
+    P, Nr, L = 512, 64, 9
+    taps = draw_channel(geometric_profile(L, 0.5), Nr, rng)
+    Hf = frequency_response(taps, P)
+    reference = np.sqrt(P) * (dft_first_columns(P, L) @ taps)
+    assert np.array_equal(Hf.view(np.float64), reference.view(np.float64))
+    Xf = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    Nf = dft(complex_noise((P, Nr), 0.2, rng))
+    Yf = receive_spectrum(Xf, Hf, Nf)
+    reference = Xf[:, None] * Hf + Nf
+    assert np.array_equal(Yf.view(np.float64), reference.view(np.float64))
 
 
 def relative_error(a, b):

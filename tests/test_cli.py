@@ -171,6 +171,10 @@ def test_exit_code_2_on_invalid_combinations(tmp_path, capsys):
     assert main(["sweep", "--snr", "0:inf:1"]) == 2  # infinite range
     assert main(["sweep", "--snr=-inf:0:1"]) == 2
     assert main(["sweep", "--snr", "0:4:inf"]) == 2
+    assert main(["sweep", "--snr", "0:1e308:1e-308"]) == 2  # uncountable range
+    assert main(["sweep", "--snr", "0:1e300:1"]) == 2  # more values than keys
+    assert main(["sweep", "--snr", "0:0.0015:0.0005"]) == 2  # four values, three keys
+    assert main(["sweep", "--snr", "1e308"]) == 2  # no 1e-3 dB key
     assert main(["sweep", "--mod-order", "32"]) == 2
     assert main(["sweep", "--mu", "0"]) == 2
     assert main(["trace", "--mu", "0"]) == 2

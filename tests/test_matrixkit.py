@@ -54,6 +54,18 @@ def test_dft_matches_oracle_matrix_along_axis_0():
     assert np.allclose(idft(A), F.conj().T @ A, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("P", [256, 512, 1024])
+@pytest.mark.parametrize("Nr", [None, 64])
+def test_dft_pair_rescale_is_bit_equal_to_the_dividing_reference(P, Nr):
+    # sqrt(512) is not exact, so P = 512 is where an inexact rescale shows
+    rng = np.random.default_rng(P)
+    a = random_complex(rng, P) if Nr is None else random_complex(rng, P, Nr)
+    forward = np.fft.fft(a, axis=0) / np.sqrt(P)
+    inverse = np.fft.ifft(a, axis=0) * np.sqrt(P)
+    assert np.array_equal(dft(a).view(np.float64), forward.view(np.float64))
+    assert np.array_equal(idft(a).view(np.float64), inverse.view(np.float64))
+
+
 def test_idft_against_spectrum_oracle():
     # the inverse unitary DFT of the circulant eigenvalues is sqrt(P) x
     rng = np.random.default_rng(5)
