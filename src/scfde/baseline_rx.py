@@ -67,7 +67,7 @@ class OfdmPilotConfig:
     @property
     def pilot_symbol(self) -> complex:
         """Known tone on every pilot subcarrier (the corner symbol)."""
-        return get_constellation(self.M).corner(1)
+        return get_constellation(self.M).corners[0]
 
     @property
     def payload_bits(self) -> int:

@@ -222,7 +222,7 @@ def ca_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
     k_max = int(np.argmax(np.abs(data)))
     if data[k_max] == 0:
         raise PilotLossError("all data samples are zero; scale unresolvable")
-    corner1 = const.corner(1)
+    corner1 = const.corners[0]
     alpha_mid = data[k_max] / corner1
     data_mid = data / alpha_mid
 
@@ -232,11 +232,11 @@ def ca_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
     centroid = np.mean(data_mid[hard == corner1])
 
     pilot_mid = x_hat[cfg.pilot_index] / alpha_mid
-    best_q = min(
-        range(1, 5),
-        key=lambda q: abs(pilot_mid / (centroid / const.corner(q)) - cfg.pilot_value) ** 2,
+    corner = min(
+        const.corners,
+        key=lambda c: abs(pilot_mid / (centroid / c) - cfg.pilot_value) ** 2,
     )
-    return complex(alpha_mid * centroid / const.corner(best_q))
+    return complex(alpha_mid * centroid / corner)
 
 
 def qq_alpha(x_derot: np.ndarray, cfg: FrameConfig) -> complex:
@@ -253,10 +253,10 @@ def qq_alpha(x_derot: np.ndarray, cfg: FrameConfig) -> complex:
     data = data[data != 0]  # exact zeros carry no quadrant information
     quadrant = const.quadrant_of(data)
     ratios = []
-    for q in (1, 2, 3, 4):
+    for q, centroid in enumerate(const.centroids, start=1):
         members = data[quadrant == q]
         if members.size:
-            ratios.append(np.mean(members) / const.quadrant_centroid(q))
+            ratios.append(np.mean(members) / centroid)
     if not ratios:
         warnings.warn("no nonzero data samples; residue left uncorrected")
         return 1.0 + 0.0j

@@ -7,7 +7,7 @@ config file (``--config``); explicit flags win over the file, which wins
 over the preset, which wins over built-in defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error (an output path
-that is a directory, or whose directory is missing, exits 3 before any
+that is empty, names a directory or has no directory exits 3 before any
 trial runs), 4 every frame failed at some sweep point.
 """
 
@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 
 from .harness import (
     PRESETS,
@@ -36,6 +37,15 @@ EXIT_ALL_FAILED = 4
 
 class ConfigError(Exception):
     pass
+
+
+def comma_list(convert, text: str) -> tuple:
+    """convert(item) for each non-blank item of a comma list; convert is
+    int, float or str.strip (SimulationConfig rejects unknown names)."""
+    try:
+        return tuple(convert(p) for p in text.split(",") if p.strip())
+    except ValueError as err:
+        raise ConfigError(f"bad list {text!r}: {err}") from None
 
 
 def parse_snr_list(text: str) -> tuple:
@@ -68,22 +78,7 @@ def parse_snr_list(text: str) -> tuple:
                 "keys at 1e-3 dB resolution, so some would repeat"
             )
         return tuple(start + i * step for i in range(count))
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip() != "")
-    except ValueError as err:
-        raise ConfigError(f"bad SNR list {text!r}: {err}") from None
-
-
-def parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError as err:
-        raise ConfigError(f"bad integer list {text!r}: {err}") from None
-
-
-def parse_receivers(text: str) -> tuple:
-    """Split a comma list; SimulationConfig rejects unknown names."""
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+    return comma_list(float, text)
 
 
 # flag (also the config-file key) -> (SimulationConfig field, parser, help)
@@ -96,8 +91,12 @@ _FLAGS = {
     "taps": ("L", int, "true channel tap count"),
     "taps_est": ("L_est", int, "tap count assumed by the receivers"),
     "mod_order": ("M", int, "constellation order M"),
-    "seq_len": ("seq_lengths", parse_int_list, "comma list of sequence lengths P (powers of two)"),
-    "receivers": ("receivers", parse_receivers, f"comma list from: {', '.join(RECEIVERS)}"),
+    "seq_len": (
+        "seq_lengths", partial(comma_list, int), "comma list of sequence lengths P (powers of two)"
+    ),
+    "receivers": (
+        "receivers", partial(comma_list, str.strip), f"comma list from: {', '.join(RECEIVERS)}"
+    ),
     "mu": ("mu", float, "ridge regularization weight"),
     "eps": ("eps", float, "relative-residual stopping tolerance"),
     "max_iter": ("max_iter", int, "iteration cap of the blind decoder"),
@@ -192,12 +191,16 @@ def main(argv=None) -> int:
     for path in (cfg.out_path, cfg.dump_path):
         if path is None:
             continue
-        if os.path.isdir(path):
-            print(f"scfde: I/O error: {path!r} is a directory", file=sys.stderr)
-            return EXIT_IO
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            print(f"scfde: I/O error: no directory for {path!r}", file=sys.stderr)
-            return EXIT_IO
+        if not path:  # abspath("") would name the working directory
+            problem = "an output path is empty"
+        elif os.path.isdir(path):
+            problem = f"{path!r} is a directory"
+        elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            problem = f"no directory for {path!r}"
+        else:
+            continue
+        print(f"scfde: I/O error: {problem}", file=sys.stderr)
+        return EXIT_IO
 
     try:
         if args.command == "sweep":
@@ -216,12 +219,9 @@ def main(argv=None) -> int:
                 )
                 return EXIT_ALL_FAILED
         else:
-            text = render_trace_csv(cfg, residual_trace(cfg))
+            traces = residual_trace(cfg)
             if cfg.out_path is None:
-                sys.stdout.write(text)
-            else:
-                with open(cfg.out_path, "w", newline="") as fh:
-                    fh.write(text)
+                sys.stdout.write(render_trace_csv(cfg, traces))
     except OSError as err:
         print(f"scfde: I/O error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -8,9 +8,9 @@ positive level on both axes, so the all-zeros symbol is the quadrant-1
 corner point.
 
 Besides modulation and hard demodulation, the module exposes the quadrant
-features used by the scaling/rotation correction stages: per-quadrant
-corner points (maximum-modulus symbol of each quadrant) and per-quadrant
-centroids (arithmetic mean of the M/4 symbols in each quadrant).
+features used by the scaling/rotation correction stages: the read-only
+tables ``corners`` (maximum-modulus symbol of each quadrant) and
+``centroids`` (arithmetic mean of the M/4 symbols in each quadrant).
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ class Constellation:
         points: length-M complex array, indexed by the integer value of the
             MSB-first bit group so that ``points[i]`` is the symbol for bit
             pattern i.
+        corners: the maximum-modulus point of each quadrant, quadrant q at
+            index q - 1; corners[0] has positive real and imaginary parts and
+            the others are its exact pi/2 rotations.
+        centroids: the arithmetic mean of each quadrant's M/4 points, indexed
+            like corners.
     """
 
     def __init__(self, order: int):
@@ -61,9 +66,14 @@ class Constellation:
         level_q = (m - 1) - 2 * _gray_decode(gray_q)
         scale = np.sqrt(3.0 / (2.0 * (order - 1)))
         self.points = (level_i + 1j * level_q) * scale
-        self.points.flags.writeable = False
         self._scale = scale
         self._m = m
+        c1 = (m - 1) * (1 + 1j) * scale
+        self.corners = np.array([c1 * 1j**k for k in range(4)])
+        quadrant = self.quadrant_of(self.points)
+        self.centroids = np.array([np.mean(self.points[quadrant == q]) for q in (1, 2, 3, 4)])
+        for table in (self.points, self.corners, self.centroids):
+            table.flags.writeable = False
 
     def _bracketing_indices(self, z: np.ndarray) -> np.ndarray:
         """N x 4 point indices, ascending per row, of the grid cell around
@@ -97,21 +107,6 @@ class Constellation:
                      np.where(~re_pos & im_pos, 2,
                               np.where(~re_pos & ~im_pos, 3, 4)))
         return q
-
-    def corner(self, q: int) -> complex:
-        """Maximum-modulus point of quadrant q; corner(1) has positive real
-        and imaginary parts and the others are its exact pi/2 rotations."""
-        if q not in (1, 2, 3, 4):
-            raise ValueError(f"quadrant must be 1..4, got {q}")
-        c1 = (self._m - 1) * (1 + 1j) * self._scale
-        return c1 * (1j ** (q - 1))
-
-    def quadrant_centroid(self, q: int) -> complex:
-        """Arithmetic mean of the M/4 points in quadrant q."""
-        if q not in (1, 2, 3, 4):
-            raise ValueError(f"quadrant must be 1..4, got {q}")
-        sel = self.quadrant_of(self.points) == q
-        return complex(np.mean(self.points[sel]))
 
 
 @lru_cache(maxsize=None)

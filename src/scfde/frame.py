@@ -51,7 +51,7 @@ class FrameConfig:
 
     @property
     def pilot_value(self) -> complex:
-        return get_constellation(self.M).corner(1)
+        return get_constellation(self.M).corners[0]
 
     @property
     def data_indices(self) -> np.ndarray:

@@ -404,10 +404,9 @@ def sweep(cfg: SimulationConfig) -> list[BerPoint]:
             )
 
     if cfg.out_path is not None:
-        write_csv(cfg, points, cfg.out_path)
+        write_csv(cfg.out_path, render_csv(cfg, points))
     if cfg.dump_path is not None:
-        with open(cfg.dump_path, "w", newline="") as fh:
-            fh.write(_render([], DUMP_HEADER, dump_rows))
+        write_csv(cfg.dump_path, _render([], DUMP_HEADER, dump_rows))
     return points
 
 
@@ -415,9 +414,10 @@ def render_csv(cfg: SimulationConfig, points: list[BerPoint]) -> str:
     return _render(_config_echo(cfg), CSV_HEADER, map(astuple, points))
 
 
-def write_csv(cfg: SimulationConfig, points: list[BerPoint], path: str) -> None:
+def write_csv(path: str, text: str) -> None:
+    """Write one output file (a sweep CSV, a dump or a trace) as given."""
     with open(path, "w", newline="") as fh:
-        fh.write(render_csv(cfg, points))
+        fh.write(text)
 
 
 # -- residual traces ---------------------------------------------------------
@@ -441,8 +441,8 @@ def trace_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) 
 
 def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:
     """Mean per-iteration normalized error for each configured SNR and, within
-    it, each sequence length. Frames that stop early hold their final value in
-    the average."""
+    it, each sequence length; writes the trace CSV when cfg.out_path is set.
+    Frames that stop early hold their final value in the average."""
     cells = [(P, snr_db) for snr_db in cfg.snr_db_list for P in cfg.seq_lengths]
     traces: list[ResidualTrace] = []
     for (P, snr_db), runs in zip(cells, _map_cells(cfg, trace_trial, cells)):
@@ -451,6 +451,8 @@ def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:
             np.concatenate([r, np.full(depth - len(r), r[-1])]) for r in runs
         ])
         traces.append(ResidualTrace(P=P, snr_db=snr_db, errors=padded.mean(axis=0)))
+    if cfg.out_path is not None:
+        write_csv(cfg.out_path, render_trace_csv(cfg, traces))
     return traces
 
 

@@ -216,6 +216,10 @@ def test_exit_code_3_before_any_trial_when_an_output_has_no_directory(
     # an output path that names an existing directory fails the same way
     assert main(["sweep", *FAST, "--out", str(ok), "--dump-trials", str(folder)]) == 3
     assert main(["sweep", *FAST, "--out", str(folder)]) == 3
+    # so does an empty path, which abspath resolves to the working directory
+    monkeypatch.chdir(folder)
+    assert main(["sweep", *FAST, "--out", ""]) == 3
+    assert main(["sweep", *FAST, "--out", str(ok), "--dump-trials", ""]) == 3
     assert list(tmp_path.iterdir()) == [folder] and not any(folder.iterdir())
     assert "I/O error" in capsys.readouterr().err
 

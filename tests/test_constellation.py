@@ -139,16 +139,31 @@ def test_quadrant_partition_counts_and_no_axis_points():
         assert np.min(np.abs(const.points.imag)) > 1e-6
 
 
+def test_quadrant_tables_equal_the_formulas_bit_for_bit():
+    # corners are c1 * 1j**k and centroids the mean of each quadrant's points
+    for M in SUPPORTED_ORDERS:
+        const = get_constellation(M)
+        m = int(np.sqrt(M))
+        c1 = (m - 1) * (1 + 1j) * np.sqrt(3.0 / (2.0 * (M - 1)))
+        corners = np.array([c1 * 1j**k for k in range(4)])
+        quadrant = const.quadrant_of(const.points)
+        centroids = np.array([np.mean(const.points[quadrant == q]) for q in (1, 2, 3, 4)])
+        for table, expected in ((const.corners, corners), (const.centroids, centroids)):
+            assert np.array_equal(table.view(np.float64), expected.view(np.float64))
+            with pytest.raises(ValueError):  # read-only
+                table[0] = 0
+
+
 def test_corners_are_rotations_and_quadrant_maxima():
     for M in SUPPORTED_ORDERS:
         const = get_constellation(M)
-        c1 = const.corner(1)
+        c1 = const.corners[0]
         assert c1.real > 0 and c1.imag > 0
-        for q in (1, 2, 3, 4):
-            assert const.corner(q) == c1 * (1j ** (q - 1))
+        for q, corner in enumerate(const.corners, start=1):
+            assert corner == c1 * (1j ** (q - 1))
             members = const.points[const.quadrant_of(const.points) == q]
-            assert abs(const.corner(q)) == pytest.approx(np.max(np.abs(members)))
-            assert np.min(np.abs(members - const.corner(q))) < 1e-12
+            assert abs(corner) == pytest.approx(np.max(np.abs(members)))
+            assert np.min(np.abs(members - corner)) < 1e-12
 
 
 def test_quadrant_centroid_m64_value():
@@ -157,16 +172,16 @@ def test_quadrant_centroid_m64_value():
     members = const.points[(const.points.real > 0) & (const.points.imag > 0)]
     oracle = np.mean(members)
     assert abs(oracle - (4 + 4j) / np.sqrt(42.0)) < 1e-12
-    assert abs(const.quadrant_centroid(1) - oracle) < 1e-12
+    assert abs(const.centroids[0] - oracle) < 1e-12
 
 
 def test_quadrant_centroid_rotation_symmetry():
     for M in SUPPORTED_ORDERS:
         const = get_constellation(M)
-        c1 = const.quadrant_centroid(1)
-        for q in (1, 2, 3, 4):
+        c1 = const.centroids[0]
+        for q, centroid in enumerate(const.centroids, start=1):
             expected = c1 * np.exp(1j * (q - 1) * np.pi / 2.0)
-            assert abs(const.quadrant_centroid(q) - expected) < 1e-12
+            assert abs(centroid - expected) < 1e-12
 
 
 def test_invalid_order_rejected():
@@ -180,10 +195,3 @@ def test_bit_length_mismatch_rejected():
     with pytest.raises(ValueError):
         qam_modulate(np.array([0, 1, 0]), 4)
 
-
-def test_quadrant_argument_validated():
-    const = get_constellation(4)
-    with pytest.raises(ValueError):
-        const.corner(5)
-    with pytest.raises(ValueError):
-        const.quadrant_centroid(0)

@@ -274,6 +274,13 @@ def test_trace_csv_byte_identical_across_workers():
     assert [(tr.snr_db, tr.P) for tr in pooled] == [(8.0, 32), (8.0, 64), (14.0, 32), (14.0, 64)]
 
 
+def test_trace_writes_its_csv_to_out_path(tmp_path):
+    out = tmp_path / "trace.csv"
+    cfg = dataclasses.replace(SMALL, frames_per_point=2, max_iter=10, out_path=str(out))
+    traces = residual_trace(cfg)
+    assert out.read_bytes() == render_trace_csv(cfg, traces).encode()
+
+
 def test_trace_final_value_matches_receiver_residual():
     trace = trace_trial(SMALL, 64, 8.0, 1)
     outcome = run_trial(dataclasses.replace(SMALL, receivers=("blind_pilot",)), 64, 8.0, 1)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import scfde
+from scfde.constellation import Constellation
 from scfde.harness import CSV_HEADER, DUMP_HEADER, TRACE_HEADER
 
 REMOVED = (
@@ -37,6 +38,10 @@ REMOVED = (
     "top_left_singular_vector",
     "check_ber_monotonicity",
     "MONOTONICITY_STEP_DB",
+    "corner",
+    "quadrant_centroid",
+    "parse_int_list",
+    "parse_receivers",
 )
 
 
@@ -65,9 +70,9 @@ def test_leaf_modules_import_alone():
 
 
 def test_removed_names_are_gone():
-    for module in [scfde, *submodules()]:
-        leftover = [name for name in REMOVED if hasattr(module, name)]
-        assert not leftover, f"{module.__name__} still defines {leftover}"
+    for owner in [scfde, *submodules(), Constellation]:
+        leftover = [name for name in REMOVED if hasattr(owner, name)]
+        assert not leftover, f"{owner.__name__} still defines {leftover}"
 
 
 def test_perfbench_span_targets_resolve():
