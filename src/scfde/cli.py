@@ -6,16 +6,17 @@ error of the blind decoder. Every flag can also live in a flat key=value
 config file (``--config``); explicit flags win over the file, which wins
 over the preset, which wins over built-in defaults.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error (an output path
-that is empty, names a directory or has no directory exits 3 before any
-trial runs), 4 every frame failed at some sweep point.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 every frame
+failed at some sweep point. Output paths are checked when SimulationConfig
+is built: one that is empty, names a directory or has no directory raises
+FileNotFoundError/IsADirectoryError (exit 3) before any trial runs, and
+--out and --dump-trials naming one file is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from functools import partial
 
@@ -185,24 +186,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-    except ConfigError as err:
-        print(f"scfde: config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    for path in (cfg.out_path, cfg.dump_path):
-        if path is None:
-            continue
-        if not path:  # abspath("") would name the working directory
-            problem = "an output path is empty"
-        elif os.path.isdir(path):
-            problem = f"{path!r} is a directory"
-        elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            problem = f"no directory for {path!r}"
-        else:
-            continue
-        print(f"scfde: I/O error: {problem}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
         if args.command == "sweep":
             points = sweep(cfg)
             if cfg.out_path is None:
@@ -222,6 +205,9 @@ def main(argv=None) -> int:
             traces = residual_trace(cfg)
             if cfg.out_path is None:
                 sys.stdout.write(render_trace_csv(cfg, traces))
+    except ConfigError as err:
+        print(f"scfde: config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as err:
         print(f"scfde: I/O error: {err}", file=sys.stderr)
         return EXIT_IO

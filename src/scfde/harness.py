@@ -104,11 +104,17 @@ class SimulationConfig:
                 energy = math.inf
             if not math.isfinite(energy):
                 raise ValueError(f"SNR {snr} dB overflows the receive energy")
-        if (
-            self.out_path is not None
-            and self.dump_path is not None
-            and os.path.realpath(self.out_path) == os.path.realpath(self.dump_path)
-        ):
+        # refuse an output that cannot be written before any trial runs;
+        # abspath("") would name the working directory, so empty goes first
+        paths = [path for path in (self.out_path, self.dump_path) if path is not None]
+        for path in paths:
+            if not path:
+                raise FileNotFoundError(f"output path {path!r} is empty")
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"output path {path!r} is a directory")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise FileNotFoundError(f"no directory for output path {path!r}")
+        if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
             raise ValueError(
                 f"output and per-trial dump are the same file ({self.out_path}); "
                 "the dump would overwrite the sweep CSV"

@@ -222,6 +222,10 @@ def test_exit_code_3_before_any_trial_when_an_output_has_no_directory(
     assert main(["sweep", *FAST, "--out", str(ok), "--dump-trials", ""]) == 3
     assert list(tmp_path.iterdir()) == [folder] and not any(folder.iterdir())
     assert "I/O error" in capsys.readouterr().err
+    # two empty paths are refused as empty, not compared as one file (exit 2)
+    assert main(["sweep", *FAST, "--out", "", "--dump-trials", ""]) == 3
+    assert "output path '' is empty" in capsys.readouterr().err
+    assert not any(folder.iterdir())
 
 
 def test_exit_code_4_when_all_frames_fail(monkeypatch, capsys):

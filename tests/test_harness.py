@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,33 @@ def test_trace_writes_its_csv_to_out_path(tmp_path):
     cfg = dataclasses.replace(SMALL, frames_per_point=2, max_iter=10, out_path=str(out))
     traces = residual_trace(cfg)
     assert out.read_bytes() == render_trace_csv(cfg, traces).encode()
+
+
+@pytest.mark.parametrize("field", ["out_path", "dump_path"])
+def test_unwritable_output_refused_while_the_config_is_built(tmp_path, monkeypatch, field):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the output paths were checked")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    monkeypatch.setattr(harness, "trace_trial", no_trial)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    monkeypatch.chdir(folder)  # where abspath("") points
+    missing = str(tmp_path / "missing" / "x.csv")
+    for path, error in (
+        ("", FileNotFoundError),
+        (str(folder), IsADirectoryError),
+        (missing, FileNotFoundError),
+    ):
+        for run in (sweep, residual_trace):
+            with pytest.raises(error, match=re.escape(repr(path))):
+                run(dataclasses.replace(SMALL, **{field: path}))
+        with pytest.raises(error):
+            SimulationConfig(**{field: path})
+    # an empty path is refused as such even when the other is empty too
+    with pytest.raises(FileNotFoundError, match="is empty"):
+        dataclasses.replace(SMALL, out_path="", dump_path="")
+    assert list(tmp_path.iterdir()) == [folder] and not any(folder.iterdir())
 
 
 def test_trace_final_value_matches_receiver_residual():
