@@ -4,18 +4,20 @@ global complex scale (pilot, CA, QQ), and decision-directed tap re-solves.
 
 The decoder factors the frequency-domain receive matrix Yf into a diagonal
 data spectrum and a short tap matrix by alternating a ridge-regularized
-channel solve with a per-bin MRC update of the spectrum. The channel has
-rank at most L_est, so the factorization runs on the P x K compression
-Yf V_K onto the dominant right singular subspace (K = min(Nr, L_est)). It
-is identifiable only up to one global complex scale alpha: the
-time-domain estimate x_hat = idft(lambda_hat) is the transmitted frame
-times alpha. Each correction mode is one estimate of alpha, taken from the
-single pilot alone (pilot_alpha), from the pilot plus a quadrant-centroid
-average (pilot_alpha times qq_alpha), or from the corner-symbol cluster
-centroid with the pilot picking among the four quadrant rotations
-(ca_alpha). A mode's scale sets only its first decisions, the slice of
-x_hat / alpha; decode_frame then re-solves the taps given the frame rebuilt
-from the decisions and slices the MRC update at that frame's scale.
+channel solve with a per-bin MRC update of the spectrum, until a step no
+longer lowers the reconstruction residual or an iteration cap is reached
+(the stop takes no tolerance). The channel has rank at most L_est, so the
+factorization runs on the P x K compression Yf V_K onto the dominant right
+singular subspace (K = min(Nr, L_est)). It is identifiable only up to one
+global complex scale alpha: the time-domain estimate x_hat =
+idft(lambda_hat) is the transmitted frame times alpha. Each correction
+mode is one estimate of alpha, taken from the single pilot alone
+(pilot_alpha), from the pilot plus a quadrant-centroid average
+(pilot_alpha times qq_alpha), or from the corner-symbol cluster centroid
+with the pilot picking among the four quadrant rotations (ca_alpha). A
+mode's scale sets only its first decisions, the slice of x_hat / alpha;
+decode_frame then re-solves the taps given the frame rebuilt from the
+decisions and slices the MRC update at that frame's scale.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ class BlindConfig:
     accuracy, because extra taps fit noise: on fig5 at 4 dB (L = 9),
     L_est = 16 made 769/2876/434 pilot/CA/QQ bit errors against
     269/272/243 at L_est = 9 (ROADMAP item 5). The ridge weight mu
-    stabilizes the channel solve and must stay in (0, 1); eps is the
-    relative-residual stopping tolerance and max_iter the iteration cap.
+    stabilizes the channel solve and must stay in (0, 1); max_iter caps
+    the iterations, which otherwise stop at the first step that does not
+    lower the residual.
     """
 
     L_est: int
     mu: float = 0.5
-    eps: float = 1e-4
     max_iter: int = 100
 
     def __post_init__(self):
@@ -63,8 +65,6 @@ class BlindConfig:
             raise ValueError(f"L_est must be >= 1, got {self.L_est}")
         if not 0 < self.mu < 1:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        if not self.eps > 0:  # also rejects NaN
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -104,8 +104,8 @@ class ReceiverEstimate:
     the taps fitted to the compression Yf V_K mapped back to all Nr
     antennas.
     residual_trace: relative residual ||Yf - diag(lambda) F H_t||_F / ||Yf||_F
-    after each iteration; converged marks whether the eps target was met
-    before the iteration cap.
+    after each iteration. iterations is its length: below max_iter, the
+    last step did not lower the residual (a stall); at max_iter, the cap.
     compression: the compressed problem the iterations ran on.
     """
 
@@ -113,7 +113,6 @@ class ReceiverEstimate:
     H_t_hat: np.ndarray = field(repr=False)
     iterations: int
     residual_trace: np.ndarray = field(repr=False)
-    converged: bool
     compression: Compression = field(repr=False)
 
 
@@ -162,10 +161,12 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     the K- or L_est-long axis. The spectrum starts as Yc's first column, the
     dominant left singular vector of Yf, normalized; then _am_step
     alternates (a) the ridge channel solve given the spectrum with (b) the
-    per-bin MRC spectrum update given the channel, stopping when the
-    relative reconstruction residual drops below cfg.eps or at
-    cfg.max_iter. The residual is that of the full Yf: each step gets
-    ||Yf||^2 as its energy, so the energy outside V_K counts as misfit.
+    per-bin MRC spectrum update given the channel, stopping after the
+    first step that does not lower the relative reconstruction residual
+    (that step stays in the trace) or at cfg.max_iter. A residual of
+    exactly 0 cannot fall, so such a frame stops at its second step. The
+    residual is that of the full Yf: each step gets ||Yf||^2 as its
+    energy, so the energy outside V_K counts as misfit.
     """
     Yf = np.asarray(Yf, dtype=complex)
     P, Nr = Yf.shape
@@ -179,12 +180,10 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     lam = Yc[:, 0] / np.linalg.norm(Yc[:, 0])
 
     trace = []
-    converged = False
     for _ in range(cfg.max_iter):
         lam, H_t, residual = _am_step(c, lam, cfg.mu)
         trace.append(residual)
-        if residual < cfg.eps:
-            converged = True
+        if len(trace) > 1 and residual >= trace[-2]:
             break
 
     return ReceiverEstimate(
@@ -192,7 +191,6 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
         H_t_hat=H_t @ V_K.conj().T,
         iterations=len(trace),
         residual_trace=np.asarray(trace),
-        converged=converged,
         compression=c,
     )
 

@@ -99,7 +99,6 @@ _FLAGS = {
         "receivers", partial(comma_list, str.strip), f"comma list from: {', '.join(RECEIVERS)}"
     ),
     "mu": ("mu", float, "ridge regularization weight"),
-    "eps": ("eps", float, "relative-residual stopping tolerance"),
     "max_iter": ("max_iter", int, "iteration cap of the blind decoder"),
     "seed": ("seed", int, "master seed"),
     "workers": ("workers", int, "parallel trial workers"),

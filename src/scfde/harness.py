@@ -55,7 +55,6 @@ class SimulationConfig:
     seed: int = 0
     receivers: tuple = RECEIVERS
     mu: float = BlindConfig.mu
-    eps: float = BlindConfig.eps
     max_iter: int = BlindConfig.max_iter
     pdp_ratio: float = 0.5
     ofdm_taps: int | None = None
@@ -130,7 +129,7 @@ class SimulationConfig:
                 raise ValueError(f"need P > 2*L_est, got P={P}, L_est={self.L_est}")
 
     def blind_config(self) -> BlindConfig:
-        return BlindConfig(L_est=self.L_est, mu=self.mu, eps=self.eps, max_iter=self.max_iter)
+        return BlindConfig(L_est=self.L_est, mu=self.mu, max_iter=self.max_iter)
 
     def ofdm_config(self, P: int) -> OfdmPilotConfig:
         """Baseline plan for one sequence length; ofdm_taps None keeps all
@@ -151,16 +150,16 @@ class ReceiverTrial:
     """One receiver's outcome on one frame; NaN marks what the receiver does
     not report (a failed frame, or the non-iterative OFDM baseline).
 
-    iterations, final_residual and converged (the eps stop fired before the
-    cap) describe the shared AM run; dd_changed counts the decisions the
-    receiver's last decision-directed round changed (0: a fixed point)."""
+    iterations and final_residual describe the shared AM run (iterations
+    below max_iter: it stopped on a step that did not lower the residual);
+    dd_changed counts the decisions the receiver's last decision-directed
+    round changed (0: a fixed point)."""
 
     failed: bool = False
     bits: int = 0
     bit_errors: int = 0
     iterations: int | float = math.nan
     final_residual: float = math.nan
-    converged: bool | float = math.nan
     dd_changed: int | float = math.nan
 
 
@@ -281,7 +280,6 @@ def run_trial(
                 bit_errors=int(np.count_nonzero(frame_est.bits != payload)),
                 iterations=est.iterations,
                 final_residual=float(est.residual_trace[-1]),
-                converged=est.converged,
                 dd_changed=frame_est.dd_changed,
             )
 

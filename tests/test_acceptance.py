@@ -126,7 +126,7 @@ def test_criterion_3_noiseless_blind_recovery():
     P, Nr, L, M, frames = 256, 16, 4, 64, 50
     cfg = FrameConfig(P=P, L=L, M=M)
     blind = BlindConfig(L_est=L)
-    clean, converged_ok = 0, True
+    clean, stopped = 0, []
     for t in range(frames):
         rng = np.random.default_rng(160_000 + t)
         payload = random_payload(cfg, rng)
@@ -135,18 +135,21 @@ def test_criterion_3_noiseless_blind_recovery():
         Yf = dft(convolve_channel(frame, ch))
         result = decode_frame(Yf, cfg, blind)
         est = result.estimate
-        if est.converged and est.residual_trace[-1] >= 1e-3:
-            converged_ok = False
+        if est.iterations < blind.max_iter:
+            stopped.append((t, est.iterations, est.residual_trace[-1]))
         pilot = result.modes["blind_pilot"]
         _, hard = qam_demodulate(extract_data(cfg, pilot.x_hat), M)
         if np.array_equal(hard, qam_modulate(payload, M)):
             clean += 1
-    ok = clean >= 48 and converged_ok
+    stalls_ok = all(residual < 1e-3 for _, _, residual in stopped)
+    ok = clean >= 48 and stalls_ok
     report(
         3, "noiseless blind recovery",
         ok,
         f"{clean}/{frames} frames symbol-error-free after pilot de-rotation; "
-        f"all converged frames below 1e-3 residual: {converged_ok}",
+        f"{len(stopped)}/{frames} stopped before the cap ("
+        + "; ".join(f"trial {t} at step {k}, residual {r:.2e}" for t, k, r in stopped)
+        + f"), every one below 1e-3 residual: {stalls_ok}",
     )
 
 

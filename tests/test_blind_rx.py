@@ -89,6 +89,17 @@ def test_mrc_update_never_increases_residual():
         assert after <= before + 1e-12
 
 
+def test_am_stops_at_the_first_step_that_does_not_lower_the_residual():
+    # criterion 3's noiseless frame 3 (seed 160_003) floors before the cap;
+    # the step that did not lower the residual ends the run and stays in the trace
+    _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
+    est = alternating_minimization(Yf, BlindConfig(L_est=4))
+    trace = est.residual_trace
+    assert est.iterations == len(trace) == 49
+    assert np.all(np.diff(trace[:-1]) < 0)
+    assert trace[-1] >= trace[-2]
+
+
 def test_mrc_degenerate_bin_identified():
     Yf = np.ones((8, 2), dtype=complex)
     H = np.ones((8, 2), dtype=complex)
@@ -105,7 +116,7 @@ def test_flat_channel_noiseless_recovery():
     ch = np.ones((1, 4), dtype=complex)
     Yf = dft(convolve_channel(frame, ch))
     est = alternating_minimization(Yf, BlindConfig(L_est=1))
-    assert est.converged
+    assert est.iterations <= 3
     recon = est.lambda_hat[:, None] * (dft_first_columns(64, 1) @ est.H_t_hat)
     assert np.linalg.norm(Yf - recon) / np.linalg.norm(Yf) < 1e-6
     x_hat = idft(est.lambda_hat)
@@ -241,8 +252,8 @@ def test_alternating_minimization_preconditions():
         BlindConfig(L_est=2, mu=1.5)
     with pytest.raises(ValueError):
         BlindConfig(L_est=2, mu=0.0)
-    with pytest.raises(ValueError):
-        BlindConfig(L_est=2, eps=0.0)
+    with pytest.raises(TypeError):  # AM's stop takes no tolerance
+        BlindConfig(L_est=2, eps=1e-4)
     with pytest.raises(ValueError):
         BlindConfig(L_est=0)
 

@@ -68,7 +68,6 @@ FLAG_SAMPLES = {
     "seq_len": "32,64",
     "receivers": "blind_qq,mrc_ofdm",
     "mu": "0.25",
-    "eps": "1e-3",
     "max_iter": "7",
     "seed": "5",
     "workers": "2",
@@ -131,6 +130,17 @@ def test_config_file_unknown_key_rejected(tmp_path):
         build_config(args)
 
 
+def test_eps_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    # AM stops on a stall or at --max-iter; there is no tolerance to set
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--eps", "1e-3"])
+    assert info.value.code == 2
+    path = tmp_path / "eps.cfg"
+    path.write_text("eps = 1e-3\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "unknown key 'eps'" in capsys.readouterr().err
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "ber.csv"
     rc = main(["sweep", *FAST, "--out", str(out)])
@@ -178,7 +188,6 @@ def test_exit_code_2_on_invalid_combinations(tmp_path, capsys):
     assert main(["sweep", "--mod-order", "32"]) == 2
     assert main(["sweep", "--mu", "0"]) == 2
     assert main(["trace", "--mu", "0"]) == 2
-    assert main(["sweep", "--eps", "nan"]) == 2
     assert main(["sweep", "--snr", "7,7.0004"]) == 2  # SNRs share a substream
     assert main(["sweep", "--seq-len", ",", "--snr", "7"]) == 2  # no sequence length
     assert main(["sweep", "--snr", ",", "--seq-len", "64"]) == 2  # no SNR
