@@ -42,6 +42,8 @@ from .matrixkit import (
 
 # decision-directed tap re-solves each correction mode runs after AM
 _DD_ROUNDS = 2
+# ridge weight of AM's channel solve (the decision-directed rounds use 0)
+_MU = 0.5
 
 @dataclass(frozen=True)
 class BlindConfig:
@@ -50,21 +52,17 @@ class BlindConfig:
     L_est is the assumed tap count. Too few taps and too many both cost
     accuracy, because extra taps fit noise: on fig5 at 4 dB (L = 9),
     L_est = 16 made 769/2876/434 pilot/CA/QQ bit errors against
-    269/272/243 at L_est = 9 (ROADMAP item 5). The ridge weight mu
-    stabilizes the channel solve and must stay in (0, 1); max_iter caps
-    the iterations, which otherwise stop at the first step that does not
-    lower the residual.
+    269/272/243 at L_est = 9 (ROADMAP item 5). max_iter caps the
+    iterations, which otherwise stop at the first step that does not lower
+    the residual. The channel solve's ridge weight is the constant _MU.
     """
 
     L_est: int
-    mu: float = 0.5
     max_iter: int = 100
 
     def __post_init__(self):
         if self.L_est < 1:
             raise ValueError(f"L_est must be >= 1, got {self.L_est}")
-        if not 0 < self.mu < 1:
-            raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -160,10 +158,10 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     L x P rows (Compression) so that each step reduces along P, not along
     the K- or L_est-long axis. The spectrum starts as Yc's first column, the
     dominant left singular vector of Yf, normalized; then _am_step
-    alternates (a) the ridge channel solve given the spectrum with (b) the
-    per-bin MRC spectrum update given the channel, stopping after the
-    first step that does not lower the relative reconstruction residual
-    (that step stays in the trace) or at cfg.max_iter. A residual of
+    alternates (a) the ridge channel solve (weight _MU) given the spectrum
+    with (b) the per-bin MRC spectrum update given the channel, stopping
+    after the first step that does not lower the relative reconstruction
+    residual (that step stays in the trace) or at cfg.max_iter. A residual of
     exactly 0 cannot fall, so such a frame stops at its second step. The
     residual is that of the full Yf: each step gets ||Yf||^2 as its
     energy, so the energy outside V_K counts as misfit.
@@ -181,7 +179,7 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
 
     trace = []
     for _ in range(cfg.max_iter):
-        lam, H_t, residual = _am_step(c, lam, cfg.mu)
+        lam, H_t, residual = _am_step(c, lam, _MU)
         trace.append(residual)
         if len(trace) > 1 and residual >= trace[-2]:
             break

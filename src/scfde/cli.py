@@ -98,11 +98,9 @@ _FLAGS = {
     "receivers": (
         "receivers", partial(comma_list, str.strip), f"comma list from: {', '.join(RECEIVERS)}"
     ),
-    "mu": ("mu", float, "ridge regularization weight"),
     "max_iter": ("max_iter", int, "iteration cap of the blind decoder"),
     "seed": ("seed", int, "master seed"),
     "workers": ("workers", int, "parallel trial workers"),
-    "pdp_ratio": ("pdp_ratio", float, "geometric tap-power decay ratio"),
     "ofdm_taps": (
         "ofdm_taps", int, "taps kept by the baseline interpolator (default: all pilot taps)"
     ),
@@ -114,8 +112,9 @@ _SWEEP_ONLY = ("receivers", "ofdm_taps", "dump_trials")
 
 
 def read_config_file(path: str) -> dict:
-    """Flat 'key = value' lines; '#' starts a comment; keys match the flags."""
-    values = {}
+    """Flat 'key = value' lines, each key at most once; '#' starts a comment;
+    keys match the flags, and '-' and '_' in a key are the same."""
+    values, line_of = {}, {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -131,7 +130,9 @@ def read_config_file(path: str) -> dict:
         key = key.replace("-", "_")
         if key != "preset" and key not in _FLAGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        if key in values:
+            raise ConfigError(f"{path}: key {key!r} on lines {line_of[key]} and {lineno}")
+        values[key], line_of[key] = value, lineno
     return values
 
 

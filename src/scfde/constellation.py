@@ -22,16 +22,6 @@ import numpy as np
 SUPPORTED_ORDERS = (4, 16, 64, 256)
 
 
-def _gray_decode(g: np.ndarray) -> np.ndarray:
-    """Invert the binary-reflected Gray code, elementwise on integers."""
-    b = g.copy()
-    mask = g >> 1
-    while np.any(mask):
-        b = b ^ mask
-        mask >>= 1
-    return b
-
-
 class Constellation:
     """Gray-mapped square M-QAM alphabet with unit average energy.
 
@@ -58,12 +48,14 @@ class Constellation:
         m = int(np.sqrt(order))  # levels per dimension
         half = self.bits_per_symbol // 2
 
+        # the binary-reflected Gray code of each level rank, and its inverse;
+        # rank r is level (m-1) - 2r, so bits 0..0 land in quadrant 1
+        ranks = np.arange(m)
+        self._gray = ranks ^ (ranks >> 1)
+        rank_of = np.argsort(self._gray)
         idx = np.arange(order)
-        gray_i = idx >> half
-        gray_q = idx & ((1 << half) - 1)
-        # Gray-decoded rank 0 -> highest level, so bits 0..0 land in quadrant 1
-        level_i = (m - 1) - 2 * _gray_decode(gray_i)
-        level_q = (m - 1) - 2 * _gray_decode(gray_q)
+        level_i = (m - 1) - 2 * rank_of[idx >> half]
+        level_q = (m - 1) - 2 * rank_of[idx & ((1 << half) - 1)]
         scale = np.sqrt(3.0 / (2.0 * (order - 1)))
         self.points = (level_i + 1j * level_q) * scale
         self._scale = scale
@@ -86,8 +78,7 @@ class Constellation:
             # level (m-1) - 2r has rank r; NaN falls to the first pair
             t = np.floor(((m - 1) - coord / self._scale) / 2.0)
             lo = np.fmin(np.fmax(t, 0.0), m - 2).astype(np.int64)
-            hi = lo + 1
-            g_lo, g_hi = lo ^ (lo >> 1), hi ^ (hi >> 1)  # Gray code of each rank
+            g_lo, g_hi = self._gray[lo], self._gray[lo + 1]
             return np.minimum(g_lo, g_hi), np.maximum(g_lo, g_hi)
 
         i_min, i_max = (g << half for g in codes(z.real))

@@ -39,11 +39,14 @@ from .frame import FrameConfig, build_frame, random_payload
 from .matrixkit import dft
 
 RECEIVERS = (*MODES, "mrc_ofdm")
+# tap-power decay of every simulated channel: geometric_profile(L, _PDP_RATIO)
+_PDP_RATIO = 0.5
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Full description of one experiment; the CSV is a function of this."""
+    """Full description of one experiment; the CSV is a function of this.
+    The decay _PDP_RATIO and AM's ridge weight blind_rx._MU are constants."""
 
     seq_lengths: tuple = (256,)
     L: int = 4
@@ -54,9 +57,7 @@ class SimulationConfig:
     frames_per_point: int = 10
     seed: int = 0
     receivers: tuple = RECEIVERS
-    mu: float = BlindConfig.mu
     max_iter: int = BlindConfig.max_iter
-    pdp_ratio: float = 0.5
     ofdm_taps: int | None = None
     workers: int = 1
     out_path: str | None = None
@@ -120,7 +121,6 @@ class SimulationConfig:
             )
         # build every per-P plan now, so an invalid combination is reported
         # before any trial runs
-        geometric_profile(self.L, self.pdp_ratio)
         self.blind_config()
         for P in self.seq_lengths:
             FrameConfig(P=P, L=self.L, M=self.M)
@@ -129,7 +129,7 @@ class SimulationConfig:
                 raise ValueError(f"need P > 2*L_est, got P={P}, L_est={self.L_est}")
 
     def blind_config(self) -> BlindConfig:
-        return BlindConfig(L_est=self.L_est, mu=self.mu, max_iter=self.max_iter)
+        return BlindConfig(L_est=self.L_est, max_iter=self.max_iter)
 
     def ofdm_config(self, P: int) -> OfdmPilotConfig:
         """Baseline plan for one sequence length; ofdm_taps None keeps all
@@ -234,7 +234,7 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
     payload = random_payload(frame_cfg, rng)
     ofdm_cfg = cfg.ofdm_config(P)
     ofdm_payload = random_payload(ofdm_cfg, rng)
-    taps = draw_channel(geometric_profile(cfg.L, cfg.pdp_ratio), cfg.Nr, rng)
+    taps = draw_channel(geometric_profile(cfg.L, _PDP_RATIO), cfg.Nr, rng)
     noise = complex_noise((P, cfg.Nr), snr_db_to_noise_variance(snr_db), rng)
     return TrialDraw(
         frame_cfg=frame_cfg,

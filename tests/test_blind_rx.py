@@ -9,6 +9,7 @@ from scfde.baseline_rx import mrc_combine
 from scfde.blind_rx import (
     BlindConfig,
     Compression,
+    _MU,
     _am_step,
     alternating_minimization,
     ca_alpha,
@@ -165,7 +166,7 @@ def test_am_on_full_rank_compression_matches_full_width():
     Yc = compress_columns(Yf, 4)[0]
     lam, trace = Yc[:, 0] / np.linalg.norm(Yc[:, 0]), []
     for _ in range(30):
-        lam, H_t, residual = _am_step(c, lam, blind.mu)
+        lam, H_t, residual = _am_step(c, lam, _MU)
         trace.append(residual)
     assert np.linalg.norm(est.lambda_hat - lam) <= 1e-12 * np.linalg.norm(lam)
     assert np.linalg.norm(est.H_t_hat - H_t) <= 1e-12 * np.linalg.norm(H_t)
@@ -248,12 +249,10 @@ def test_am_step_zero_spectrum_raises_at_bin_zero():
 def test_alternating_minimization_preconditions():
     with pytest.raises(ValueError):
         alternating_minimization(np.ones((8, 2), dtype=complex), BlindConfig(L_est=4))
-    with pytest.raises(ValueError):
-        BlindConfig(L_est=2, mu=1.5)
-    with pytest.raises(ValueError):
-        BlindConfig(L_est=2, mu=0.0)
     with pytest.raises(TypeError):  # AM's stop takes no tolerance
         BlindConfig(L_est=2, eps=1e-4)
+    with pytest.raises(TypeError):  # nor a ridge weight: it is _MU
+        BlindConfig(L_est=2, mu=0.5)
     with pytest.raises(ValueError):
         BlindConfig(L_est=0)
 

@@ -67,11 +67,9 @@ FLAG_SAMPLES = {
     "mod_order": "16",
     "seq_len": "32,64",
     "receivers": "blind_qq,mrc_ofdm",
-    "mu": "0.25",
     "max_iter": "7",
     "seed": "5",
     "workers": "2",
-    "pdp_ratio": "0.7",
     "ofdm_taps": "3",
     "out": "ber.csv",
     "dump_trials": "trials.csv",
@@ -130,15 +128,30 @@ def test_config_file_unknown_key_rejected(tmp_path):
         build_config(args)
 
 
-def test_eps_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
-    # AM stops on a stall or at --max-iter; there is no tolerance to set
+@pytest.mark.parametrize("key", ["eps", "mu", "pdp_ratio"])
+def test_eps_is_neither_a_flag_nor_a_config_key(key, tmp_path, capsys):
+    # AM stops on a stall or at --max-iter, so there is no tolerance to set;
+    # the ridge weight and the tap-power decay are constants of 0.5
     with pytest.raises(SystemExit) as info:
-        main(["sweep", "--eps", "1e-3"])
+        main(["sweep", "--" + key.replace("_", "-"), "0.5"])
     assert info.value.code == 2
-    path = tmp_path / "eps.cfg"
-    path.write_text("eps = 1e-3\n")
+    path = tmp_path / f"{key}.cfg"
+    path.write_text(f"{key} = 0.5\n")
     assert main(["sweep", "--config", str(path)]) == 2
-    assert "unknown key 'eps'" in capsys.readouterr().err
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_config_file_repeated_key_rejected(tmp_path, capsys):
+    # the second line would silently win; '-' and '_' spell the same key
+    cases = (
+        ("frames = 5\nframes = 1\n", "'frames' on lines 1 and 2"),
+        ("seq_len = 64\n# P\nseq-len = 32\n", "'seq_len' on lines 1 and 3"),
+    )
+    for text, message in cases:
+        path = tmp_path / "repeat.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
@@ -186,8 +199,8 @@ def test_exit_code_2_on_invalid_combinations(tmp_path, capsys):
     assert main(["sweep", "--snr", "0:0.0015:0.0005"]) == 2  # four values, three keys
     assert main(["sweep", "--snr", "1e308"]) == 2  # no 1e-3 dB key
     assert main(["sweep", "--mod-order", "32"]) == 2
-    assert main(["sweep", "--mu", "0"]) == 2
-    assert main(["trace", "--mu", "0"]) == 2
+    assert main(["sweep", "--max-iter", "0"]) == 2
+    assert main(["trace", "--max-iter", "0"]) == 2
     assert main(["sweep", "--snr", "7,7.0004"]) == 2  # SNRs share a substream
     assert main(["sweep", "--seq-len", ",", "--snr", "7"]) == 2  # no sequence length
     assert main(["sweep", "--snr", ",", "--seq-len", "64"]) == 2  # no SNR

@@ -87,7 +87,7 @@ def test_draw_trial_matches_time_domain_reference():
         frame_cfg = FrameConfig(P=P, L=L, M=16)
         payload = ref.integers(0, 2, size=frame_cfg.payload_bits)
         ofdm_payload = ref.integers(0, 2, size=cfg.ofdm_config(P).payload_bits)
-        ch = draw_channel(geometric_profile(L, cfg.pdp_ratio), Nr, ref)
+        ch = draw_channel(geometric_profile(L, 0.5), Nr, ref)
         noise = complex_noise((P, Nr), snr_db_to_noise_variance(5.0), ref)
         assert np.array_equal(draw.payload, payload)
         assert np.array_equal(draw.ofdm_payload, ofdm_payload)
@@ -362,8 +362,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(Nr=0)
     with pytest.raises(ValueError):
-        SimulationConfig(pdp_ratio=0.0)
-    with pytest.raises(ValueError):
         SimulationConfig(ofdm_taps=0)
     with pytest.raises(ValueError):  # both SNRs key the same random substream
         SimulationConfig(snr_db_list=(7.0, 7.0004))
@@ -373,6 +371,11 @@ def test_config_validation():
         SimulationConfig(seq_lengths=(64, 64))
     with pytest.raises(ValueError):
         SimulationConfig(snr_db_list=())
+    # the tap-power decay and the ridge weight are constants, not settings
+    with pytest.raises(TypeError):
+        SimulationConfig(pdp_ratio=0.5)
+    with pytest.raises(TypeError):
+        SimulationConfig(mu=0.5)
 
 
 def test_selected_receivers_canonical_order():

@@ -42,6 +42,7 @@ REMOVED = (
     "quadrant_centroid",
     "parse_int_list",
     "parse_receivers",
+    "_gray_decode",
 )
 
 
