@@ -7,12 +7,13 @@ already set in the environment wins.
 
 import os
 
-for _var in (
+THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
-):
+)
+for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")

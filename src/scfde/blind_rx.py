@@ -11,13 +11,14 @@ factorization runs on the P x K compression Yf V_K onto the dominant right
 singular subspace (K = min(Nr, L_est)). It is identifiable only up to one
 global complex scale alpha: the time-domain estimate x_hat =
 idft(lambda_hat) is the transmitted frame times alpha. Each correction
-mode is one estimate of alpha, taken from the single pilot alone
-(pilot_alpha), from the pilot plus a quadrant-centroid average
-(pilot_alpha times qq_alpha), or from the corner-symbol cluster centroid
-with the pilot picking among the four quadrant rotations (ca_alpha). A
-mode's scale sets only its first decisions, the slice of x_hat / alpha;
-decode_frame then re-solves the taps given the frame rebuilt from the
-decisions and slices the MRC update at that frame's scale.
+mode is one (x_hat, frame) -> alpha estimator, taking alpha from the
+single pilot alone (pilot_alpha), from the corner-symbol cluster centroid
+with the pilot picking among the four quadrant rotations (ca_alpha), or
+from the pilot ratio times a quadrant-centroid average of the
+pilot-de-rotated estimate (qq_alpha). A mode's scale sets only its first
+decisions, the slice of x_hat / alpha; decode_frame then re-solves the taps
+given the frame rebuilt from the decisions and slices the MRC update at that
+frame's scale.
 """
 
 from __future__ import annotations
@@ -235,17 +236,19 @@ def ca_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
     return complex(alpha_mid * centroid / corner)
 
 
-def qq_alpha(x_derot: np.ndarray, cfg: FrameConfig) -> complex:
-    """Rotational residue left after pilot de-rotation (QQ).
+def qq_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
+    """Global scale from the pilot plus the quadrant residue (QQ).
 
-    Collapses the data samples of x_derot = x_hat / pilot_alpha quadrant-wise
-    onto the alphabet's quadrant centroids: each quadrant's sample mean over
-    its ideal centroid estimates the leftover complex scale, and the average
-    over the non-empty quadrants is returned. With no nonzero data sample it
-    warns and returns 1.
+    alpha = pilot_alpha de-rotates x_hat; the data samples of x_hat / alpha
+    then collapse quadrant-wise onto the alphabet's quadrant centroids: each
+    quadrant's sample mean over its ideal centroid estimates the leftover
+    complex scale, and alpha times the average over the non-empty quadrants
+    is returned. With no nonzero data sample it warns and returns alpha.
+    Raises PilotLossError if the pilot sample was annihilated.
     """
+    alpha = pilot_alpha(x_hat, cfg)
     const = get_constellation(cfg.M)
-    data = x_derot[cfg.data_indices]
+    data = (x_hat / alpha)[cfg.data_indices]
     data = data[data != 0]  # exact zeros carry no quadrant information
     quadrant = const.quadrant_of(data)
     ratios = []
@@ -255,8 +258,8 @@ def qq_alpha(x_derot: np.ndarray, cfg: FrameConfig) -> complex:
             ratios.append(np.mean(members) / centroid)
     if not ratios:
         warnings.warn("no nonzero data samples; residue left uncorrected")
-        return 1.0 + 0.0j
-    return complex(np.mean(ratios))
+        return alpha * (1.0 + 0.0j)
+    return alpha * complex(np.mean(ratios))
 
 
 @dataclass
@@ -272,15 +275,9 @@ class ModeEstimate:
     dd_changed: int | float = math.nan
 
 
-def _pilot_qq_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
-    """QQ's scale: the pilot ratio times the quadrant residue of x_hat over it."""
-    alpha = pilot_alpha(x_hat, cfg)
-    return alpha * qq_alpha(x_hat / alpha, cfg)
-
-
 # the blind receivers, by the name the harness reports, in CSV order: each is
-# the estimator of the global scale that sets its first decisions
-MODES = {"blind_pilot": pilot_alpha, "blind_ca": ca_alpha, "blind_qq": _pilot_qq_alpha}
+# the (x_hat, frame) -> alpha estimator that sets its first decisions
+MODES = {"blind_pilot": pilot_alpha, "blind_ca": ca_alpha, "blind_qq": qq_alpha}
 
 
 def _slice(x_hat: np.ndarray, cfg: FrameConfig, prior: np.ndarray | None = None) -> ModeEstimate:

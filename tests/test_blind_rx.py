@@ -302,6 +302,8 @@ def test_pilot_annihilated_raises():
     x_hat[cfg.pilot_index] = 0
     with pytest.raises(PilotLossError):
         pilot_alpha(x_hat, cfg)
+    with pytest.raises(PilotLossError):  # QQ's scale starts from the pilot
+        qq_alpha(x_hat, cfg)
 
 
 def test_ca_alpha_identity_on_clean_frame():
@@ -336,12 +338,27 @@ def test_qq_identity_under_uniform_coverage():
     assert np.allclose(out, frame, rtol=0, atol=1e-12)
 
 
+def scaled_data(frame, cfg, alpha):
+    """frame with its data samples times alpha and its pilot left exact, so
+    that pilot_alpha is 1 and qq_alpha is the quadrant collapse alone."""
+    x = frame.copy()
+    x[cfg.data_indices] *= alpha
+    return x
+
+
 def test_qq_recovers_small_rotation_and_scale():
+    # the pilot resolves any global scale, even one far outside a quadrant
     cfg, _, frame, _ = all_symbol_frame(64)
-    for alpha in (np.exp(0.05j), 1.1 + 0.0j):
+    for alpha in (np.exp(0.05j), 1.1 + 0.0j, np.exp(2j), 0.3 * np.exp(-2.5j)):
         x = alpha * frame
+        assert abs(qq_alpha(x, cfg) - alpha) <= 1e-9
         out = x / qq_alpha(x, cfg)
         assert np.allclose(out, frame, rtol=0, atol=1e-9)
+    # a scale on the data alone is left to the quadrant collapse
+    for alpha in (np.exp(0.05j), 1.1 + 0.0j, 0.9 * np.exp(-0.05j)):
+        x = scaled_data(frame, cfg, alpha)
+        assert pilot_alpha(x, cfg) == 1.0
+        assert abs(qq_alpha(x, cfg) - alpha) <= 1e-9
 
 
 def test_qq_phase_commutation_qpsk_quarter_turn():
@@ -351,6 +368,10 @@ def test_qq_phase_commutation_qpsk_quarter_turn():
         x = np.exp(1j * theta) * frame
         out = x / qq_alpha(x, cfg)
         assert np.allclose(out, frame, rtol=0, atol=1e-6)
+        # rotating the data alone, the collapse itself must undo the turn
+        x = scaled_data(frame, cfg, np.exp(1j * theta))
+        assert pilot_alpha(x, cfg) == 1.0
+        assert abs(qq_alpha(x, cfg) - np.exp(1j * theta)) <= 1e-12
 
 
 def test_qq_renormalizes_over_empty_quadrants():
@@ -382,11 +403,10 @@ def test_decode_frame_shares_estimate_and_scales_exactly(monkeypatch):
     result = decode_frame(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.modes) == {"blind_pilot", "blind_ca", "blind_qq"}
     x_hat = idft(result.estimate.lambda_hat)
-    alpha_pilot = pilot_alpha(x_hat, cfg)
     alphas = {
-        "blind_pilot": alpha_pilot,
+        "blind_pilot": pilot_alpha(x_hat, cfg),
         "blind_ca": ca_alpha(x_hat, cfg),
-        "blind_qq": alpha_pilot * qq_alpha(x_hat / alpha_pilot, cfg),
+        "blind_qq": qq_alpha(x_hat, cfg),
     }
     for mode, decoded in result.modes.items():
         assert np.array_equal(decoded.x_hat, x_hat / alphas[mode]), mode
@@ -569,6 +589,15 @@ def test_decode_frame_isolates_pilot_failure_from_ca(monkeypatch):
     result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.failures) == {"blind_pilot", "blind_qq"}
     assert set(result.modes) == {"blind_ca"}
+
+
+def test_every_mode_is_a_public_scale_estimator():
+    import scfde.blind_rx as blind_rx
+
+    assert tuple(blind_rx.MODES) == ("blind_pilot", "blind_ca", "blind_qq")
+    for mode, fn in blind_rx.MODES.items():
+        assert not fn.__name__.startswith("_"), mode
+        assert getattr(blind_rx, fn.__name__) is fn, mode
 
 
 def test_decode_frame_rejects_unknown_modes(monkeypatch):

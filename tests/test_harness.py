@@ -18,6 +18,7 @@ from scfde.frame import FrameConfig, build_frame
 from scfde.harness import (
     DUMP_HEADER,
     PRESETS,
+    RECEIVERS,
     SimulationConfig,
     _substream,
     aggregate,
@@ -55,11 +56,12 @@ def test_trials_differ_across_indices_and_snr():
     assert r0 != r1
 
 
-def test_receiver_subset_does_not_change_draws():
-    solo = dataclasses.replace(SMALL, receivers=("blind_pilot",))
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_receiver_subset_does_not_change_draws(receiver):
+    solo = dataclasses.replace(SMALL, receivers=(receiver,))
     r_solo = run_trial(solo, 64, 8.0, 2)
     r_all = run_trial(SMALL, 64, 8.0, 2)
-    assert r_solo["blind_pilot"] == r_all["blind_pilot"]
+    assert r_solo == {receiver: r_all[receiver]}
 
 
 def test_near_noiseless_trial_is_error_free():

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import scfde
+from conftest import THREAD_VARS
 from scfde.constellation import Constellation
 from scfde.harness import CSV_HEADER, DUMP_HEADER, TRACE_HEADER
 
@@ -43,6 +46,7 @@ REMOVED = (
     "parse_int_list",
     "parse_receivers",
     "_gray_decode",
+    "_pilot_qq_alpha",
 )
 
 
@@ -104,3 +108,21 @@ def test_readme_headers_match_the_csv_schemas():
         prefix = ",".join(header.split(",")[:3]) + ","
         documented = {c for c in candidates if c.startswith(prefix)}
         assert documented == {header}, documented
+
+
+def test_ci_workflow_scripts_parse_and_pin_the_test_threads():
+    # the workflow cannot run offline, so check what can be checked without a
+    # runner: every step's script parses, and the job pins the same BLAS/OpenMP
+    # thread variables as conftest.py
+    yaml = pytest.importorskip("yaml")
+    path = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    (job,) = yaml.safe_load(path.read_text())["jobs"].values()
+    scripts = [step["run"] for step in job["steps"] if "run" in step]
+    assert scripts
+    for script in scripts:
+        out = subprocess.run(
+            ["bash", "-n", "-e", "-o", "pipefail", "-c", script],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+    assert job["env"] == {var: "1" for var in THREAD_VARS}
