@@ -117,12 +117,9 @@ def mrc_combine(Yf: np.ndarray, H: np.ndarray) -> np.ndarray:
     return num * (1.0 / den)
 
 
-def ofdm_mrc_receive(
-    Yf: np.ndarray, cfg: OfdmPilotConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode one OFDM block: returns (payload bit decisions, P x Nr channel
-    estimate). Raises DegenerateBinError if MRC hits an all-zero bin."""
-    H_est = estimate_channel(Yf, cfg)
-    X_hat = mrc_combine(Yf, H_est)
+def ofdm_mrc_receive(Yf: np.ndarray, cfg: OfdmPilotConfig) -> np.ndarray:
+    """Decode one OFDM block: returns the payload bit decisions. Raises
+    DegenerateBinError if MRC hits an all-zero bin."""
+    X_hat = mrc_combine(Yf, estimate_channel(Yf, cfg))
     bits, _ = qam_demodulate(X_hat[cfg.data_indices], cfg.M)
-    return bits, H_est
+    return bits

@@ -55,7 +55,8 @@ class BlindConfig:
     L_est = 16 made 769/2876/434 pilot/CA/QQ bit errors against
     269/272/243 at L_est = 9 (ROADMAP item 5). max_iter caps the
     iterations, which otherwise stop at the first step that does not lower
-    the residual. The channel solve's ridge weight is the constant _MU.
+    the residual; the experiment always runs the default cap of 100. The
+    channel solve's ridge weight is the constant _MU.
     """
 
     L_est: int

@@ -98,7 +98,6 @@ _FLAGS = {
     "receivers": (
         "receivers", partial(comma_list, str.strip), f"comma list from: {', '.join(RECEIVERS)}"
     ),
-    "max_iter": ("max_iter", int, "iteration cap of the blind decoder"),
     "seed": ("seed", int, "master seed"),
     "workers": ("workers", int, "parallel trial workers"),
     "ofdm_taps": (

@@ -57,7 +57,6 @@ class SimulationConfig:
     frames_per_point: int = 10
     seed: int = 0
     receivers: tuple = RECEIVERS
-    max_iter: int = BlindConfig.max_iter
     ofdm_taps: int | None = None
     workers: int = 1
     out_path: str | None = None
@@ -129,7 +128,7 @@ class SimulationConfig:
                 raise ValueError(f"need P > 2*L_est, got P={P}, L_est={self.L_est}")
 
     def blind_config(self) -> BlindConfig:
-        return BlindConfig(L_est=self.L_est, max_iter=self.max_iter)
+        return BlindConfig(L_est=self.L_est)
 
     def ofdm_config(self, P: int) -> OfdmPilotConfig:
         """Baseline plan for one sequence length; ofdm_taps None keeps all
@@ -151,7 +150,8 @@ class ReceiverTrial:
     not report (a failed frame, or the non-iterative OFDM baseline).
 
     iterations and final_residual describe the shared AM run (iterations
-    below max_iter: it stopped on a step that did not lower the residual);
+    below BlindConfig.max_iter (100): it stopped on a step that did not
+    lower the residual);
     dd_changed counts the decisions the receiver's last decision-directed
     round changed (0: a fixed point)."""
 
@@ -287,7 +287,7 @@ def run_trial(
         ofdm_cfg, ofdm_payload = draw.ofdm_cfg, draw.ofdm_payload
         Yf = draw.received(ofdm_transmit(ofdm_payload, ofdm_cfg))
         try:
-            bits, _ = ofdm_mrc_receive(Yf, ofdm_cfg)
+            bits = ofdm_mrc_receive(Yf, ofdm_cfg)
             results["mrc_ofdm"] = ReceiverTrial(
                 bits=ofdm_payload.size,
                 bit_errors=int(np.count_nonzero(bits != ofdm_payload)),

@@ -169,8 +169,8 @@ def test_criterion_5_high_snr_drift():
     # NOTE: AM alone at the 100-iteration cap made 1/1/2 pilot/CA/QQ bit
     # errors here (trials 192, 280 and 309, which stop before AM converges);
     # the decision-directed rounds after AM decode all 500 frames error-free,
-    # so the ordering holds with equal (zero) counts; see the README's
-    # "Known limitation".
+    # so the ordering holds with equal (zero) counts; ROADMAP item 2 has the
+    # counts of a shorter AM.
     cfg = SimulationConfig(
         **PRESETS["fig5"], receivers=("blind_pilot", "blind_ca", "blind_qq"), seed=502
     )

@@ -67,7 +67,6 @@ FLAG_SAMPLES = {
     "mod_order": "16",
     "seq_len": "32,64",
     "receivers": "blind_qq,mrc_ofdm",
-    "max_iter": "7",
     "seed": "5",
     "workers": "2",
     "ofdm_taps": "3",
@@ -128,17 +127,19 @@ def test_config_file_unknown_key_rejected(tmp_path):
         build_config(args)
 
 
-@pytest.mark.parametrize("key", ["eps", "mu", "pdp_ratio"])
-def test_eps_is_neither_a_flag_nor_a_config_key(key, tmp_path, capsys):
-    # AM stops on a stall or at --max-iter, so there is no tolerance to set;
-    # the ridge weight and the tap-power decay are constants of 0.5
-    with pytest.raises(SystemExit) as info:
-        main(["sweep", "--" + key.replace("_", "-"), "0.5"])
-    assert info.value.code == 2
+@pytest.mark.parametrize("key", ["eps", "mu", "pdp_ratio", "max_iter"])
+def test_removed_options_are_neither_flags_nor_config_keys(key, tmp_path, capsys):
+    # AM stops on a stall or at BlindConfig's fixed cap of 100, so there is
+    # no tolerance and no cap to set; the ridge weight and the tap-power
+    # decay are constants of 0.5
     path = tmp_path / f"{key}.cfg"
     path.write_text(f"{key} = 0.5\n")
-    assert main(["sweep", "--config", str(path)]) == 2
-    assert f"unknown key {key!r}" in capsys.readouterr().err
+    for command in ("sweep", "trace"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--" + key.replace("_", "-"), "0.5"])
+        assert info.value.code == 2
+        assert main([command, "--config", str(path)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_config_file_repeated_key_rejected(tmp_path, capsys):
@@ -172,7 +173,7 @@ def test_sweep_stdout_when_no_out(capsys):
 
 def test_trace_writes_csv(tmp_path):
     out = tmp_path / "trace.csv"
-    rc = main(["trace", *FAST, "--max-iter", "5", "--out", str(out)])
+    rc = main(["trace", *FAST, "--out", str(out)])
     assert rc == 0
     body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert body[0] == "P,snr_db,iteration,normalized_error"
@@ -199,8 +200,6 @@ def test_exit_code_2_on_invalid_combinations(tmp_path, capsys):
     assert main(["sweep", "--snr", "0:0.0015:0.0005"]) == 2  # four values, three keys
     assert main(["sweep", "--snr", "1e308"]) == 2  # no 1e-3 dB key
     assert main(["sweep", "--mod-order", "32"]) == 2
-    assert main(["sweep", "--max-iter", "0"]) == 2
-    assert main(["trace", "--max-iter", "0"]) == 2
     assert main(["sweep", "--snr", "7,7.0004"]) == 2  # SNRs share a substream
     assert main(["sweep", "--seq-len", ",", "--snr", "7"]) == 2  # no sequence length
     assert main(["sweep", "--snr", ",", "--seq-len", "64"]) == 2  # no SNR

@@ -270,8 +270,7 @@ def test_dump_rows_in_cell_and_trial_order_at_any_worker_count(tmp_path):
 
 def test_trace_csv_byte_identical_across_workers():
     cfg = dataclasses.replace(
-        SMALL, seq_lengths=(32, 64), L_est=2, snr_db_list=(8.0, 14.0), frames_per_point=3,
-        max_iter=20,
+        SMALL, seq_lengths=(32, 64), L_est=2, snr_db_list=(8.0, 14.0), frames_per_point=3
     )
     serial, pooled = (residual_trace(dataclasses.replace(cfg, workers=w)) for w in (1, 2))
     assert render_trace_csv(cfg, serial) == render_trace_csv(cfg, pooled)
@@ -280,7 +279,7 @@ def test_trace_csv_byte_identical_across_workers():
 
 def test_trace_writes_its_csv_to_out_path(tmp_path):
     out = tmp_path / "trace.csv"
-    cfg = dataclasses.replace(SMALL, frames_per_point=2, max_iter=10, out_path=str(out))
+    cfg = dataclasses.replace(SMALL, frames_per_point=2, out_path=str(out))
     traces = residual_trace(cfg)
     assert out.read_bytes() == render_trace_csv(cfg, traces).encode()
 
@@ -333,16 +332,16 @@ def test_am_runs_to_the_cap_on_fig5_frames_at_7_db():
     cfg = SimulationConfig(**PRESETS["fig5"], seed=501)
     for trial in range(3):
         trace = trace_trial(cfg, 1024, 7.0, trial)
-        assert len(trace) == cfg.max_iter, trial
+        assert len(trace) == cfg.blind_config().max_iter, trial
         assert np.all(np.diff(trace) < 0), trial
 
 
 def test_trace_is_finite_and_shaped():
-    cfg = dataclasses.replace(SMALL, frames_per_point=2, max_iter=15)
+    cfg = dataclasses.replace(SMALL, frames_per_point=2)
     traces = residual_trace(cfg)
     assert len(traces) == 1
     assert traces[0].P == 64
-    assert len(traces[0].errors) <= 15
+    assert len(traces[0].errors) <= cfg.blind_config().max_iter
     assert np.all(np.isfinite(traces[0].errors))
     text = render_trace_csv(cfg, traces)
     assert "P,snr_db,iteration,normalized_error" in text
