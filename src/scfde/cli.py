@@ -10,13 +10,16 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 every frame
 failed at some sweep point. Output paths are checked when SimulationConfig
 is built: one that is empty, names a directory or has no directory raises
 FileNotFoundError/IsADirectoryError (exit 3) before any trial runs, and
---out and --dump-trials naming one file is a configuration error.
+--out and --dump-trials naming one file, or either naming the --config
+file, is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+import re
 import sys
 from functools import partial
 
@@ -176,13 +179,33 @@ def build_config(args: argparse.Namespace) -> SimulationConfig:
                 raise ConfigError(f"{source} {flag!r}: {err}") from None
 
     try:
-        return SimulationConfig(**values)
+        cfg = SimulationConfig(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from None
+    # an output written over the config file would destroy the run's input
+    if args.config is not None:
+        for path in (cfg.out_path, cfg.dump_path):
+            if path is not None and os.path.realpath(path) == os.path.realpath(args.config):
+                raise ConfigError(f"output {path!r} is the config file {args.config!r}")
+    return cfg
+
+
+def _join_negative_snr(argv: list) -> list:
+    """'--snr -4:8:6' as '--snr=-4:8:6': argparse takes a token that starts
+    with '-' for an option unless the whole token is one negative number, so
+    a list or range that starts below 0 would leave --snr without a value."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--snr" and re.match(r"-[\d.]", token):
+            joined[-1] = "--snr=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_snr(argv))
     try:
         cfg = build_config(args)
         if args.command == "sweep":

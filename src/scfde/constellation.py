@@ -51,8 +51,8 @@ class Constellation:
         # the binary-reflected Gray code of each level rank, and its inverse;
         # rank r is level (m-1) - 2r, so bits 0..0 land in quadrant 1
         ranks = np.arange(m)
-        self._gray = ranks ^ (ranks >> 1)
-        rank_of = np.argsort(self._gray)
+        gray = ranks ^ (ranks >> 1)
+        rank_of = np.argsort(gray)
         idx = np.arange(order)
         level_i = (m - 1) - 2 * rank_of[idx >> half]
         level_q = (m - 1) - 2 * rank_of[idx & ((1 << half) - 1)]
@@ -64,27 +64,17 @@ class Constellation:
         self.corners = np.array([c1 * 1j**k for k in range(4)])
         quadrant = self.quadrant_of(self.points)
         self.centroids = np.array([np.mean(self.points[quadrant == q]) for q in (1, 2, 3, 4)])
-        for table in (self.points, self.corners, self.centroids):
+        # the four point indices around the cell between level ranks a, a+1
+        # in phase and b, b+1 in quadrature; the in-phase code is the high
+        # bit group, so each row is in index order
+        pair = np.sort(np.stack([gray[:-1], gray[1:]], axis=1), axis=1)
+        self._cells = ((pair[:, None, :, None] << half) | pair[None, :, None, :]).reshape(
+            m - 1, m - 1, 4
+        )
+        # the MSB-first bit row of each point index
+        self._bits = (idx[:, None] >> np.arange(self.bits_per_symbol - 1, -1, -1)) & 1
+        for table in (self.points, self.corners, self.centroids, self._cells, self._bits):
             table.flags.writeable = False
-
-    def _bracketing_indices(self, z: np.ndarray) -> np.ndarray:
-        """N x 4 point indices, ascending per row, of the grid cell around
-        each sample: per axis the two adjacent levels that bracket it
-        (the two outermost levels for samples beyond the grid edge)."""
-        half = self.bits_per_symbol // 2
-        m = self._m
-
-        def codes(coord):
-            # level (m-1) - 2r has rank r; NaN falls to the first pair
-            t = np.floor(((m - 1) - coord / self._scale) / 2.0)
-            lo = np.fmin(np.fmax(t, 0.0), m - 2).astype(np.int64)
-            g_lo, g_hi = self._gray[lo], self._gray[lo + 1]
-            return np.minimum(g_lo, g_hi), np.maximum(g_lo, g_hi)
-
-        i_min, i_max = (g << half for g in codes(z.real))
-        q_min, q_max = codes(z.imag)
-        # the in-phase code is the high bit group, so this is index order
-        return np.stack([i_min | q_min, i_min | q_max, i_max | q_min, i_max | q_max], axis=1)
 
     # -- quadrant geometry -------------------------------------------------
 
@@ -129,16 +119,22 @@ def qam_demodulate(symbols: np.ndarray, order: int) -> tuple[np.ndarray, np.ndar
     resolve to the smaller point index (argmin order of ``points``).
 
     O(N): each axis is sliced to the two levels that bracket the sample, and
-    only the 2 x 2 points they span are compared, with the same squared
-    distance |symbol - point|^2 as an exhaustive search. Any other point is
-    at least one level spacing farther away, so for finite inputs the
-    decisions equal the exhaustive search's, ties and rounding included.
+    only the 2 x 2 points they span, read from a cell table the alphabet
+    builds once, are compared, with the same squared distance
+    |symbol - point|^2 as an exhaustive search. Any other point is at least
+    one level spacing farther away, so for finite inputs the decisions equal
+    the exhaustive search's, ties and rounding included.
     """
     const = get_constellation(order)
     symbols = np.asarray(symbols, dtype=complex).ravel()
-    candidates = const._bracketing_indices(symbols)
+    m = const._m
+    # per axis the cell between level ranks r and r + 1 (level (m-1) - 2r has
+    # rank r), the outermost one beyond the grid edge; NaN falls to cell 0
+    a, b = (
+        np.fmin(np.fmax(np.floor(((m - 1) - x / const._scale) / 2.0), 0.0), m - 2)
+        for x in (symbols.real, symbols.imag)
+    )
+    candidates = const._cells[a.astype(np.int64), b.astype(np.int64)]
     d2 = np.abs(symbols[:, None] - const.points[candidates]) ** 2
     index = candidates[np.arange(symbols.size), d2.argmin(axis=1)]
-    k = const.bits_per_symbol
-    bits = (index[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return bits.ravel(), const.points[index]
+    return const._bits[index].ravel(), const.points[index]

@@ -155,6 +155,60 @@ def test_config_file_repeated_key_rejected(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "trace"])
+@pytest.mark.parametrize("snr", ["-4:8:6", "-4,2", "-.5,1"])
+def test_negative_snr_flag_value_builds_the_equals_form_config(command, snr, monkeypatch):
+    # argparse takes '-4:8:6' for an option unless it is attached with '='
+    seen = []
+    monkeypatch.setattr(cli, "sweep", lambda cfg: seen.append(cfg) or [])
+    monkeypatch.setattr(cli, "residual_trace", lambda cfg: seen.append(cfg) or [])
+    geometry = ["--seq-len", "64", "--nr", "4", "--taps", "2", "--taps-est", "2"]
+    assert main([command, *geometry, "--snr", snr, "--frames", "2"]) == 0
+    assert main([command, *geometry, f"--snr={snr}", "--frames", "2"]) == 0
+    separate, attached = seen
+    assert separate == attached
+    assert separate.snr_db_list == parse_snr_list(snr)
+    assert separate.snr_db_list[0] < 0
+
+
+def test_snr_flag_without_a_value_still_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--snr", "--frames", "2"])
+    assert info.value.code == 2
+
+
+def test_an_output_naming_the_config_file_exits_2_and_leaves_it(tmp_path, monkeypatch, capsys):
+    def no_trials(cfg):
+        raise AssertionError("trials ran despite a config error")
+
+    monkeypatch.setattr(cli, "sweep", no_trials)
+    monkeypatch.setattr(cli, "residual_trace", no_trials)
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "run.cfg"
+    text = "seq-len = 64\nnr = 4\ntaps = 2\ntaps-est = 2\nsnr = 7\nframes = 2\n"
+    path.write_text(text)
+    other = str(tmp_path / "other.csv")
+    for same in (str(path), str(tmp_path / "sub" / ".." / "run.cfg")):
+        for argv in (
+            ["sweep", "--out", same],
+            ["sweep", "--dump-trials", same],
+            ["sweep", "--out", other, "--dump-trials", same],
+            ["trace", "--out", same],
+        ):
+            assert main([*argv, "--config", str(path)]) == 2, argv
+            assert "is the config file" in capsys.readouterr().err
+            assert path.read_text() == text
+    # the same clash named by a key inside the file itself
+    for command, key in (("sweep", "out"), ("sweep", "dump-trials"), ("trace", "out")):
+        keyed = tmp_path / f"{command}-{key}.cfg"
+        keyed_text = f"{text}{key} = {keyed}\n"
+        keyed.write_text(keyed_text)
+        assert main([command, "--config", str(keyed)]) == 2, (command, key)
+        assert "is the config file" in capsys.readouterr().err
+        assert keyed.read_text() == keyed_text
+    assert not (tmp_path / "other.csv").exists()
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "ber.csv"
     rc = main(["sweep", *FAST, "--out", str(out)])

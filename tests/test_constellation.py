@@ -154,6 +154,29 @@ def test_quadrant_tables_equal_the_formulas_bit_for_bit():
                 table[0] = 0
 
 
+def test_slicer_tables_equal_their_formulas():
+    # _cells[a, b] holds, ascending, the four points whose level ranks are
+    # a, a+1 in phase and b, b+1 in quadrature; _bits[i] is i's bit row
+    for M in SUPPORTED_ORDERS:
+        const = get_constellation(M)
+        k = const.bits_per_symbol
+        m = int(np.sqrt(M))
+        indices = np.arange(M)
+        assert np.array_equal(const._bits, (indices[:, None] >> np.arange(k - 1, -1, -1)) & 1)
+        # rank r is level (m-1) - 2r, the largest level first
+        levels = np.round(const.points / np.sqrt(3.0 / (2.0 * (M - 1)))).astype(complex)
+        rank_i = ((m - 1) - levels.real.astype(int)) // 2
+        rank_q = ((m - 1) - levels.imag.astype(int)) // 2
+        assert const._cells.shape == (m - 1, m - 1, 4)
+        for a in range(m - 1):
+            for b in range(m - 1):
+                around = np.isin(rank_i, (a, a + 1)) & np.isin(rank_q, (b, b + 1))
+                assert np.array_equal(const._cells[a, b], indices[around]), (M, a, b)
+        for table in (const._cells, const._bits):
+            with pytest.raises(ValueError):  # read-only
+                table[0] = 0
+
+
 def test_corners_are_rotations_and_quadrant_maxima():
     for M in SUPPORTED_ORDERS:
         const = get_constellation(M)

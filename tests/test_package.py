@@ -47,6 +47,7 @@ REMOVED = (
     "parse_receivers",
     "_gray_decode",
     "_pilot_qq_alpha",
+    "_bracketing_indices",
 )
 
 
