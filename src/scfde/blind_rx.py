@@ -18,7 +18,7 @@ from the pilot ratio times a quadrant-centroid average of the
 pilot-de-rotated estimate (qq_alpha). A mode's scale sets only its first
 decisions, the slice of x_hat / alpha; decode_frame then re-solves the taps
 given the frame rebuilt from the decisions and slices the MRC update at that
-frame's scale.
+frame's scale. A decoded frame is its payload bits.
 """
 
 from __future__ import annotations
@@ -265,14 +265,11 @@ def qq_alpha(x_hat: np.ndarray, cfg: FrameConfig) -> complex:
 
 @dataclass
 class ModeEstimate:
-    """One correction mode's decoded frame: x_hat, its time-domain estimate
-    at the transmitted scale, the payload decisions bits and symbols sliced
-    from it, and dd_changed, the symbol decisions the last decision-directed
-    round changed (0 means a fixed point; NaN when no round ran)."""
+    """One correction mode's decoded frame: bits, its payload decisions, and
+    dd_changed, the symbol decisions the last decision-directed round changed,
+    counted on their bit groups (0 means a fixed point; NaN when no round ran)."""
 
-    x_hat: np.ndarray = field(repr=False)
     bits: np.ndarray = field(repr=False)
-    symbols: np.ndarray = field(repr=False)
     dd_changed: int | float = math.nan
 
 
@@ -283,16 +280,18 @@ MODES = {"blind_pilot": pilot_alpha, "blind_ca": ca_alpha, "blind_qq": qq_alpha}
 
 def _slice(x_hat: np.ndarray, cfg: FrameConfig, prior: np.ndarray | None = None) -> ModeEstimate:
     """Slice x_hat, a frame estimate at the transmitted scale; prior is the
-    symbols it was refined from, if any (dd_changed)."""
-    bits, symbols = qam_demodulate(extract_data(cfg, x_hat), cfg.M)
-    changed = math.nan if prior is None else int(np.count_nonzero(symbols != prior))
-    return ModeEstimate(x_hat=x_hat, bits=bits, symbols=symbols, dd_changed=changed)
+    bits it was refined from, if any (dd_changed: the Gray map is a bijection,
+    so a symbol decision changed where its log2(M)-bit group did)."""
+    bits, _ = qam_demodulate(extract_data(cfg, x_hat), cfg.M)
+    groups = None if prior is None else (bits != prior).reshape(cfg.N - 1, -1)  # row per symbol
+    changed = math.nan if groups is None else int(np.count_nonzero(groups.any(axis=1)))
+    return ModeEstimate(bits=bits, dd_changed=changed)
 
 
 @dataclass
 class BlindDecodeResult:
-    """The shared AM factorization and one decoded frame per mode, keyed by
-    its MODES name.
+    """The shared AM factorization and one decoded frame, its payload bits
+    and dd_changed (ModeEstimate), per mode, keyed by its MODES name.
 
     A mode that fails on its own (e.g. an annihilated pilot, or a degenerate
     bin in one of its rounds) lands in ``failures`` instead of taking the
@@ -315,13 +314,13 @@ def decode_frame(
 
     A mode slices x_hat / alpha, alpha its scale estimate (MODES[mode]).
     Each of _DD_ROUNDS rounds then rebuilds the frame from the pilot, the
-    guard zeros and the decisions, re-solves the taps given that frame by
-    one unregularized _am_step on AM's compression, and slices the new x_hat
-    at that frame's scale. A round depends on its input decisions alone, so
-    the modes that reach one decision vector share one run of its round (a
-    round that raises is not kept, and fails each of them alike). The result
-    covers the given modes and no other. Raises ValueError for a mode
-    outside MODES, before AM runs.
+    guard zeros and the decided bits, re-solves the taps given that frame by
+    one unregularized _am_step on AM's compression, and slices the updated
+    spectrum's idft at that frame's scale against the round's input bits. A
+    round depends on those bits alone, so the modes that reach one bit vector
+    share one run of its round (a round that raises is not kept, and fails
+    each of them alike). The result covers the given modes and no other.
+    Raises ValueError for a mode outside MODES, before AM runs.
     """
     unknown = [mode for mode in modes if mode not in MODES]
     if unknown:
@@ -339,7 +338,7 @@ def decode_frame(
                 if key not in rounds:
                     frame = build_frame(frame_cfg, decided.bits)
                     lam, _, _ = _am_step(est.compression, dft(frame), 0.0)
-                    rounds[key] = _slice(idft(lam), frame_cfg, decided.symbols)
+                    rounds[key] = _slice(idft(lam), frame_cfg, decided.bits)
                 decided = rounds[key]
         except ReceiverError as err:
             failures[mode] = err

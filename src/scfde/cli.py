@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "Monte-Carlo BER sweep over SNR (and sequence lengths)"),
         ("trace", "per-iteration normalized reconstruction error"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
         for flag, (_, _, flag_help) in _FLAGS.items():

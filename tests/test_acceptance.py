@@ -137,9 +137,8 @@ def test_criterion_3_noiseless_blind_recovery():
         est = result.estimate
         if est.iterations < blind.max_iter:
             stopped.append((t, est.iterations, est.residual_trace[-1]))
-        pilot = result.modes["blind_pilot"]
-        _, hard = qam_demodulate(extract_data(cfg, pilot.x_hat), M)
-        if np.array_equal(hard, qam_modulate(payload, M)):
+        # the Gray map is a bijection, so equal bits are equal symbol decisions
+        if np.array_equal(result.modes["blind_pilot"].bits, payload):
             clean += 1
     stalls_ok = all(residual < 1e-3 for _, _, residual in stopped)
     ok = clean >= 48 and stalls_ok

@@ -177,6 +177,22 @@ def test_snr_flag_without_a_value_still_exits_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "trace"])
+def test_abbreviated_flags_exit_2_and_full_flags_run(command, monkeypatch, capsys):
+    # a prefix of --snr is an unknown option whatever its value, so '--sn 7'
+    # is refused like '--sn -4:8:6'; the full flag takes either form
+    monkeypatch.setattr(cli, "sweep", lambda cfg: [])
+    monkeypatch.setattr(cli, "residual_trace", lambda cfg: [])
+    geometry = ["--seq-len", "64", "--nr", "4", "--taps", "2", "--taps-est", "2"]
+    for snr in (["--sn", "7"], ["--sn", "-4:8:6"]):
+        with pytest.raises(SystemExit) as info:
+            main([command, *geometry, *snr, "--frames", "2"])
+        assert info.value.code == 2, snr
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for snr in (["--snr", "-4:8:6"], ["--snr=-4:8:6"]):
+        assert main([command, *geometry, *snr, "--frames", "2"]) == 0, snr
+
+
 def test_an_output_naming_the_config_file_exits_2_and_leaves_it(tmp_path, monkeypatch, capsys):
     def no_trials(cfg):
         raise AssertionError("trials ran despite a config error")
