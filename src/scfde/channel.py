@@ -42,9 +42,7 @@ def draw_channel(powers: np.ndarray, Nr: int, rng: np.random.Generator) -> np.nd
         raise ValueError("tap powers must be nonnegative")
     if Nr < 1:
         raise ValueError(f"antenna count must be >= 1, got {Nr}")
-    L = powers.size
-    sigma = np.sqrt(powers / 2.0)[:, None]
-    return sigma * (rng.standard_normal((L, Nr)) + 1j * rng.standard_normal((L, Nr)))
+    return complex_noise((powers.size, Nr), powers[:, None], rng)
 
 
 def snr_db_to_noise_variance(snr_db: float) -> float:
@@ -52,8 +50,10 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
     return float(10.0 ** (-snr_db / 10.0))
 
 
-def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, variance) samples (always consumes the stream, even at 0).
+def complex_noise(shape, variance, rng: np.random.Generator) -> np.ndarray:
+    """Independent CN(0, variance) samples (always consumes the stream, even
+    at 0). variance is a scalar or an array that broadcasts against shape,
+    such as one power per row.
 
     The real parts take the first block of draws and the imaginary parts the
     second, so a given stream yields the same samples as

@@ -2,9 +2,10 @@
 
 Two subcommands: ``sweep`` writes one BER row per (sequence length, SNR,
 receiver); ``trace`` writes the per-iteration normalized reconstruction
-error of the blind decoder. Every flag can also live in a flat key=value
-config file (``--config``); explicit flags win over the file, which wins
-over the preset, which wins over built-in defaults.
+error of the blind decoder and takes no flag whose field is in
+harness.SWEEP_ONLY. Every flag of a command can also live in a flat UTF-8
+key=value config file (``--config``); explicit flags win over the file,
+which wins over the preset, which wins over built-in defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 every frame
 failed at some sweep point. Output paths are checked when SimulationConfig
@@ -26,6 +27,7 @@ from functools import partial
 from .harness import (
     PRESETS,
     RECEIVERS,
+    SWEEP_ONLY,
     SimulationConfig,
     render_csv,
     render_trace_csv,
@@ -109,18 +111,17 @@ _FLAGS = {
     "out": ("out_path", str, "output CSV path (default: stdout)"),
     "dump_trials": ("dump_path", str, "per-trial dump CSV path"),
 }
-# options that only sweep reads; trace rejects them as flags and as file keys
-_SWEEP_ONLY = ("receivers", "ofdm_taps", "dump_trials")
 
 
-def read_config_file(path: str) -> dict:
-    """Flat 'key = value' lines, each key at most once; '#' starts a comment;
-    keys match the flags, and '-' and '_' in a key are the same."""
+def read_config_file(path: str, keys) -> dict:
+    """Flat UTF-8 'key = value' lines, each key at most once; '#' starts a
+    comment; a key is 'preset' or one of keys (the command's flags), and
+    '-' and '_' in a key are the same."""
     values, line_of = {}, {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file: {err}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -130,7 +131,7 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key != "preset" and key not in _FLAGS:
+        if key != "preset" and key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}: key {key!r} on lines {line_of[key]} and {lineno}")
@@ -148,28 +149,24 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--preset", choices=sorted(PRESETS), help="experiment preset")
-        for flag, (_, _, flag_help) in _FLAGS.items():
-            if flag in _SWEEP_ONLY:
-                flag_help += " (sweep only)"
-            p.add_argument("--" + flag.replace("_", "-"), help=flag_help)
+        for flag, (field_name, _, flag_help) in _FLAGS.items():
+            if name == "sweep" or field_name not in SWEEP_ONLY:
+                p.add_argument("--" + flag.replace("_", "-"), help=flag_help)
     return parser
 
 
 def build_config(args: argparse.Namespace) -> SimulationConfig:
     """Flags win over the config file, which wins over the preset; --preset
     also wins over a 'preset' key in the file."""
-    file_values = read_config_file(args.config) if args.config else {}
+    flags = [flag for flag in _FLAGS if hasattr(args, flag)]  # the command's own
+    file_values = read_config_file(args.config, flags) if args.config else {}
     file_preset = file_values.pop("preset", None)
     preset = args.preset or file_preset
     if preset is not None and preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; valid: {sorted(PRESETS)}")
     values = dict(PRESETS.get(preset, {}))
 
-    flag_values = {flag: getattr(args, flag) for flag in _FLAGS if getattr(args, flag) is not None}
-    if args.command == "trace":
-        ignored = [flag for flag in _SWEEP_ONLY if flag in file_values or flag in flag_values]
-        if ignored:
-            raise ConfigError(f"trace does not use {', '.join(ignored)}; remove them")
+    flag_values = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     for source, raw_values in (("config key", file_values), ("flag", flag_values)):
         for flag, raw in raw_values.items():
             field_name, convert, _ = _FLAGS[flag]

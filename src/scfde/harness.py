@@ -120,15 +120,12 @@ class SimulationConfig:
             )
         # build every per-P plan now, so an invalid combination is reported
         # before any trial runs
-        self.blind_config()
+        BlindConfig(L_est=self.L_est)
         for P in self.seq_lengths:
             FrameConfig(P=P, L=self.L, M=self.M)
             self.ofdm_config(P)
             if P <= 2 * self.L_est:
                 raise ValueError(f"need P > 2*L_est, got P={P}, L_est={self.L_est}")
-
-    def blind_config(self) -> BlindConfig:
-        return BlindConfig(L_est=self.L_est)
 
     def ofdm_config(self, P: int) -> OfdmPilotConfig:
         """Baseline plan for one sequence length; ofdm_taps None keeps all
@@ -266,7 +263,9 @@ def run_trial(
     blind = tuple(r for r in cfg.receivers if r in MODES)
     if blind:
         try:
-            decoded = decode_frame(draw.blind_received(), draw.frame_cfg, cfg.blind_config(), blind)
+            decoded = decode_frame(
+                draw.blind_received(), draw.frame_cfg, BlindConfig(L_est=cfg.L_est), blind
+            )
             est, decided = decoded.estimate, decoded.modes
         except ReceiverError:
             decided = {}
@@ -368,12 +367,14 @@ def _fmt(value) -> str:
 # scheduling and output destinations cannot change the numbers, so they are
 # left out of the echo to keep the CSV bytes a function of the results alone
 _ECHO_SKIP = ("workers", "out_path", "dump_path")
+# fields only a sweep reads: trace has no flag or key for them and no echo line
+SWEEP_ONLY = ("receivers", "ofdm_taps", "dump_path")
 
 
-def _config_echo(cfg: SimulationConfig) -> list[str]:
+def _config_echo(cfg: SimulationConfig, skip: tuple = ()) -> list[str]:
     lines = [f"# scfde {__version__}"]
     for f in fields(cfg):
-        if f.name in _ECHO_SKIP:
+        if f.name in _ECHO_SKIP or f.name in skip:
             continue
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
@@ -440,7 +441,8 @@ def trace_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) 
     """Residual trace of the blind factorization on one frame (the same
     draws, hence the same receive matrix, as run_trial)."""
     draw = draw_trial(cfg, P, snr_db, trial_index)
-    return alternating_minimization(draw.blind_received(), cfg.blind_config()).residual_trace
+    est = alternating_minimization(draw.blind_received(), BlindConfig(L_est=cfg.L_est))
+    return est.residual_trace
 
 
 def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:
@@ -469,4 +471,4 @@ def render_trace_csv(cfg: SimulationConfig, traces: list[ResidualTrace]) -> str:
         for tr in traces
         for i, err in enumerate(tr.errors, start=1)
     )
-    return _render(_config_echo(cfg), TRACE_HEADER, rows)
+    return _render(_config_echo(cfg, SWEEP_ONLY), TRACE_HEADER, rows)

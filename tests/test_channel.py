@@ -162,6 +162,20 @@ def test_complex_noise_matches_two_block_reference():
     assert np.array_equal(w, ref)
 
 
+@pytest.mark.parametrize("L,Nr,ratio", [(1, 1, 1.0), (5, 3, 0.5), (9, 64, 0.3), (12, 7, 0.9)])
+def test_draw_channel_is_bit_equal_to_the_scaled_gaussian_formula(L, Nr, ratio):
+    # the taps are complex_noise's draws, one power per row; a zero-power
+    # tap keeps the sign bits of the explicit product
+    powers = geometric_profile(L, ratio)
+    powers[L // 2] = 0.0
+    taps = draw_channel(powers, Nr, np.random.default_rng(L * 100 + Nr))
+    rng = np.random.default_rng(L * 100 + Nr)
+    sigma = np.sqrt(powers / 2.0)[:, None]
+    ref = sigma * (rng.standard_normal((L, Nr)) + 1j * rng.standard_normal((L, Nr)))
+    assert taps.shape == (L, Nr)
+    assert np.array_equal(taps.view(np.uint64), ref.view(np.uint64))
+
+
 def test_frequency_response_is_unnormalized_tap_dft():
     ch = draw_channel(geometric_profile(5, 0.5), 3, np.random.default_rng(37))
     Hf = frequency_response(ch, 24)

@@ -102,21 +102,64 @@ def test_preset_flag_beats_config_file_preset(tmp_path):
     assert main(argv) == 0
 
 
-def test_trace_rejects_dump_trials(tmp_path, monkeypatch, capsys):
-    # and the other sweep-only options, each as a flag and as a file key
+def test_trace_refuses_every_sweep_only_flag_and_key(tmp_path, monkeypatch, capsys):
+    # trace has no flag for a SWEEP_ONLY field (argparse exits 2) and no
+    # config key for one (unknown key, exit 2), and runs no trial either way
     def no_trials(cfg):
         raise AssertionError("trace ran trials despite a config error")
 
     monkeypatch.setattr(cli, "residual_trace", no_trials)
     dump = tmp_path / "trials.csv"
     sweep_only = (("dump_trials", str(dump)), ("receivers", "mrc_ofdm"), ("ofdm_taps", "2"))
-    assert {flag for flag, _ in sweep_only} == set(cli._SWEEP_ONLY)
+    assert {cli._FLAGS[flag][0] for flag, _ in sweep_only} == set(harness.SWEEP_ONLY)
     for flag, raw in sweep_only:
-        assert main(["trace", *FAST, "--" + flag.replace("_", "-"), raw]) == 2, flag
+        with pytest.raises(SystemExit) as info:
+            main(["trace", *FAST, "--" + flag.replace("_", "-"), raw])
+        assert info.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
         path = tmp_path / f"{flag}.cfg"
-        path.write_text(f"{flag} = {raw}\n")
+        path.write_text(f"{flag.replace('_', '-')} = {raw}\n")
         assert main(["trace", *FAST, "--config", str(path)]) == 2, flag
+        assert f"unknown key {flag!r}" in capsys.readouterr().err
     assert not dump.exists()
+
+
+def test_trace_help_names_no_sweep_only_flag(capsys):
+    for command, shown in (("sweep", True), ("trace", False)):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        for flag in ("--receivers", "--ofdm-taps", "--dump-trials"):
+            assert (flag in text) == shown, (command, flag)
+
+
+def test_trace_csv_echoes_no_sweep_only_field(tmp_path):
+    trace_out, sweep_out = tmp_path / "trace.csv", tmp_path / "sweep.csv"
+    assert main(["trace", *FAST, "--out", str(trace_out)]) == 0
+    assert main(["sweep", *FAST, "--out", str(sweep_out)]) == 0
+    trace_echo = [l for l in trace_out.read_text().splitlines() if l.startswith("#")]
+    sweep_echo = [l for l in sweep_out.read_text().splitlines() if l.startswith("#")]
+    dropped = ["# receivers = blind_pilot,blind_ca,blind_qq,mrc_ofdm", "# ofdm_taps = None"]
+    assert [l for l in sweep_echo if l not in dropped] == trace_echo
+    assert all(l in sweep_echo for l in dropped)
+
+
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys):
+    def no_trials(cfg):
+        raise AssertionError("trials ran despite a config error")
+
+    monkeypatch.setattr(cli, "sweep", no_trials)
+    monkeypatch.setattr(cli, "residual_trace", no_trials)
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# d\u00e9cal\u00e9\nframes = 2\n".encode("latin-1"))
+    for command in ("sweep", "trace"):
+        assert main([command, "--config", str(path)]) == 2, command
+        assert "cannot read config file" in capsys.readouterr().err
+    # the same comment in UTF-8 is read
+    path.write_text("# d\u00e9cal\u00e9\nframes = 2\n", encoding="utf-8")
+    args = build_parser().parse_args(["sweep", "--config", str(path)])
+    assert build_config(args).frames_per_point == 2
 
 
 def test_config_file_unknown_key_rejected(tmp_path):

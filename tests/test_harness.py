@@ -6,6 +6,7 @@ import pytest
 
 import scfde.harness as harness
 from scfde.baseline_rx import OfdmPilotConfig, estimate_channel, ofdm_transmit
+from scfde.blind_rx import BlindConfig
 from scfde.channel import (
     complex_noise,
     convolve_channel,
@@ -369,7 +370,7 @@ def test_am_runs_to_the_cap_on_fig5_frames_at_7_db():
     cfg = SimulationConfig(**PRESETS["fig5"], seed=501)
     for trial in range(3):
         trace = trace_trial(cfg, 1024, 7.0, trial)
-        assert len(trace) == cfg.blind_config().max_iter, trial
+        assert len(trace) == BlindConfig.max_iter, trial
         assert np.all(np.diff(trace) < 0), trial
 
 
@@ -378,7 +379,7 @@ def test_trace_is_finite_and_shaped():
     traces = residual_trace(cfg)
     assert len(traces) == 1
     assert traces[0].P == 64
-    assert len(traces[0].errors) <= cfg.blind_config().max_iter
+    assert len(traces[0].errors) <= BlindConfig.max_iter
     assert np.all(np.isfinite(traces[0].errors))
     text = render_trace_csv(cfg, traces)
     assert "P,snr_db,iteration,normalized_error" in text

@@ -11,7 +11,7 @@ import pytest
 import scfde
 from conftest import THREAD_VARS
 from scfde.constellation import Constellation
-from scfde.harness import CSV_HEADER, DUMP_HEADER, TRACE_HEADER
+from scfde.harness import CSV_HEADER, DUMP_HEADER, TRACE_HEADER, SimulationConfig
 
 REMOVED = (
     "DftOperator",
@@ -48,6 +48,8 @@ REMOVED = (
     "_gray_decode",
     "_pilot_qq_alpha",
     "_bracketing_indices",
+    "_SWEEP_ONLY",
+    "blind_config",
 )
 
 
@@ -76,7 +78,7 @@ def test_leaf_modules_import_alone():
 
 
 def test_removed_names_are_gone():
-    for owner in [scfde, *submodules(), Constellation]:
+    for owner in [scfde, *submodules(), Constellation, SimulationConfig]:
         leftover = [name for name in REMOVED if hasattr(owner, name)]
         assert not leftover, f"{owner.__name__} still defines {leftover}"
 
