@@ -114,17 +114,19 @@ _FLAGS = {
 
 
 def read_config_file(path: str, keys) -> dict:
-    """Flat UTF-8 'key = value' lines, each key at most once; '#' starts a
-    comment; a key is 'preset' or one of keys (the command's flags), and
-    '-' and '_' in a key are the same."""
+    """Flat UTF-8 'key = value' lines (a leading byte-order mark is skipped),
+    each key at most once; '#' at the start of a line or after whitespace
+    starts a comment, so 'out = run#1.csv' keeps its '#'; a key is 'preset'
+    or one of keys (the command's flags), and '-' and '_' in a key are the
+    same."""
     values, line_of = {}, {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file: {err}") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

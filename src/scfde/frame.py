@@ -11,6 +11,7 @@ receiver and resolves the global complex scale of the blind estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,10 +54,12 @@ class FrameConfig:
     def pilot_value(self) -> complex:
         return get_constellation(self.M).corners[0]
 
-    @property
+    @cached_property
     def data_indices(self) -> np.ndarray:
-        """Positions of the N-1 payload symbols (pilot excluded)."""
-        return np.arange(self.pilot_index + 1, self.pilot_index + self.N)
+        """Positions of the N-1 payload symbols (pilot excluded), read-only."""
+        idx = np.arange(self.pilot_index + 1, self.pilot_index + self.N)
+        idx.flags.writeable = False
+        return idx
 
     @property
     def payload_bits(self) -> int:

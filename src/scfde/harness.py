@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,19 +119,19 @@ class SimulationConfig:
                 f"output and per-trial dump are the same file ({self.out_path}); "
                 "the dump would overwrite the sweep CSV"
             )
-        # build every per-P plan now, so an invalid combination is reported
-        # before any trial runs
-        BlindConfig(L_est=self.L_est)
-        for P in self.seq_lengths:
-            FrameConfig(P=P, L=self.L, M=self.M)
-            self.ofdm_config(P)
-            if P <= 2 * self.L_est:
-                raise ValueError(f"need P > 2*L_est, got P={P}, L_est={self.L_est}")
+        _plans(self)  # builds, and so checks, every plan before any trial runs
 
-    def ofdm_config(self, P: int) -> OfdmPilotConfig:
-        """Baseline plan for one sequence length; ofdm_taps None keeps all
-        pilot taps (OfdmPilotConfig.L_trunc)."""
-        return OfdmPilotConfig(P=P, M=self.M, L_trunc=self.ofdm_taps)
+
+@lru_cache(maxsize=8)
+def _plans(cfg: SimulationConfig) -> tuple[BlindConfig, dict]:
+    """AM's settings and each P's (FrameConfig, OfdmPilotConfig), built once
+    per process for each configuration; a pool task pickles only cfg."""
+    blind_cfg, plans = BlindConfig(L_est=cfg.L_est), {}
+    for P in cfg.seq_lengths:
+        plans[P] = FrameConfig(P, cfg.L, cfg.M), OfdmPilotConfig(P, cfg.M, cfg.ofdm_taps)
+        if P <= 2 * cfg.L_est:
+            raise ValueError(f"need P > 2*L_est, got P={P}, L_est={cfg.L_est}")
+    return blind_cfg, plans
 
 
 PRESETS = {
@@ -227,9 +228,8 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
     never changes results.
     """
     rng = _substream(cfg.seed, P, snr_db, trial_index)
-    frame_cfg = FrameConfig(P=P, L=cfg.L, M=cfg.M)
+    frame_cfg, ofdm_cfg = _plans(cfg)[1][P]
     payload = random_payload(frame_cfg, rng)
-    ofdm_cfg = cfg.ofdm_config(P)
     ofdm_payload = random_payload(ofdm_cfg, rng)
     taps = draw_channel(geometric_profile(cfg.L, _PDP_RATIO), cfg.Nr, rng)
     noise = complex_noise((P, cfg.Nr), snr_db_to_noise_variance(snr_db), rng)
@@ -263,9 +263,7 @@ def run_trial(
     blind = tuple(r for r in cfg.receivers if r in MODES)
     if blind:
         try:
-            decoded = decode_frame(
-                draw.blind_received(), draw.frame_cfg, BlindConfig(L_est=cfg.L_est), blind
-            )
+            decoded = decode_frame(draw.blind_received(), draw.frame_cfg, _plans(cfg)[0], blind)
             est, decided = decoded.estimate, decoded.modes
         except ReceiverError:
             decided = {}
@@ -441,8 +439,7 @@ def trace_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) 
     """Residual trace of the blind factorization on one frame (the same
     draws, hence the same receive matrix, as run_trial)."""
     draw = draw_trial(cfg, P, snr_db, trial_index)
-    est = alternating_minimization(draw.blind_received(), BlindConfig(L_est=cfg.L_est))
-    return est.residual_trace
+    return alternating_minimization(draw.blind_received(), _plans(cfg)[0]).residual_trace
 
 
 def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:

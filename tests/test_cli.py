@@ -162,6 +162,41 @@ def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys):
     assert build_config(args).frames_per_point == 2
 
 
+# the console-script check's configuration
+SMALL_CFG = "seq-len = 64\nnr = 4\ntaps = 2\ntaps-est = 2\nmod-order = 16\nsnr = 7\nframes = 2\n"
+
+
+def test_a_byte_order_mark_leaves_the_csv_bytes_alone(tmp_path):
+    # an editor that saves "UTF-8 with BOM" puts U+FEFF before the first key
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(SMALL_CFG, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + SMALL_CFG.encode("utf-8"))
+    csvs = []
+    for path in (plain, marked):
+        out = tmp_path / f"{path.stem}.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_a_hash_starts_a_comment_only_at_a_line_start_or_after_whitespace(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "# a full-line comment\n"
+        "   # an indented one\n"
+        + SMALL_CFG.replace("snr = 7", "snr = 7  # dB")
+        + "out = run#1.csv\n"
+    )
+    cfg = build_config(build_parser().parse_args(["sweep", "--config", str(path)]))
+    assert cfg.snr_db_list == (7.0,)
+    assert cfg.out_path == "run#1.csv"
+    assert main(["sweep", "--config", str(path), "--receivers", "mrc_ofdm"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run.cfg"]
+
+
 def test_config_file_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("unknown-key = 3\n")

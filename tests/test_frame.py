@@ -26,6 +26,16 @@ def test_p16_l3_layout_counts():
     assert np.all(x[3:14] != 0)
 
 
+def test_payload_positions_built_once_per_plan():
+    cfg = FrameConfig(P=32, L=4, M=16)
+    idx = cfg.data_indices
+    assert cfg.data_indices is idx
+    assert not idx.flags.writeable
+    # the cached array stays out of equality and hashing
+    untouched = FrameConfig(P=32, L=4, M=16)
+    assert cfg == untouched and hash(cfg) == hash(untouched)
+
+
 def test_build_frame_deterministic():
     cfg = FrameConfig(P=32, L=4, M=16)
     rng = np.random.default_rng(7)

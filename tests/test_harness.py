@@ -89,7 +89,7 @@ def test_draw_trial_matches_time_domain_reference():
         ref = _substream(cfg.seed, P, 5.0, trial)
         frame_cfg = FrameConfig(P=P, L=L, M=16)
         payload = ref.integers(0, 2, size=frame_cfg.payload_bits)
-        ofdm_payload = ref.integers(0, 2, size=cfg.ofdm_config(P).payload_bits)
+        ofdm_payload = ref.integers(0, 2, size=OfdmPilotConfig(P=P, M=16).payload_bits)
         ch = draw_channel(geometric_profile(L, 0.5), Nr, ref)
         noise = complex_noise((P, Nr), snr_db_to_noise_variance(5.0), ref)
         assert np.array_equal(draw.payload, payload)
@@ -428,7 +428,7 @@ def test_selected_receivers_canonical_order():
 
 
 def test_ofdm_config_defaults_to_all_pilot_taps():
-    plan = SMALL.ofdm_config(64)
+    plan = draw_trial(SMALL, 64, 8.0, 0).ofdm_cfg
     assert plan.L_trunc is None
     # None keeps every pilot tap: the same estimate as L_trunc = ceil(0.1 * 64)
     rng = np.random.default_rng(5)
@@ -436,4 +436,27 @@ def test_ofdm_config_defaults_to_all_pilot_taps():
     explicit = OfdmPilotConfig(P=64, M=SMALL.M, L_trunc=7)
     assert np.array_equal(estimate_channel(Yf, plan), estimate_channel(Yf, explicit))
     informed = dataclasses.replace(SMALL, ofdm_taps=3)
-    assert informed.ofdm_config(64).L_trunc == 3
+    assert draw_trial(informed, 64, 8.0, 0).ofdm_cfg.L_trunc == 3
+
+
+def test_trials_read_the_plans_the_config_built(monkeypatch):
+    # SimulationConfig builds every plan to check it; a sweep and a trace then
+    # read those objects rather than building their own for each frame
+    cfg = dataclasses.replace(SMALL, seq_lengths=(32, 64), frames_per_point=2, workers=1)
+    built = []
+
+    def counted(check):
+        def post_init(self):
+            built.append(type(self).__name__)
+            check(self)
+
+        return post_init
+
+    for plan in (FrameConfig, OfdmPilotConfig, BlindConfig):
+        monkeypatch.setattr(plan, "__post_init__", counted(plan.__post_init__))
+    sweep(cfg)
+    residual_trace(cfg)
+    assert built == []
+    first, second = (draw_trial(cfg, 64, 8.0, i) for i in (0, 1))
+    assert first.frame_cfg is second.frame_cfg
+    assert first.ofdm_cfg is second.ofdm_cfg

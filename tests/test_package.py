@@ -50,6 +50,7 @@ REMOVED = (
     "_bracketing_indices",
     "_SWEEP_ONLY",
     "blind_config",
+    "ofdm_config",
 )
 
 
