@@ -68,6 +68,11 @@ class BlindConfig:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
+    def check_length(self, P: int) -> None:
+        """Refuse a frame of P samples too short to identify its L_est taps."""
+        if P <= 2 * self.L_est:
+            raise ValueError(f"need P > 2*L_est, got P={P}, L_est={self.L_est}")
+
 
 @dataclass(frozen=True)
 class Compression:
@@ -170,8 +175,7 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     """
     Yf = np.asarray(Yf, dtype=complex)
     P, Nr = Yf.shape
-    if P <= 2 * cfg.L_est:
-        raise ValueError(f"need P > 2*L_est, got P={P}, L_est={cfg.L_est}")
+    cfg.check_length(P)
     if Nr < 1:
         raise ValueError("at least one antenna column required")
 

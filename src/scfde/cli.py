@@ -32,6 +32,7 @@ from .harness import (
     render_csv,
     render_trace_csv,
     residual_trace,
+    snr_key_count,
     sweep,
 )
 
@@ -72,12 +73,9 @@ def parse_snr_list(text: str) -> tuple:
         count = int(math.floor(steps + 1e-9)) + 1
         if count < 1:
             raise ConfigError(f"empty SNR range {text!r}")
-        # SimulationConfig rejects SNRs that repeat a 32-bit 1e-3 dB key, and
-        # a range with more values than keys between its ends must repeat one
-        lo, hi = start * 1000.0, (start + (count - 1) * step) * 1000.0
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError(f"SNR range {text!r} is not finite in units of 1e-3 dB")
-        keys = min(2**32, round(hi) - round(lo) + 1)
+        # a range with more values than keys between its ends repeats one,
+        # which SimulationConfig would refuse only after listing them all
+        keys = snr_key_count(start, start + (count - 1) * step)
         if count > keys:
             raise ConfigError(
                 f"SNR range {text!r} has {count:.3g} values but only {keys:.3g} "

@@ -86,11 +86,7 @@ class SimulationConfig:
         object.__setattr__(self, "receivers", tuple(r for r in RECEIVERS if r in self.receivers))
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # _snr_key scales by 1000 before rounding to an integer
-        if not all(math.isfinite(snr * 1000.0) for snr in self.snr_db_list):
-            raise ValueError(f"SNRs must be finite in units of 1e-3 dB, got {self.snr_db_list}")
-        keys = [_snr_key(snr) for snr in self.snr_db_list]
-        if len(set(keys)) < len(keys):
+        if len({_snr_key(snr) for snr in self.snr_db_list}) < len(self.snr_db_list):
             raise ValueError(
                 f"SNRs {self.snr_db_list} repeat at 1e-3 dB resolution, so their "
                 "cells would share random draws"
@@ -123,15 +119,15 @@ class SimulationConfig:
 
 
 @lru_cache(maxsize=8)
-def _plans(cfg: SimulationConfig) -> tuple[BlindConfig, dict]:
-    """AM's settings and each P's (FrameConfig, OfdmPilotConfig), built once
-    per process for each configuration; a pool task pickles only cfg."""
+def _plans(cfg: SimulationConfig) -> tuple[BlindConfig, np.ndarray, dict]:
+    """AM's settings, the channel's tap powers and each P's (FrameConfig,
+    OfdmPilotConfig), built once per process for each configuration; a pool
+    task pickles only cfg."""
     blind_cfg, plans = BlindConfig(L_est=cfg.L_est), {}
     for P in cfg.seq_lengths:
         plans[P] = FrameConfig(P, cfg.L, cfg.M), OfdmPilotConfig(P, cfg.M, cfg.ofdm_taps)
-        if P <= 2 * cfg.L_est:
-            raise ValueError(f"need P > 2*L_est, got P={P}, L_est={cfg.L_est}")
-    return blind_cfg, plans
+        blind_cfg.check_length(P)
+    return blind_cfg, geometric_profile(cfg.L, _PDP_RATIO), plans
 
 
 PRESETS = {
@@ -189,9 +185,22 @@ class BerPoint:
 CSV_HEADER = ",".join(f.name for f in fields(BerPoint))
 
 
+def _snr_milli(snr_db: float) -> int:
+    """The SNR in whole 1e-3 dB (round half to even), its stream key's unit."""
+    milli = snr_db * 1000.0
+    if not math.isfinite(milli):
+        raise ValueError(f"SNR {snr_db} dB is not finite in units of 1e-3 dB")
+    return round(milli)
+
+
 def _snr_key(snr_db: float) -> int:
-    """The SNR's share of a trial's stream key (1e-3 dB resolution)."""
-    return int(round(snr_db * 1000.0)) & 0xFFFFFFFF
+    """The SNR's share of a trial's stream key: 32 bits of _snr_milli."""
+    return _snr_milli(snr_db) & 0xFFFFFFFF
+
+
+def snr_key_count(lo_db: float, hi_db: float) -> int:
+    """How many distinct stream keys the SNRs from lo_db to hi_db can take."""
+    return min(2**32, _snr_milli(hi_db) - _snr_milli(lo_db) + 1)
 
 
 def _substream(seed: int, P: int, snr_db: float, trial_index: int) -> np.random.Generator:
@@ -228,10 +237,11 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
     never changes results.
     """
     rng = _substream(cfg.seed, P, snr_db, trial_index)
-    frame_cfg, ofdm_cfg = _plans(cfg)[1][P]
+    _, powers, plans = _plans(cfg)
+    frame_cfg, ofdm_cfg = plans[P]
     payload = random_payload(frame_cfg, rng)
     ofdm_payload = random_payload(ofdm_cfg, rng)
-    taps = draw_channel(geometric_profile(cfg.L, _PDP_RATIO), cfg.Nr, rng)
+    taps = draw_channel(powers, cfg.Nr, rng)
     noise = complex_noise((P, cfg.Nr), snr_db_to_noise_variance(snr_db), rng)
     return TrialDraw(
         frame_cfg=frame_cfg,

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import scfde.cli as cli
 import scfde.harness as harness
@@ -22,6 +26,45 @@ def test_snr_list_and_range_parsing():
         parse_snr_list("0:16:-2")
     with pytest.raises(ConfigError):
         parse_snr_list("a,b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.floats(-50.0, 50.0),
+    step=st.one_of(st.floats(1e-4, 1e-3), st.floats(1e-3, 1e-2)),
+    n=st.integers(1, 3000),
+)
+@example(start=0.0005, step=0.001, n=3)
+def test_snr_range_refusals_agree_with_the_keys(start, step, n):
+    # parse_snr_list refuses a range for its keys only when its values really
+    # repeat one; a range it lists either builds or repeats a key
+    text = f"{start!r}:{start + (n - 1) * step!r}:{step!r}"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "snr_key_count", lambda lo_db, hi_db: math.inf)
+        listed = parse_snr_list(text)
+    repeats = len({harness._snr_key(snr) for snr in listed}) < len(listed)
+    try:
+        snrs = parse_snr_list(text)
+    except ConfigError as err:
+        assert "keys at 1e-3 dB resolution" in str(err)
+        assert repeats
+        return
+    assert snrs == listed
+    try:
+        SimulationConfig(snr_db_list=snrs)
+    except ValueError as err:
+        assert "repeat at 1e-3 dB resolution" in str(err)
+        assert repeats
+    else:
+        assert not repeats
+
+
+def test_a_range_with_a_key_per_value_can_still_repeat_one():
+    # 0.5, 1.5 and 2.5 (1e-3 dB) round half to even to the keys 0, 2, 2
+    snrs = parse_snr_list("0.0005:0.0025:0.001")
+    assert len(snrs) == 3
+    with pytest.raises(ValueError, match="repeat at 1e-3 dB resolution"):
+        SimulationConfig(snr_db_list=snrs)
 
 
 def test_preset_fills_defaults_and_flags_override():

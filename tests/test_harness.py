@@ -6,7 +6,7 @@ import pytest
 
 import scfde.harness as harness
 from scfde.baseline_rx import OfdmPilotConfig, estimate_channel, ofdm_transmit
-from scfde.blind_rx import BlindConfig
+from scfde.blind_rx import BlindConfig, alternating_minimization
 from scfde.channel import (
     complex_noise,
     convolve_channel,
@@ -440,8 +440,9 @@ def test_ofdm_config_defaults_to_all_pilot_taps():
 
 
 def test_trials_read_the_plans_the_config_built(monkeypatch):
-    # SimulationConfig builds every plan to check it; a sweep and a trace then
-    # read those objects rather than building their own for each frame
+    # SimulationConfig builds every plan, and the channel's tap powers, to
+    # check it; a sweep and a trace then read those objects rather than
+    # building their own for each frame
     cfg = dataclasses.replace(SMALL, seq_lengths=(32, 64), frames_per_point=2, workers=1)
     built = []
 
@@ -452,11 +453,34 @@ def test_trials_read_the_plans_the_config_built(monkeypatch):
 
         return post_init
 
+    def profile(L, ratio):
+        built.append("geometric_profile")
+        return geometric_profile(L, ratio)
+
     for plan in (FrameConfig, OfdmPilotConfig, BlindConfig):
         monkeypatch.setattr(plan, "__post_init__", counted(plan.__post_init__))
+    monkeypatch.setattr(harness, "geometric_profile", profile)
     sweep(cfg)
     residual_trace(cfg)
     assert built == []
     first, second = (draw_trial(cfg, 64, 8.0, i) for i in (0, 1))
     assert first.frame_cfg is second.frame_cfg
     assert first.ofdm_cfg is second.ofdm_cfg
+
+
+def test_the_identifiability_bound_has_one_owner(monkeypatch):
+    # the config check and AM both ask BlindConfig.check_length, so a stricter
+    # bound refuses in both a length that P > 2*L_est allows
+    def stricter(self, P):
+        if P <= 4 * self.L_est:
+            raise ValueError(f"need P > 4*L_est, got P={P}, L_est={self.L_est}")
+
+    fields = dict(seq_lengths=(64,), L=2, L_est=20, Nr=2, snr_db_list=(29.0,))
+    SimulationConfig(**fields)
+    monkeypatch.setattr(BlindConfig, "check_length", stricter)
+    harness._plans.cache_clear()  # the config just built must be checked afresh
+    with pytest.raises(ValueError, match=r"4\*L_est"):
+        SimulationConfig(**fields)
+    Yf = np.random.default_rng(29).standard_normal((64, 2)) + 0j
+    with pytest.raises(ValueError, match=r"4\*L_est"):
+        alternating_minimization(Yf, BlindConfig(L_est=20))
