@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,20 +54,18 @@ class BlindConfig:
     L_est is the assumed tap count. Too few taps and too many both cost
     accuracy, because extra taps fit noise: on fig5 at 4 dB (L = 9),
     L_est = 16 made 769/2876/434 pilot/CA/QQ bit errors against
-    269/272/243 at L_est = 9 (ROADMAP item 5). max_iter caps the
-    iterations, which otherwise stop at the first step that does not lower
-    the residual; the experiment always runs the default cap of 100. The
-    channel solve's ridge weight is the constant _MU.
+    269/272/243 at L_est = 9 (ROADMAP item 5). L_est is the only field:
+    the class constant max_iter caps the iterations, which otherwise stop
+    at the first step that does not lower the residual, and the channel
+    solve's ridge weight is the constant _MU.
     """
 
     L_est: int
-    max_iter: int = 100
+    max_iter: ClassVar[int] = 100
 
     def __post_init__(self):
         if self.L_est < 1:
             raise ValueError(f"L_est must be >= 1, got {self.L_est}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def check_length(self, P: int) -> None:
         """Refuse a frame of P samples too short to identify its L_est taps."""
@@ -176,8 +175,6 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     Yf = np.asarray(Yf, dtype=complex)
     P, Nr = Yf.shape
     cfg.check_length(P)
-    if Nr < 1:
-        raise ValueError("at least one antenna column required")
 
     Yc, V_K = compress_columns(Yf, min(Nr, cfg.L_est))
     c = Compression.of(Yc, np.linalg.norm(Yf) ** 2, cfg.L_est)

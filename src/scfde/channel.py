@@ -70,10 +70,7 @@ def frequency_response(taps: np.ndarray, P: int) -> np.ndarray:
     """P x Nr per-bin channel gains of an L x Nr tap matrix: the
     unnormalized P-point DFT of each antenna's taps, sqrt(P) * F_L @ taps
     with F_L the first L columns of the unitary DFT."""
-    L = taps.shape[0]
-    if L > P:
-        raise ValueError(f"channel has {L} taps but the frame only {P} samples")
-    Hf = dft_first_columns(P, L) @ taps
+    Hf = dft_first_columns(P, taps.shape[0]) @ taps
     Hf *= math.sqrt(P)
     return Hf
 

@@ -130,20 +130,20 @@ def test_flat_channel_noiseless_recovery():
 
 
 def test_noiseless_two_tap_residual_frozen_instance():
-    # verified draw: this channel/payload reaches 3.5e-4 by iteration 50;
-    # typical draws land between 3e-4 and 4e-3 at this depth (see ledger)
+    # verified draw: this channel/payload reaches 2.0e-4 at the cap of 100
+    # (3.5e-4 by iteration 50); seeds 100-104 land between 2e-4 and 1.3e-3
     cfg, _, frame, ch, Yf = noiseless_setup(64, 2, 8, 64, seed=101)
-    est = alternating_minimization(Yf, BlindConfig(L_est=2, max_iter=50))
+    est = alternating_minimization(Yf, BlindConfig(L_est=2))
     assert est.residual_trace[-1] < 1e-3
     for seed in range(100, 105):
         _, _, _, _, Yf_s = noiseless_setup(64, 2, 8, 64, seed=seed)
-        est_s = alternating_minimization(Yf_s, BlindConfig(L_est=2, max_iter=50))
+        est_s = alternating_minimization(Yf_s, BlindConfig(L_est=2))
         assert est_s.residual_trace[-1] < 5e-3
 
 
 def test_estimate_internal_consistency():
     cfg, _, _, _, Yf = noiseless_setup(128, 3, 4, 16, seed=4)
-    est = alternating_minimization(Yf, BlindConfig(L_est=3, max_iter=30))
+    est = alternating_minimization(Yf, BlindConfig(L_est=3))
     # the closed-form residual of the last step on the compression (K = 3 of
     # Nr = 4 columns) equals the direct one of the taps mapped back to Nr
     assert est.H_t_hat.shape == (3, 4)
@@ -151,7 +151,7 @@ def test_estimate_internal_consistency():
     recon = est.lambda_hat[:, None] * (F_L @ est.H_t_hat)
     direct = np.linalg.norm(Yf - recon) / np.linalg.norm(Yf)
     assert abs(direct - est.residual_trace[-1]) < 1e-10
-    assert est.iterations == len(est.residual_trace) <= 30
+    assert est.iterations == len(est.residual_trace) <= BlindConfig.max_iter
     assert np.all(np.isfinite(est.residual_trace))
     assert np.all(est.residual_trace >= 0)
 
@@ -162,13 +162,11 @@ def test_am_on_full_rank_compression_matches_full_width():
     rng = np.random.default_rng(19)
     cfg, _, _, _, Yf = noiseless_setup(64, 4, 4, 16, seed=19)
     Yf = Yf + 0.1 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
-    blind = BlindConfig(L_est=4, max_iter=30)
-    est = alternating_minimization(Yf, blind)
-    assert est.iterations == 30
+    est = alternating_minimization(Yf, BlindConfig(L_est=4))
     c = Compression.of(Yf, np.linalg.norm(Yf) ** 2, 4)
     Yc = compress_columns(Yf, 4)[0]
     lam, trace = Yc[:, 0] / np.linalg.norm(Yc[:, 0]), []
-    for _ in range(30):
+    for _ in range(est.iterations):
         lam, H_t, residual = _am_step(c, lam, _MU)
         trace.append(residual)
     assert np.linalg.norm(est.lambda_hat - lam) <= 1e-12 * np.linalg.norm(lam)
@@ -256,15 +254,19 @@ def test_alternating_minimization_preconditions():
         BlindConfig(L_est=2, eps=1e-4)
     with pytest.raises(TypeError):  # nor a ridge weight: it is _MU
         BlindConfig(L_est=2, mu=0.5)
+    with pytest.raises(TypeError):  # nor an iteration cap: it is a class constant
+        BlindConfig(L_est=2, max_iter=50)
     with pytest.raises(ValueError):
         BlindConfig(L_est=0)
+    with pytest.raises(ValueError):  # no antenna column: compress_columns refuses K = 0
+        alternating_minimization(np.ones((64, 0), dtype=complex), BlindConfig(L_est=2))
 
 
 def test_blind_config_is_frozen():
-    # a checked config stays checked: max_iter >= 1 cannot be undone later
+    # a checked config stays checked: L_est >= 1 cannot be undone later
     cfg = BlindConfig(L_est=2)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.max_iter = 0
+        cfg.L_est = 0
 
 
 def test_pilot_alpha_pure_scale():

@@ -382,6 +382,14 @@ def test_exit_code_2_on_invalid_combinations(tmp_path, capsys):
     # each is rejected while the configuration is built, before any trial
     assert main(["sweep", "--seq-len", "16", "--taps", "9"]) == 2  # frame too short
     assert main(["sweep", "--seq-len", "64", "--taps-est", "40"]) == 2  # P <= 2 L_est
+    for flag, rule in [
+        ("--nr", "antenna count must be >= 1"),
+        ("--taps", "tap count must be >= 1"),
+        ("--taps-est", "L_est must be >= 1"),
+    ]:
+        capsys.readouterr()
+        assert main(["sweep", *FAST, flag, "0"]) == 2
+        assert rule in capsys.readouterr().err
     assert main(["sweep", "--snr", "nan"]) == 2
     assert main(["sweep", "--snr", "0:inf:1"]) == 2  # infinite range
     assert main(["sweep", "--snr=-inf:0:1"]) == 2
