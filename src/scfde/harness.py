@@ -5,13 +5,14 @@ Every trial derives its own random substream from (seed, P, snr, trial
 index), so results are a pure function of the configuration no matter how
 trials are scheduled across workers. Within a trial, the payloads, channel
 and noise are always drawn in the same order regardless of which receivers
-are enabled; the three blind variants share one factorization on literally
-the same received samples, and the OFDM baseline sees the same channel and
-noise realization applied to its own transmit block.
+are enabled; the blind variants (blind_rx.MODES) share one factorization on
+the same received samples, and each reference receiver (BASELINES) decides
+from the same channel and noise, the OFDM baseline on its own block.
 
-Frames on which a receiver raises (degenerate MRC bin, annihilated pilot)
-are excluded from the error counts and reported in the ``frames_failed``
-column instead of being silently mixed in.
+Every row of RECEIVERS is scored alike: a frame on which its receiver raises
+(degenerate MRC bin, annihilated pilot) is excluded from the error counts
+and reported in the ``frames_failed`` column, and a reference row reports
+AM's iterations and residual as NaN.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import astuple, dataclass, field, fields
 from functools import lru_cache
 
@@ -39,7 +41,18 @@ from .errors import ReceiverError
 from .frame import FrameConfig, build_frame, random_payload
 from .matrixkit import dft
 
-RECEIVERS = (*MODES, "mrc_ofdm")
+
+def _mrc_ofdm(draw: TrialDraw) -> tuple[np.ndarray, np.ndarray]:
+    """The pilot-based MRC-OFDM reference: the trial's channel and noise on
+    its own block, whose symbols are already its unitary DFT."""
+    Yf = draw.received(ofdm_transmit(draw.ofdm_payload, draw.ofdm_cfg))
+    return ofdm_mrc_receive(Yf, draw.ofdm_cfg), draw.ofdm_payload
+
+
+# name -> f(draw) returning (decided bits, sent bits) or raising ReceiverError;
+# f calls its layers through module globals, which perfbench/spans.py wraps
+BASELINES = {"mrc_ofdm": _mrc_ofdm}
+RECEIVERS = (*MODES, *BASELINES)
 # tap-power decay of every simulated channel: geometric_profile(L, _PDP_RATIO)
 _PDP_RATIO = 0.5
 
@@ -64,6 +77,8 @@ class SimulationConfig:
     dump_path: str | None = None
 
     def __post_init__(self):
+        for name in ("seq_lengths", "snr_db_list"):  # hashable, as _plans' key
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.seq_lengths:
             raise ValueError("at least one sequence length must be given")
         if not self.snr_db_list:
@@ -141,7 +156,7 @@ PRESETS = {
 @dataclass
 class ReceiverTrial:
     """One receiver's outcome on one frame; NaN marks what the receiver does
-    not report (a failed frame, or the non-iterative OFDM baseline).
+    not report (a failed frame, or AM's fields on a BASELINES row).
 
     iterations and final_residual describe the shared AM run (iterations
     below BlindConfig.max_iter (100): it stopped on a step that did not
@@ -260,48 +275,35 @@ def run_trial(
 
     Deterministic in (cfg.seed, P, snr_db, trial_index); see draw_trial.
     The selected blind variants share one factorization of the same receive
-    matrix, and each scores the decisions of its own refined mode
-    (decode_frame decodes only the selected modes). A blind receiver whose
-    mode failed, or whose factorization raised, reports a failed frame. The
-    OFDM baseline sees the same channel and noise applied to its own block,
-    whose symbols are already its unitary DFT.
+    matrix, and each scores its own refined mode (decode_frame decodes only
+    the selected modes); a baseline decides from the same draws. A receiver
+    that raised, or whose factorization raised, reports a failed frame.
     """
     draw = draw_trial(cfg, P, snr_db, trial_index)
-    payload = draw.payload
-    results: dict[str, ReceiverTrial] = {}
-
+    decided: dict[str, tuple] = {}  # name -> (decided bits, sent bits, AM's fields)
     blind = tuple(r for r in cfg.receivers if r in MODES)
     if blind:
         try:
             decoded = decode_frame(draw.blind_received(), draw.frame_cfg, _plans(cfg)[0], blind)
-            est, decided = decoded.estimate, decoded.modes
         except ReceiverError:
-            decided = {}
-        for name in blind:
-            frame_est = decided.get(name)
-            if frame_est is None:
-                results[name] = ReceiverTrial(failed=True)
-                continue
-            results[name] = ReceiverTrial(
-                bits=payload.size,
-                bit_errors=int(np.count_nonzero(frame_est.bits != payload)),
-                iterations=est.iterations,
-                final_residual=float(est.residual_trace[-1]),
-                dd_changed=frame_est.dd_changed,
-            )
-
-    if "mrc_ofdm" in cfg.receivers:
-        ofdm_cfg, ofdm_payload = draw.ofdm_cfg, draw.ofdm_payload
-        Yf = draw.received(ofdm_transmit(ofdm_payload, ofdm_cfg))
-        try:
-            bits = ofdm_mrc_receive(Yf, ofdm_cfg)
-            results["mrc_ofdm"] = ReceiverTrial(
-                bits=ofdm_payload.size,
-                bit_errors=int(np.count_nonzero(bits != ofdm_payload)),
-            )
-        except ReceiverError:
-            results["mrc_ofdm"] = ReceiverTrial(failed=True)
-
+            pass  # a failed factorization fails every blind row
+        else:
+            est = decoded.estimate
+            am = {"iterations": est.iterations, "final_residual": float(est.residual_trace[-1])}
+            for name, mode in decoded.modes.items():
+                decided[name] = mode.bits, draw.payload, {**am, "dd_changed": mode.dd_changed}
+    results: dict[str, ReceiverTrial] = {}
+    for name in cfg.receivers:
+        if name in BASELINES:
+            with suppress(ReceiverError):
+                decided[name] = (*BASELINES[name](draw), {})
+        if name not in decided:  # its receiver raised
+            results[name] = ReceiverTrial(failed=True)
+            continue
+        bits, sent, am = decided[name]
+        results[name] = ReceiverTrial(
+            bits=sent.size, bit_errors=int(np.count_nonzero(bits != sent)), **am
+        )
     return results
 
 

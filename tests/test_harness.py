@@ -6,7 +6,7 @@ import pytest
 
 import scfde.harness as harness
 from scfde.baseline_rx import OfdmPilotConfig, estimate_channel, ofdm_transmit
-from scfde.blind_rx import BlindConfig, alternating_minimization
+from scfde.blind_rx import MODES, BlindConfig, alternating_minimization
 from scfde.channel import (
     complex_noise,
     convolve_channel,
@@ -17,6 +17,7 @@ from scfde.channel import (
 from scfde.errors import DegenerateBinError
 from scfde.frame import FrameConfig, build_frame
 from scfde.harness import (
+    BASELINES,
     DUMP_HEADER,
     PRESETS,
     RECEIVERS,
@@ -425,6 +426,58 @@ def test_selected_receivers_canonical_order():
     assert not hasattr(cfg, "selected")
     canonical = dataclasses.replace(SMALL, receivers=("blind_pilot", "mrc_ofdm"))
     assert render_csv(cfg, sweep(cfg)) == render_csv(canonical, sweep(canonical))
+
+
+@pytest.mark.parametrize("name, value", [("seq_lengths", [64]), ("snr_db_list", [8.0])])
+def test_a_list_builds_the_config_its_tuple_builds(name, value):
+    # the config keys the plan cache, so a list is stored as the tuple it names
+    listed = dataclasses.replace(SMALL, frames_per_point=1, **{name: value})
+    tupled = dataclasses.replace(SMALL, frames_per_point=1)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert render_csv(listed, sweep(listed)) == render_csv(tupled, sweep(tupled))
+
+
+def test_the_receiver_table_is_the_blind_modes_then_the_baselines():
+    assert RECEIVERS == ("blind_pilot", "blind_ca", "blind_qq", "mrc_ofdm")
+    assert RECEIVERS == (*MODES, *BASELINES)
+
+
+def test_a_registered_baseline_becomes_a_sweep_and_dump_row(tmp_path, monkeypatch):
+    # a reference receiver is one BASELINES entry: run_trial, the sweep and
+    # the dump score it as they score every other row, and leave those alone
+    calls = []
+
+    def sent_payload(draw):  # decides the sent bits, and fails on trial 1
+        calls.append(draw)
+        if len(calls) == 2:
+            raise DegenerateBinError(0)
+        return draw.ofdm_payload.copy(), draw.ofdm_payload
+
+    def run(receivers, tag):
+        out, dump = tmp_path / f"{tag}.csv", tmp_path / f"{tag}_dump.csv"
+        cfg = dataclasses.replace(
+            SMALL, frames_per_point=3, receivers=receivers, out_path=str(out), dump_path=str(dump)
+        )
+        sweep(cfg)
+        return out.read_text().splitlines(), dump.read_text().splitlines()
+
+    before, before_dump = run(RECEIVERS, "before")
+    monkeypatch.setattr(harness, "BASELINES", {**BASELINES, "stub": sent_payload})
+    monkeypatch.setattr(harness, "RECEIVERS", (*RECEIVERS, "stub"))
+    after, after_dump = run((*RECEIVERS, "stub"), "after")
+    assert len(calls) == 3
+
+    size = calls[0].ofdm_payload.size
+    echo = "# receivers = " + ",".join(RECEIVERS)
+    assert after == [echo + ",stub" if line == echo else line for line in before] + [
+        f"8,stub,64,4,3,3,16,3,1,{2 * size},0,0,nan,nan"
+    ]
+    assert [row for row in after_dump if ",stub," not in row] == before_dump
+    assert [row for row in after_dump if ",stub," in row] == [
+        f"64,8,0,stub,0,{size},0,nan,nan,nan",
+        "64,8,1,stub,1,0,0,nan,nan,nan",
+        f"64,8,2,stub,0,{size},0,nan,nan,nan",
+    ]
 
 
 def test_ofdm_config_defaults_to_all_pilot_taps():

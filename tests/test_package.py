@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -102,6 +103,18 @@ def test_perfbench_span_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"scfde.{module_name}.{attr}"
+
+
+def test_perfbench_roster_is_the_default_selection(monkeypatch):
+    # a workload whose roster equals ALL_RECEIVERS passes no --receivers, so it
+    # runs the default selection: a grown default must fail here, not silently
+    # change what that workload times
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.ALL_RECEIVERS == SimulationConfig().receivers
 
 
 def test_readme_headers_match_the_csv_schemas():
