@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .constellation import get_constellation, qam_demodulate, qam_modulate
-from .errors import DegenerateBinError
+from .errors import DegenerateBinError, is_whole
 
 # share of the P subcarriers that carry a pilot tone
 _PILOT_FRACTION = 0.10
@@ -41,8 +41,10 @@ class OfdmPilotConfig:
     def __post_init__(self):
         if self.L_trunc is None:
             return
-        if self.L_trunc < 1:
-            raise ValueError(f"interpolator must keep >= 1 tap, got {self.L_trunc}")
+        if not is_whole(self.L_trunc) or self.L_trunc < 1:
+            raise ValueError(
+                f"interpolator must keep a whole number >= 1 of taps, got {self.L_trunc}"
+            )
         if self.n_pilots < self.L_trunc:
             raise ValueError(f"{self.n_pilots} pilots cannot resolve {self.L_trunc} taps")
 

@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .constellation import get_constellation, qam_demodulate
-from .errors import DegenerateBinError, PilotLossError, ReceiverError
+from .errors import DegenerateBinError, PilotLossError, ReceiverError, is_whole
 from .frame import FrameConfig, build_frame, extract_data
 from .matrixkit import (
     compress_columns,
@@ -64,8 +64,8 @@ class BlindConfig:
     max_iter: ClassVar[int] = 100
 
     def __post_init__(self):
-        if self.L_est < 1:
-            raise ValueError(f"L_est must be >= 1, got {self.L_est}")
+        if not is_whole(self.L_est) or self.L_est < 1:
+            raise ValueError(f"L_est must be a whole number >= 1, got {self.L_est}")
 
     def check_length(self, P: int) -> None:
         """Refuse a frame of P samples too short to identify its L_est taps."""

@@ -2,7 +2,7 @@
 
 Taps are independent zero-mean circularly-symmetric complex Gaussians whose
 variances are a plain array of tap powers. The simulator takes them from
-``geometric_profile``, which decays as ratio**l and sums to 1, so the
+``geometric_profile``, which decays as _DECAY**l and sums to 1, so the
 expected channel energy per antenna is 1. With the unit-average-energy
 constellation this fixes the SNR convention used everywhere in the package:
 
@@ -24,14 +24,15 @@ import numpy as np
 
 from .matrixkit import dft_first_columns
 
+# power ratio of each tap to the one before it, in every simulated channel
+_DECAY = 0.5
 
-def geometric_profile(L: int, ratio: float) -> np.ndarray:
-    """Tap powers p[l] proportional to ratio**l, l < L, normalized to sum 1."""
+
+def geometric_profile(L: int) -> np.ndarray:
+    """Tap powers p[l] proportional to _DECAY**l, l < L, normalized to sum 1."""
     if L < 1:
         raise ValueError(f"tap count must be >= 1, got {L}")
-    if not 0 < ratio <= 1:
-        raise ValueError(f"decay ratio must be in (0, 1], got {ratio}")
-    p = ratio ** np.arange(L)
+    p = _DECAY ** np.arange(L)
     return p / p.sum()
 
 

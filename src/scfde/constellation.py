@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import is_whole
+
 SUPPORTED_ORDERS = (4, 16, 64, 256)
 
 
@@ -39,9 +41,10 @@ class Constellation:
     """
 
     def __init__(self, order: int):
-        if order not in SUPPORTED_ORDERS:
+        if not is_whole(order) or order not in SUPPORTED_ORDERS:
             raise ValueError(
-                f"unsupported constellation order {order}; expected one of {SUPPORTED_ORDERS}"
+                f"unsupported constellation order {order}; expected a whole number, "
+                f"one of {SUPPORTED_ORDERS}"
             )
         self.order = order
         self.bits_per_symbol = int(np.log2(order))
@@ -90,9 +93,11 @@ class Constellation:
         return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def get_constellation(order: int) -> Constellation:
-    """Shared immutable instance per order (safe across trial workers)."""
+    """Shared immutable instance per order (safe across trial workers).
+    Typed, as 16.0 == 16: a float order never finds the integer alphabet,
+    so Constellation refuses it on every call."""
     return Constellation(order)
 
 

@@ -1,9 +1,18 @@
-"""Runtime failure types raised by the receiver chain.
+"""Runtime failure types raised by the receiver chain, and the rule every
+count obeys.
 
 Precondition violations (bad sizes, unsupported orders, invalid configs)
 raise plain ``ValueError``; the classes here mark per-frame decode failures
 that a Monte-Carlo driver is expected to catch and count.
 """
+
+from numbers import Integral
+
+
+def is_whole(value) -> bool:
+    """Whether a count is a whole number: an Integral, so numpy integers
+    pass, and not a bool. Each owner of a count checks its range itself."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class ReceiverError(RuntimeError):

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .constellation import get_constellation, qam_modulate
+from .errors import is_whole
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,8 @@ class FrameConfig:
 
     def __post_init__(self):
         get_constellation(self.M)  # rejects unsupported orders
-        if self.L < 1:
-            raise ValueError(f"tap count must be >= 1, got {self.L}")
+        if not is_whole(self.L) or self.L < 1:
+            raise ValueError(f"tap count must be a whole number >= 1, got {self.L}")
         if self.N < 2:
             raise ValueError(
                 f"frame too short: P={self.P}, L={self.L} leaves N={self.N} < 2 "

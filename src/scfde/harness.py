@@ -37,7 +37,7 @@ from .channel import (
     receive_spectrum,
     snr_db_to_noise_variance,
 )
-from .errors import ReceiverError
+from .errors import ReceiverError, is_whole
 from .frame import FrameConfig, build_frame, random_payload
 from .matrixkit import dft
 
@@ -53,14 +53,12 @@ def _mrc_ofdm(draw: TrialDraw) -> tuple[np.ndarray, np.ndarray]:
 # f calls its layers through module globals, which perfbench/spans.py wraps
 BASELINES = {"mrc_ofdm": _mrc_ofdm}
 RECEIVERS = (*MODES, *BASELINES)
-# tap-power decay of every simulated channel: geometric_profile(L, _PDP_RATIO)
-_PDP_RATIO = 0.5
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Full description of one experiment; the CSV is a function of this.
-    The decay _PDP_RATIO and AM's ridge weight blind_rx._MU are constants."""
+    The decay channel._DECAY and AM's ridge weight blind_rx._MU are constants."""
 
     seq_lengths: tuple = (256,)
     L: int = 4
@@ -77,37 +75,32 @@ class SimulationConfig:
     dump_path: str | None = None
 
     def __post_init__(self):
-        for name in ("seq_lengths", "snr_db_list"):  # hashable, as _plans' key
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not self.seq_lengths:
-            raise ValueError("at least one sequence length must be given")
-        if not self.snr_db_list:
-            raise ValueError("at least one SNR must be given")
+        # its own lists and counts, one rule each; its plans own L, L_est, M and ofdm_taps
+        for name in ("seq_lengths", "snr_db_list", "receivers"):  # tuples, as _plans' key
+            value = getattr(self, name)
+            items = () if isinstance(value, str) else tuple(value)  # a string is no list
+            if not items:
+                raise ValueError(f"{name} must be a nonempty list, got {value!r}")
+            object.__setattr__(self, name, items)
+        for name, least in {"Nr": 1, "frames_per_point": 1, "seed": 0, "workers": 1}.items():
+            value = getattr(self, name)
+            if not is_whole(value) or value < least:
+                raise ValueError(f"{name} must be a whole number >= {least}, got {value}")
         for P in self.seq_lengths:
-            if P < 2 or P & (P - 1):
-                raise ValueError(f"sequence length {P} is not a power of two")
+            if not is_whole(P) or P < 2 or P & (P - 1):
+                raise ValueError(f"sequence length {P} is not a whole power of two")
         if len(set(self.seq_lengths)) < len(self.seq_lengths):
             raise ValueError(f"sequence lengths {self.seq_lengths} repeat")
-        if self.frames_per_point < 1:
-            raise ValueError("frames_per_point must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         bad = set(self.receivers) - set(RECEIVERS)
         if bad:
             raise ValueError(f"unknown receivers: {sorted(bad)}; valid: {RECEIVERS}")
-        if not self.receivers:
-            raise ValueError("at least one receiver must be selected")
         # canonical order, once: the rows and the echo follow RECEIVERS
         object.__setattr__(self, "receivers", tuple(r for r in RECEIVERS if r in self.receivers))
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if len({_snr_key(snr) for snr in self.snr_db_list}) < len(self.snr_db_list):
             raise ValueError(
                 f"SNRs {self.snr_db_list} repeat at 1e-3 dB resolution, so their "
                 "cells would share random draws"
             )
-        if self.Nr < 1:
-            raise ValueError(f"antenna count must be >= 1, got {self.Nr}")
         for snr in self.snr_db_list:
             try:  # the noise energy of the largest receive matrix
                 energy = max(self.seq_lengths) * self.Nr * snr_db_to_noise_variance(snr)
@@ -142,7 +135,7 @@ def _plans(cfg: SimulationConfig) -> tuple[BlindConfig, np.ndarray, dict]:
     for P in cfg.seq_lengths:
         plans[P] = FrameConfig(P, cfg.L, cfg.M), OfdmPilotConfig(P, cfg.M, cfg.ofdm_taps)
         blind_cfg.check_length(P)
-    return blind_cfg, geometric_profile(cfg.L, _PDP_RATIO), plans
+    return blind_cfg, geometric_profile(cfg.L), plans
 
 
 PRESETS = {

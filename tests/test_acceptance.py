@@ -57,7 +57,7 @@ def test_criterion_1_model_identity_suite():
         for _ in range(100):
             L = 5
             x = complex_randn(rng, P)
-            ch = draw_channel(geometric_profile(L, 0.5), 3, rng)
+            ch = draw_channel(geometric_profile(L), 3, rng)
             Yf = dft(convolve_channel(x, ch))
             model = circulant_eigenvalues(x)[:, None] * (dft_first_columns(P, L) @ ch)
             worst = max(worst, np.linalg.norm(Yf - model) / np.linalg.norm(Yf))
@@ -105,7 +105,7 @@ def test_criterion_2_oracle_equivalence_suite():
     for P in range(4, 33):
         x = complex_randn(rng, P)
         L = min(4, P)
-        ch = draw_channel(geometric_profile(L, 0.5), 2, rng)
+        ch = draw_channel(geometric_profile(L), 2, rng)
         Y = convolve_channel(x, ch)
         for r in range(2):
             oracle = np.array(
@@ -131,7 +131,7 @@ def test_criterion_3_noiseless_blind_recovery():
         rng = np.random.default_rng(160_000 + t)
         payload = random_payload(cfg, rng)
         frame = build_frame(cfg, payload)
-        ch = draw_channel(geometric_profile(L, 0.5), Nr, rng)
+        ch = draw_channel(geometric_profile(L), Nr, rng)
         Yf = dft(convolve_channel(frame, ch))
         result = decode_frame(Yf, cfg, blind)
         est = result.estimate
@@ -225,7 +225,7 @@ def test_criterion_7_per_iteration_cost_scaling():
         cfg = FrameConfig(P=P, L=L, M=64)
         rng = np.random.default_rng(700 + P)
         frame = build_frame(cfg, random_payload(cfg, rng))
-        ch = draw_channel(geometric_profile(L, 0.5), Nr, rng)
+        ch = draw_channel(geometric_profile(L), Nr, rng)
         Y = convolve_channel(frame, ch) + 0.3 * complex_randn(rng, P, Nr)
         Yf = dft(Y)
         Yc, _ = compress_columns(Yf, min(Nr, L))

@@ -83,7 +83,7 @@ def test_genie_channel_mrc_is_exact():
     cfg = OfdmPilotConfig(P=64, M=64, L_trunc=4)
     bits = rng.integers(0, 2, cfg.payload_bits)
     Xf = ofdm_transmit(bits, cfg)
-    ch = draw_channel(geometric_profile(4, 0.5), 6, rng)
+    ch = draw_channel(geometric_profile(4), 6, rng)
     Yf = transmit_through(Xf, ch)
     H_true = np.fft.fft(ch, n=64, axis=0)
     X_hat = mrc_combine(Yf, H_true)
@@ -96,7 +96,7 @@ def test_high_snr_million_bits_error_free():
     rng = np.random.default_rng(3)
     cfg = OfdmPilotConfig(P=320, M=64, L_trunc=5)
     noise_var = snr_db_to_noise_variance(40.0)
-    pdp = geometric_profile(5, 0.5)
+    pdp = geometric_profile(5)
     bits_seen = errors = 0
     while bits_seen < 1_000_000:
         bits = rng.integers(0, 2, cfg.payload_bits)
@@ -111,7 +111,7 @@ def test_high_snr_million_bits_error_free():
 
 def test_mrc_per_bin_snr_at_least_any_single_antenna():
     rng = np.random.default_rng(4)
-    ch = draw_channel(geometric_profile(3, 0.5), 8, rng)
+    ch = draw_channel(geometric_profile(3), 8, rng)
     H = np.fft.fft(ch, n=32, axis=0)
     noise_var = 0.1
     combined = np.sum(np.abs(H) ** 2, axis=1) / noise_var
@@ -159,7 +159,7 @@ def fig5_ofdm_frame(snr_db, rng):
     """One fig5-sized OFDM frame (P = 1024, Nr = 64, L = 9, 64-QAM) at snr_db."""
     cfg = OfdmPilotConfig(P=1024, M=64)
     bits = rng.integers(0, 2, cfg.payload_bits)
-    taps = draw_channel(geometric_profile(9, 0.5), 64, rng)
+    taps = draw_channel(geometric_profile(9), 64, rng)
     noise = complex_noise((1024, 64), snr_db_to_noise_variance(snr_db), rng)
     Yf = receive_spectrum(ofdm_transmit(bits, cfg), frequency_response(taps, 1024), dft(noise))
     return cfg, bits, Yf

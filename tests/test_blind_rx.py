@@ -40,7 +40,7 @@ def noiseless_setup(P, L, Nr, M, seed):
     cfg = FrameConfig(P=P, L=L, M=M)
     payload = random_payload(cfg, rng)
     frame = build_frame(cfg, payload)
-    ch = draw_channel(geometric_profile(L, 0.5), Nr, rng)
+    ch = draw_channel(geometric_profile(L), Nr, rng)
     Yf = dft(convolve_channel(frame, ch))
     return cfg, payload, frame, ch, Yf
 
@@ -309,6 +309,8 @@ def test_pilot_annihilated_raises():
         pilot_alpha(x_hat, cfg)
     with pytest.raises(PilotLossError):  # QQ's scale starts from the pilot
         qq_alpha(x_hat, cfg)
+    with pytest.raises(PilotLossError, match="all data samples are zero"):  # CA reads the data
+        ca_alpha(np.zeros(cfg.P, dtype=complex), cfg)
 
 
 def test_ca_alpha_identity_on_clean_frame():

@@ -27,22 +27,18 @@ def direct_circular_convolution(x, h):
 
 def test_pdp_validation():
     with pytest.raises(ValueError):
-        geometric_profile(0, 0.5)
-    for ratio in (0.0, 1.5, float("nan")):
-        with pytest.raises(ValueError):
-            geometric_profile(4, ratio)
+        geometric_profile(0)
     with pytest.raises(ValueError):
         draw_channel(np.array([1.5, -0.5]), 2, np.random.default_rng(0))
 
 
 def test_geometric_profile_values():
-    p = geometric_profile(3, 0.5)
+    p = geometric_profile(3)
     assert np.allclose(p, np.array([4, 2, 1]) / 7.0, rtol=0, atol=1e-15)
-    assert geometric_profile(9, 0.5).size == 9
-    for ratio in (0.3, 0.5, 1.0):
-        p = geometric_profile(9, ratio)
-        assert p.sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.all(np.diff(p) <= 0)
+    p = geometric_profile(9)
+    assert p.size == 9
+    assert p.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.diff(p) <= 0)
 
 
 def test_single_tap_energy_monte_carlo():
@@ -55,13 +51,13 @@ def test_single_tap_energy_monte_carlo():
 
 def test_multitap_energy_monte_carlo():
     rng = np.random.default_rng(1)
-    pdp = geometric_profile(5, 0.5)
+    pdp = geometric_profile(5)
     taps = draw_channel(pdp, 50_000, rng)
     assert abs(np.mean(np.sum(np.abs(taps) ** 2, axis=0)) - 1.0) < 0.02
 
 
 def test_draw_channel_seed_determinism():
-    pdp = geometric_profile(4, 0.5)
+    pdp = geometric_profile(4)
     a = draw_channel(pdp, 8, np.random.default_rng(42))
     b = draw_channel(pdp, 8, np.random.default_rng(42))
     assert np.array_equal(a, b)
@@ -95,7 +91,7 @@ def test_convolution_matches_direct_sum_oracle():
     rng = np.random.default_rng(9)
     for P in (4, 8, 17, 32):
         x = rng.standard_normal(P) + 1j * rng.standard_normal(P)
-        ch = draw_channel(geometric_profile(3, 0.5), 2, rng)
+        ch = draw_channel(geometric_profile(3), 2, rng)
         Y = convolve_channel(x, ch)
         for r in range(2):
             oracle = direct_circular_convolution(x, ch[:, r])
@@ -123,7 +119,7 @@ def test_circular_convolution_theorem_machine_precision():
     rng = np.random.default_rng(23)
     P = 64
     x = rng.standard_normal(P) + 1j * rng.standard_normal(P)
-    ch = draw_channel(geometric_profile(6, 0.5), 3, rng)
+    ch = draw_channel(geometric_profile(6), 3, rng)
     Y = convolve_channel(x, ch)
     Xf = np.fft.fft(x)
     for r in range(3):
@@ -134,7 +130,7 @@ def test_circular_convolution_theorem_machine_precision():
 
 def test_noiseless_linearity():
     rng = np.random.default_rng(29)
-    ch = draw_channel(geometric_profile(4, 0.5), 2, rng)
+    ch = draw_channel(geometric_profile(4), 2, rng)
     x1 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     x2 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     lhs = convolve_channel(x1 + x2, ch)
@@ -143,14 +139,14 @@ def test_noiseless_linearity():
 
 
 def test_channel_longer_than_frame_rejected():
-    ch = draw_channel(geometric_profile(5, 0.5), 1, np.random.default_rng(0))
+    ch = draw_channel(geometric_profile(5), 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         convolve_channel(np.ones(4, dtype=complex), ch)
 
 
 def test_antenna_count_validated():
     with pytest.raises(ValueError):
-        draw_channel(geometric_profile(2, 0.5), 0, np.random.default_rng(0))
+        draw_channel(geometric_profile(2), 0, np.random.default_rng(0))
 
 
 def test_complex_noise_matches_two_block_reference():
@@ -166,7 +162,7 @@ def test_complex_noise_matches_two_block_reference():
 def test_draw_channel_is_bit_equal_to_the_scaled_gaussian_formula(L, Nr, ratio):
     # the taps are complex_noise's draws, one power per row; a zero-power
     # tap keeps the sign bits of the explicit product
-    powers = geometric_profile(L, ratio)
+    powers = ratio ** np.arange(L, dtype=float)
     powers[L // 2] = 0.0
     taps = draw_channel(powers, Nr, np.random.default_rng(L * 100 + Nr))
     rng = np.random.default_rng(L * 100 + Nr)
@@ -177,7 +173,7 @@ def test_draw_channel_is_bit_equal_to_the_scaled_gaussian_formula(L, Nr, ratio):
 
 
 def test_frequency_response_is_unnormalized_tap_dft():
-    ch = draw_channel(geometric_profile(5, 0.5), 3, np.random.default_rng(37))
+    ch = draw_channel(geometric_profile(5), 3, np.random.default_rng(37))
     Hf = frequency_response(ch, 24)
     assert np.allclose(Hf, np.fft.fft(ch, n=24, axis=0), rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError):
@@ -187,7 +183,7 @@ def test_frequency_response_is_unnormalized_tap_dft():
 def test_front_end_is_bit_equal_to_the_out_of_place_reference():
     rng = np.random.default_rng(41)
     P, Nr, L = 512, 64, 9
-    taps = draw_channel(geometric_profile(L, 0.5), Nr, rng)
+    taps = draw_channel(geometric_profile(L), Nr, rng)
     Hf = frequency_response(taps, P)
     reference = np.sqrt(P) * (dft_first_columns(P, L) @ taps)
     assert np.array_equal(Hf.view(np.float64), reference.view(np.float64))
@@ -212,7 +208,7 @@ def relative_error(a, b):
 def test_receive_spectrum_matches_time_domain_reference(P, Nr, L, seed):
     L = min(L, P)
     rng = np.random.default_rng(seed)
-    ch = draw_channel(geometric_profile(L, 0.5), Nr, rng)
+    ch = draw_channel(geometric_profile(L), Nr, rng)
     noise = complex_noise((P, Nr), 0.2, rng)
     Hf, Nf = frequency_response(ch, P), dft(noise)
 

@@ -24,6 +24,8 @@ def test_snr_list_and_range_parsing():
         parse_snr_list("0:16")
     with pytest.raises(ConfigError):
         parse_snr_list("0:16:-2")
+    with pytest.raises(ConfigError, match="empty SNR range"):
+        parse_snr_list("8:4:1")
     with pytest.raises(ConfigError):
         parse_snr_list("a,b")
 
@@ -143,6 +145,8 @@ def test_preset_flag_beats_config_file_preset(tmp_path):
     assert (cfg.seq_lengths, cfg.L) == ((1024,), 9)
     argv = ["sweep", "--preset", "fig5", "--config", str(path), *FAST, "--receivers", "mrc_ofdm"]
     assert main(argv) == 0
+    path.write_text("preset = fig9\n")  # the file's preset is checked as --preset's choices are
+    assert main(["sweep", "--config", str(path)]) == 2
 
 
 def test_trace_refuses_every_sweep_only_flag_and_key(tmp_path, monkeypatch, capsys):
@@ -245,6 +249,9 @@ def test_config_file_unknown_key_rejected(tmp_path):
     path.write_text("unknown-key = 3\n")
     args = build_parser().parse_args(["sweep", "--config", str(path)])
     with pytest.raises(ConfigError):
+        build_config(args)
+    path.write_text("seq-len 64\n")  # a line that is no key = value pair
+    with pytest.raises(ConfigError, match="expected 'key = value'"):
         build_config(args)
 
 
@@ -383,9 +390,9 @@ def test_exit_code_2_on_invalid_combinations(tmp_path, capsys):
     assert main(["sweep", "--seq-len", "16", "--taps", "9"]) == 2  # frame too short
     assert main(["sweep", "--seq-len", "64", "--taps-est", "40"]) == 2  # P <= 2 L_est
     for flag, rule in [
-        ("--nr", "antenna count must be >= 1"),
-        ("--taps", "tap count must be >= 1"),
-        ("--taps-est", "L_est must be >= 1"),
+        ("--nr", "Nr must be a whole number >= 1"),
+        ("--taps", "tap count must be a whole number >= 1"),
+        ("--taps-est", "L_est must be a whole number >= 1"),
     ]:
         capsys.readouterr()
         assert main(["sweep", *FAST, flag, "0"]) == 2

@@ -14,6 +14,7 @@ from scfde.channel import (
     geometric_profile,
     snr_db_to_noise_variance,
 )
+from scfde.constellation import get_constellation
 from scfde.errors import DegenerateBinError
 from scfde.frame import FrameConfig, build_frame
 from scfde.harness import (
@@ -91,7 +92,7 @@ def test_draw_trial_matches_time_domain_reference():
         frame_cfg = FrameConfig(P=P, L=L, M=16)
         payload = ref.integers(0, 2, size=frame_cfg.payload_bits)
         ofdm_payload = ref.integers(0, 2, size=OfdmPilotConfig(P=P, M=16).payload_bits)
-        ch = draw_channel(geometric_profile(L, 0.5), Nr, ref)
+        ch = draw_channel(geometric_profile(L), Nr, ref)
         noise = complex_noise((P, Nr), snr_db_to_noise_variance(5.0), ref)
         assert np.array_equal(draw.payload, payload)
         assert np.array_equal(draw.ofdm_payload, ofdm_payload)
@@ -411,11 +412,54 @@ def test_config_validation():
         SimulationConfig(seq_lengths=(64, 64))
     with pytest.raises(ValueError):
         SimulationConfig(snr_db_list=())
+    with pytest.raises(ValueError, match="nonempty list"):  # a bare string is no list
+        SimulationConfig(receivers="mrc_ofdm")
+    with pytest.raises(TypeError):
+        SimulationConfig(seq_lengths=64)
     # the tap-power decay and the ridge weight are constants, not settings
     with pytest.raises(TypeError):
         SimulationConfig(pdp_ratio=0.5)
     with pytest.raises(TypeError):
         SimulationConfig(mu=0.5)
+
+
+WHOLE = dataclasses.replace(SMALL, ofdm_taps=3, workers=2)
+
+
+@pytest.mark.parametrize("kind", [float, bool])
+@pytest.mark.parametrize(
+    "name", ["Nr", "frames_per_point", "seed", "workers", "L", "L_est", "M", "ofdm_taps", "P"]
+)
+def test_a_count_that_is_not_a_whole_number_is_refused(name, kind):
+    # 3.0 == 3 passed every range check and then failed mid-run; each owner
+    # of a count refuses it while the config is built, and a numpy integer
+    # is still a whole number
+    harness._plans.cache_clear()
+    get_constellation.cache_clear()
+
+    def fields(convert):
+        if name == "P":
+            return {"seq_lengths": (convert(64),)}
+        return {name: convert(getattr(WHOLE, name))}
+
+    with pytest.raises(ValueError, match="whole"):
+        dataclasses.replace(WHOLE, **fields(kind))
+    numpy_int = dataclasses.replace(WHOLE, **fields(np.int64))
+    assert numpy_int == dataclasses.replace(WHOLE, **fields(int))
+
+
+def test_a_refused_float_count_leaves_the_plans_to_its_whole_twin():
+    # the plan cache keys on equality: a float L that passed the check left
+    # float plans behind, and the equal L = 3 config then failed on them too
+    harness._plans.cache_clear()
+    with pytest.raises(ValueError, match="whole number"):
+        dataclasses.replace(SMALL, L=3.0)
+    after_float = render_csv(SMALL, sweep(SMALL))
+    harness._plans.cache_clear()
+    assert after_float == render_csv(SMALL, sweep(SMALL))
+    # the alphabet's cache holds the 16-QAM alphabet now, and still refuses 16.0
+    with pytest.raises(ValueError, match="whole number"):
+        get_constellation(16.0)
 
 
 def test_selected_receivers_canonical_order():
@@ -506,9 +550,9 @@ def test_trials_read_the_plans_the_config_built(monkeypatch):
 
         return post_init
 
-    def profile(L, ratio):
+    def profile(L):
         built.append("geometric_profile")
-        return geometric_profile(L, ratio)
+        return geometric_profile(L)
 
     for plan in (FrameConfig, OfdmPilotConfig, BlindConfig):
         monkeypatch.setattr(plan, "__post_init__", counted(plan.__post_init__))

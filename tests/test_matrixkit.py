@@ -120,7 +120,7 @@ def test_frequency_model_identity_noiseless():
     for P in (16, 64, 256):
         L = 4
         x = random_complex(rng, P)
-        ch = draw_channel(geometric_profile(L, 0.5), 3, rng)
+        ch = draw_channel(geometric_profile(L), 3, rng)
         Yf = dft(convolve_channel(x, ch))
         model = circulant_eigenvalues(x)[:, None] * (dft_first_columns(P, L) @ ch)
         assert np.linalg.norm(Yf - model) / np.linalg.norm(Yf) < 1e-10
@@ -230,6 +230,8 @@ def test_compress_columns_rejects_bad_rank():
     for K in (0, 4):
         with pytest.raises(ValueError):
             compress_columns(Yf, K)
+    with pytest.raises(ValueError, match="2-D"):  # one antenna's column, not a matrix
+        compress_columns(Yf[:, 0], 1)
 
 
 def test_compress_columns_rejects_zero_matrix():

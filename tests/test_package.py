@@ -52,6 +52,7 @@ REMOVED = (
     "_SWEEP_ONLY",
     "blind_config",
     "ofdm_config",
+    "_PDP_RATIO",
 )
 
 
