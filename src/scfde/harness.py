@@ -76,7 +76,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         # its own lists and counts, one rule each; its plans own L, L_est, M and ofdm_taps
-        for name in ("seq_lengths", "snr_db_list", "receivers"):  # tuples, as _plans' key
+        for name in ("seq_lengths", "snr_db_list", "receivers"):  # tuples, for equality and the echo
             value = getattr(self, name)
             items = () if isinstance(value, str) else tuple(value)  # a string is no list
             if not items:
@@ -123,19 +123,18 @@ class SimulationConfig:
                 f"output and per-trial dump are the same file ({self.out_path}); "
                 "the dump would overwrite the sweep CSV"
             )
-        _plans(self)  # builds, and so checks, every plan before any trial runs
+        for P in self.seq_lengths:  # builds, and so checks, every plan before any trial runs
+            _plan(P, self.L, self.L_est, self.M, self.ofdm_taps)
 
 
-@lru_cache(maxsize=8)
-def _plans(cfg: SimulationConfig) -> tuple[BlindConfig, np.ndarray, dict]:
-    """AM's settings, the channel's tap powers and each P's (FrameConfig,
-    OfdmPilotConfig), built once per process for each configuration; a pool
-    task pickles only cfg."""
-    blind_cfg, plans = BlindConfig(L_est=cfg.L_est), {}
-    for P in cfg.seq_lengths:
-        plans[P] = FrameConfig(P, cfg.L, cfg.M), OfdmPilotConfig(P, cfg.M, cfg.ofdm_taps)
-        blind_cfg.check_length(P)
-    return blind_cfg, geometric_profile(cfg.L), plans
+@lru_cache(maxsize=None, typed=True)
+def _plan(P: int, L: int, L_est: int, M: int, ofdm_taps: int | None) -> tuple:
+    """P's (FrameConfig, OfdmPilotConfig, BlindConfig, tap powers), built once per
+    process from the fields they read, typed since 3.0 == 3; a task pickles only cfg."""
+    blind_cfg = BlindConfig(L_est=L_est)
+    frame_cfg, ofdm_cfg = FrameConfig(P, L, M), OfdmPilotConfig(P, M, ofdm_taps)
+    blind_cfg.check_length(P)
+    return frame_cfg, ofdm_cfg, blind_cfg, geometric_profile(L)
 
 
 PRESETS = {
@@ -224,6 +223,7 @@ class TrialDraw:
     frame_cfg: FrameConfig
     payload: np.ndarray = field(repr=False)
     ofdm_cfg: OfdmPilotConfig
+    blind_cfg: BlindConfig
     ofdm_payload: np.ndarray = field(repr=False)
     Hf: np.ndarray = field(repr=False)
     Nf: np.ndarray = field(repr=False)
@@ -245,8 +245,7 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
     never changes results.
     """
     rng = _substream(cfg.seed, P, snr_db, trial_index)
-    _, powers, plans = _plans(cfg)
-    frame_cfg, ofdm_cfg = plans[P]
+    frame_cfg, ofdm_cfg, blind_cfg, powers = _plan(P, cfg.L, cfg.L_est, cfg.M, cfg.ofdm_taps)
     payload = random_payload(frame_cfg, rng)
     ofdm_payload = random_payload(ofdm_cfg, rng)
     taps = draw_channel(powers, cfg.Nr, rng)
@@ -255,6 +254,7 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
         frame_cfg=frame_cfg,
         payload=payload,
         ofdm_cfg=ofdm_cfg,
+        blind_cfg=blind_cfg,
         ofdm_payload=ofdm_payload,
         Hf=frequency_response(taps, P),
         Nf=dft(noise),
@@ -277,7 +277,7 @@ def run_trial(
     blind = tuple(r for r in cfg.receivers if r in MODES)
     if blind:
         try:
-            decoded = decode_frame(draw.blind_received(), draw.frame_cfg, _plans(cfg)[0], blind)
+            decoded = decode_frame(draw.blind_received(), draw.frame_cfg, draw.blind_cfg, blind)
         except ReceiverError:
             pass  # a failed factorization fails every blind row
         else:
@@ -444,7 +444,7 @@ def trace_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) 
     """Residual trace of the blind factorization on one frame (the same
     draws, hence the same receive matrix, as run_trial)."""
     draw = draw_trial(cfg, P, snr_db, trial_index)
-    return alternating_minimization(draw.blind_received(), _plans(cfg)[0]).residual_trace
+    return alternating_minimization(draw.blind_received(), draw.blind_cfg).residual_trace
 
 
 def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:

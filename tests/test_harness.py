@@ -434,7 +434,6 @@ def test_a_count_that_is_not_a_whole_number_is_refused(name, kind):
     # 3.0 == 3 passed every range check and then failed mid-run; each owner
     # of a count refuses it while the config is built, and a numpy integer
     # is still a whole number
-    harness._plans.cache_clear()
     get_constellation.cache_clear()
 
     def fields(convert):
@@ -449,14 +448,17 @@ def test_a_count_that_is_not_a_whole_number_is_refused(name, kind):
 
 
 def test_a_refused_float_count_leaves_the_plans_to_its_whole_twin():
-    # the plan cache keys on equality: a float L that passed the check left
-    # float plans behind, and the equal L = 3 config then failed on them too
-    harness._plans.cache_clear()
-    with pytest.raises(ValueError, match="whole number"):
-        dataclasses.replace(SMALL, L=3.0)
-    after_float = render_csv(SMALL, sweep(SMALL))
-    harness._plans.cache_clear()
-    assert after_float == render_csv(SMALL, sweep(SMALL))
+    # the plan cache keys on the typed plan fields, as 3.0 == 3: a float is
+    # refused both before and after its whole-number twin has run, and the
+    # refused float leaves no plan behind for the twin to run on
+    whole = dataclasses.replace(SMALL, ofdm_taps=3, frames_per_point=2)
+    for name in ("L", "L_est", "M", "ofdm_taps"):
+        twin = {name: float(getattr(whole, name))}
+        with pytest.raises(ValueError, match="whole number"):
+            dataclasses.replace(whole, **twin)
+        assert all(point.frames_failed == 0 for point in sweep(whole))
+        with pytest.raises(ValueError, match="whole number"):
+            dataclasses.replace(whole, **twin)
     # the alphabet's cache holds the 16-QAM alphabet now, and still refuses 16.0
     with pytest.raises(ValueError, match="whole number"):
         get_constellation(16.0)
@@ -474,7 +476,7 @@ def test_selected_receivers_canonical_order():
 
 @pytest.mark.parametrize("name, value", [("seq_lengths", [64]), ("snr_db_list", [8.0])])
 def test_a_list_builds_the_config_its_tuple_builds(name, value):
-    # the config keys the plan cache, so a list is stored as the tuple it names
+    # a list is stored as the tuple it names, so the two configs are equal
     listed = dataclasses.replace(SMALL, frames_per_point=1, **{name: value})
     tupled = dataclasses.replace(SMALL, frames_per_point=1)
     assert listed == tupled and hash(listed) == hash(tupled)
@@ -536,10 +538,11 @@ def test_ofdm_config_defaults_to_all_pilot_taps():
     assert draw_trial(informed, 64, 8.0, 0).ofdm_cfg.L_trunc == 3
 
 
-def test_trials_read_the_plans_the_config_built(monkeypatch):
+def test_trials_read_the_plans_the_config_built(monkeypatch, tmp_path):
     # SimulationConfig builds every plan, and the channel's tap powers, to
     # check it; a sweep and a trace then read those objects rather than
-    # building their own for each frame
+    # building their own for each frame, and a config that differs only in
+    # fields no plan reads shares them
     cfg = dataclasses.replace(SMALL, seq_lengths=(32, 64), frames_per_point=2, workers=1)
     built = []
 
@@ -559,10 +562,21 @@ def test_trials_read_the_plans_the_config_built(monkeypatch):
     monkeypatch.setattr(harness, "geometric_profile", profile)
     sweep(cfg)
     residual_trace(cfg)
+    unread = dict(
+        seed=6,
+        snr_db_list=(4.0,),
+        frames_per_point=3,
+        workers=2,
+        receivers=("mrc_ofdm",),
+        out_path=str(tmp_path / "out.csv"),
+    )
+    twins = [dataclasses.replace(cfg, **{name: value}) for name, value in unread.items()]
     assert built == []
-    first, second = (draw_trial(cfg, 64, 8.0, i) for i in (0, 1))
-    assert first.frame_cfg is second.frame_cfg
-    assert first.ofdm_cfg is second.ofdm_cfg
+    first = draw_trial(cfg, 64, 8.0, 0)
+    for draw in (draw_trial(cfg, 64, 8.0, 1), *(draw_trial(t, 64, 8.0, 0) for t in twins)):
+        assert draw.frame_cfg is first.frame_cfg
+        assert draw.ofdm_cfg is first.ofdm_cfg
+        assert draw.blind_cfg is first.blind_cfg
 
 
 def test_the_identifiability_bound_has_one_owner(monkeypatch):
@@ -575,7 +589,7 @@ def test_the_identifiability_bound_has_one_owner(monkeypatch):
     fields = dict(seq_lengths=(64,), L=2, L_est=20, Nr=2, snr_db_list=(29.0,))
     SimulationConfig(**fields)
     monkeypatch.setattr(BlindConfig, "check_length", stricter)
-    harness._plans.cache_clear()  # the config just built must be checked afresh
+    harness._plan.cache_clear()  # the config just built must be checked afresh
     with pytest.raises(ValueError, match=r"4\*L_est"):
         SimulationConfig(**fields)
     Yf = np.random.default_rng(29).standard_normal((64, 2)) + 0j

@@ -53,6 +53,7 @@ REMOVED = (
     "blind_config",
     "ofdm_config",
     "_PDP_RATIO",
+    "_plans",
 )
 
 
