@@ -102,7 +102,9 @@ _FLAGS = {
         "receivers", partial(comma_list, str.strip), f"comma list from: {', '.join(RECEIVERS)}"
     ),
     "seed": ("seed", int, "master seed"),
-    "workers": ("workers", int, "parallel trial workers"),
+    "workers": (
+        "workers", int, "parallel trial workers (1: one decoding process plus one draw-ahead thread)"
+    ),
     "ofdm_taps": (
         "ofdm_taps", int, "taps kept by the baseline interpolator (default: all pilot taps)"
     ),

@@ -3,11 +3,12 @@ traces, and CSV persistence.
 
 Every trial derives its own random substream from (seed, P, snr, trial
 index), so results are a pure function of the configuration no matter how
-trials are scheduled across workers. Within a trial, the payloads, channel
-and noise are always drawn in the same order regardless of which receivers
-are enabled; the blind variants (blind_rx.MODES) share one factorization on
-the same received samples, and each reference receiver (BASELINES) decides
-from the same channel and noise, the OFDM baseline on its own block.
+trials are scheduled across workers and threads. Within a trial, the
+payloads, channel and noise are always drawn in the same order regardless
+of which receivers are enabled; the blind variants (blind_rx.MODES) share
+one factorization on the same received samples, and each reference receiver
+(BASELINES) decides from the same channel and noise, the OFDM baseline on
+its own block.
 
 Every row of RECEIVERS is scored alike: a frame on which its receiver raises
 (degenerate MRC bin, annihilated pilot) is excluded from the error counts
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import astuple, dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,7 +59,12 @@ RECEIVERS = (*MODES, *BASELINES)
 @dataclass(frozen=True)
 class SimulationConfig:
     """Full description of one experiment; the CSV is a function of this.
-    The decay channel._DECAY and AM's ridge weight blind_rx._MU are constants."""
+    The decay channel._DECAY and AM's ridge weight blind_rx._MU are constants.
+
+    workers > 1 runs trials on a process pool, one frame per task. workers = 1
+    decodes in this process while one helper thread draws the next trial
+    (_map_cells); pool workers draw their own, as a second thread each would
+    oversubscribe the cores."""
 
     seq_lengths: tuple = (256,)
     L: int = 4
@@ -216,17 +222,28 @@ def _substream(seed: int, P: int, snr_db: float, trial_index: int) -> np.random.
 
 @dataclass(frozen=True)
 class TrialDraw:
-    """The random draws of one trial, with the channel and noise already in
-    the frequency domain (Hf: P x Nr frequency response, Nf: unitary DFT of
-    the time-domain noise)."""
+    """The random draws of one trial: the payloads, the L x Nr taps and the
+    P x Nr time-domain noise. Their frequency-domain forms Hf and Nf are
+    formed on first use, by the thread that decodes the trial: a trial drawn
+    ahead then holds one P x Nr array, in the drawing thread's malloc arena."""
 
     frame_cfg: FrameConfig
     payload: np.ndarray = field(repr=False)
     ofdm_cfg: OfdmPilotConfig
     blind_cfg: BlindConfig
     ofdm_payload: np.ndarray = field(repr=False)
-    Hf: np.ndarray = field(repr=False)
-    Nf: np.ndarray = field(repr=False)
+    taps: np.ndarray = field(repr=False)
+    noise: np.ndarray = field(repr=False)
+
+    @cached_property
+    def Hf(self) -> np.ndarray:
+        """P x Nr frequency response of the taps."""
+        return frequency_response(self.taps, self.noise.shape[0])
+
+    @cached_property
+    def Nf(self) -> np.ndarray:
+        """Unitary DFT of the time-domain noise."""
+        return dft(self.noise)
 
     def received(self, Xf: np.ndarray) -> np.ndarray:
         """Receive matrix of a block whose unitary DFT is Xf."""
@@ -256,23 +273,33 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
         ofdm_cfg=ofdm_cfg,
         blind_cfg=blind_cfg,
         ofdm_payload=ofdm_payload,
-        Hf=frequency_response(taps, P),
-        Nf=dft(noise),
+        taps=taps,
+        noise=noise,
     )
 
 
+def _draw(
+    cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, ahead: Future | None = None
+) -> TrialDraw:
+    """The trial's draws: ahead's result when _map_cells drew them ahead on its
+    helper thread (waiting for it, and raising what it raised), else draw_trial's."""
+    return draw_trial(cfg, P, snr_db, trial_index) if ahead is None else ahead.result()
+
+
 def run_trial(
-    cfg: SimulationConfig, P: int, snr_db: float, trial_index: int
+    cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, ahead: Future | None = None
 ) -> dict[str, ReceiverTrial]:
     """One frame end to end: the outcome of every selected receiver, by name.
 
     Deterministic in (cfg.seed, P, snr_db, trial_index); see draw_trial.
-    The selected blind variants share one factorization of the same receive
-    matrix, and each scores its own refined mode (decode_frame decodes only
-    the selected modes); a baseline decides from the same draws. A receiver
-    that raised, or whose factorization raised, reports a failed frame.
+    ahead, when given, is this trial's draw_trial already submitted by
+    _map_cells, and the frame waits for it here. The selected blind variants
+    share one factorization of the same receive matrix, and each scores its
+    own refined mode (decode_frame decodes only the selected modes); a
+    baseline decides from the same draws. A receiver that raised, or whose
+    factorization raised, reports a failed frame.
     """
-    draw = draw_trial(cfg, P, snr_db, trial_index)
+    draw = _draw(cfg, P, snr_db, trial_index, ahead)
     decided: dict[str, tuple] = {}  # name -> (decided bits, sent bits, AM's fields)
     blind = tuple(r for r in cfg.receivers if r in MODES)
     if blind:
@@ -304,22 +331,38 @@ def _map_cells(cfg: SimulationConfig, fn, cells: list) -> list[list]:
     """fn(cfg, P, snr_db, trial_index) for every trial of every (P, snr_db)
     cell; returns one list per cell, in cell order, with its trials in order.
 
-    All calls go through one pool map of at most cfg.workers processes and
-    never more than there are trials (a forking pool starts all of its
-    workers at the first submit), largest P first so the longest frames
-    start early and the short ones fill the tail; the result order never
-    depends on the schedule.
+    The trials run largest P first, so on a pool the longest frames start
+    early and the short ones fill the tail; the result order never depends
+    on the schedule. With cfg.workers > 1 they go through one pool map of at
+    most cfg.workers processes and never more than there are trials (a
+    forking pool starts all of its workers at the first submit), one frame
+    per task, each drawing its own trial. Otherwise this process scores them
+    in order while one helper thread draws them, in the same order and one
+    trial ahead: the payloads, channel and noise of trial k+1, mostly numpy
+    work that releases the GIL, go through the module's draw_trial while
+    trial k decodes, and fn(cfg, P, snr_db, trial_index, ahead) waits for its
+    draw inside its call. Pool workers draw no trial ahead: a second thread
+    each would oversubscribe the cores. A single trial runs alone, with no
+    helper.
     """
     order = sorted(cells, key=lambda cell: -cell[0])
     n = cfg.frames_per_point
     tasks = [(cfg, P, snr_db, i) for P, snr_db in order for i in range(n)]
-    columns = zip(*tasks)
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, *columns, chunksize=1))
+            results = list(pool.map(fn, *zip(*tasks), chunksize=1))
+    elif len(tasks) == 1:
+        results = [fn(*tasks[0])]
     else:
-        results = list(map(fn, *columns))
+        results = []
+        # a raise leaves the with block, which joins the one draw in flight
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            ahead = helper.submit(_draw, *tasks[0])
+            for k, task in enumerate(tasks):
+                current = ahead
+                ahead = helper.submit(_draw, *tasks[k + 1]) if k + 1 < len(tasks) else None
+                results.append(fn(*task, current))
     by_cell = {cell: results[k * n : (k + 1) * n] for k, cell in enumerate(order)}
     return [by_cell[cell] for cell in cells]
 
@@ -440,10 +483,12 @@ class ResidualTrace:
     errors: np.ndarray = field(repr=False)
 
 
-def trace_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -> np.ndarray:
+def trace_trial(
+    cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, ahead: Future | None = None
+) -> np.ndarray:
     """Residual trace of the blind factorization on one frame (the same
-    draws, hence the same receive matrix, as run_trial)."""
-    draw = draw_trial(cfg, P, snr_db, trial_index)
+    draws, hence the same receive matrix, as run_trial; ahead as there)."""
+    draw = _draw(cfg, P, snr_db, trial_index, ahead)
     return alternating_minimization(draw.blind_received(), draw.blind_cfg).residual_trace
 
 

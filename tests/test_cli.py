@@ -458,7 +458,7 @@ def test_exit_code_3_before_any_trial_when_an_output_has_no_directory(
 def test_exit_code_4_when_all_frames_fail(monkeypatch, capsys):
     from scfde.harness import ReceiverTrial
 
-    def always_fails(cfg, P, snr_db, trial_index):
+    def always_fails(cfg, P, snr_db, trial_index, ahead=None):
         return {name: ReceiverTrial(failed=True) for name in cfg.receivers}
 
     monkeypatch.setattr(harness, "run_trial", always_fails)

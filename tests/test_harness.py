@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -96,6 +98,7 @@ def test_draw_trial_matches_time_domain_reference():
         noise = complex_noise((P, Nr), snr_db_to_noise_variance(5.0), ref)
         assert np.array_equal(draw.payload, payload)
         assert np.array_equal(draw.ofdm_payload, ofdm_payload)
+        assert np.array_equal(draw.taps, ch) and np.array_equal(draw.noise, noise)
 
         x = build_frame(frame_cfg, payload)
         blind_ref = dft(convolve_channel(x, ch) + noise)
@@ -315,6 +318,111 @@ def test_trace_csv_byte_identical_across_workers():
     serial, pooled = (residual_trace(dataclasses.replace(cfg, workers=w)) for w in (1, 2))
     assert render_trace_csv(cfg, serial) == render_trace_csv(cfg, pooled)
     assert [(tr.snr_db, tr.P) for tr in pooled] == [(8.0, 32), (8.0, 64), (14.0, 32), (14.0, 64)]
+
+
+# two lengths x two SNRs x three frames: a serial run draws ahead across
+# trial, SNR and sequence-length boundaries
+MULTI = dataclasses.replace(
+    SMALL, seq_lengths=(32, 64), L_est=2, snr_db_list=(8.0, 14.0), frames_per_point=3
+)
+# _map_cells' task order: largest P first, then the cell order, then the trial index
+MULTI_TASKS = [(P, snr, i) for P in (64, 32) for snr in (8.0, 14.0) for i in range(3)]
+
+
+def test_a_serial_run_scores_each_trial_as_alone_and_writes_the_pool_bytes(
+    tmp_path, monkeypatch
+):
+    frame, calls = harness.run_trial, []
+
+    def recorded(cfg, P, snr_db, trial_index, *ahead):
+        outcome = frame(cfg, P, snr_db, trial_index, *ahead)
+        calls.append(((P, snr_db, trial_index), ahead, outcome))
+        return outcome
+
+    outputs = []
+    for workers in (1, 2):
+        cfg = dataclasses.replace(
+            MULTI,
+            workers=workers,
+            out_path=str(tmp_path / f"sweep{workers}.csv"),
+            dump_path=str(tmp_path / f"dump{workers}.csv"),
+        )
+        with monkeypatch.context() as patch:
+            if workers == 1:  # a pool task would have to pickle the recorder
+                patch.setattr(harness, "run_trial", recorded)
+            sweep(cfg)
+        trace = tmp_path / f"trace{workers}.csv"
+        residual_trace(dataclasses.replace(cfg, dump_path=None, out_path=str(trace)))
+        names = ("sweep", "dump", "trace")
+        outputs.append([(tmp_path / f"{name}{workers}.csv").read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+    # one call per frame through the module global, each handed the draw the
+    # helper made while the frame before it decoded
+    assert [key for key, _, _ in calls] == MULTI_TASKS
+    assert all(isinstance(ahead, Future) for _, (ahead,), _ in calls)
+    for (P, snr_db, i), _, outcome in calls:
+        assert outcome == run_trial(MULTI, P, snr_db, i)
+
+
+def test_the_helper_draws_each_task_once_in_task_order(monkeypatch):
+    draw, drawn = harness.draw_trial, []
+
+    def recorded(cfg, P, snr_db, trial_index):
+        drawn.append(((P, snr_db, trial_index), threading.current_thread()))
+        return draw(cfg, P, snr_db, trial_index)
+
+    monkeypatch.setattr(harness, "draw_trial", recorded)
+    for run in (sweep, residual_trace):
+        drawn.clear()
+        run(MULTI)
+        assert [key for key, _ in drawn] == MULTI_TASKS
+        threads = {thread for _, thread in drawn}  # one helper, never this thread
+        assert len(threads) == 1 and threading.main_thread() not in threads
+
+
+def test_a_draw_that_raises_surfaces_at_its_trial_and_leaves_no_thread(monkeypatch):
+    before = threading.active_count()
+    for run in (sweep, residual_trace):
+        run(MULTI)
+        assert threading.active_count() == before
+    draw = harness.draw_trial
+    frames = {"run_trial": harness.run_trial, "trace_trial": harness.trace_trial}
+    scored = []
+
+    def third_draw_fails(cfg, P, snr_db, trial_index):
+        if trial_index == 2:
+            raise RuntimeError(f"no draw for trial {trial_index}")
+        return draw(cfg, P, snr_db, trial_index)
+
+    def counted(name):
+        def scored_frame(cfg, P, snr_db, trial_index, *ahead):
+            result = frames[name](cfg, P, snr_db, trial_index, *ahead)
+            scored.append(trial_index)
+            return result
+
+        return scored_frame
+
+    monkeypatch.setattr(harness, "draw_trial", third_draw_fails)
+    for name in frames:
+        monkeypatch.setattr(harness, name, counted(name))
+    for run in (sweep, residual_trace):
+        scored.clear()
+        with pytest.raises(RuntimeError, match="no draw for trial 2"):
+            run(MULTI)
+        assert scored == [0, 1]  # raised at the third frame's own call
+        assert threading.active_count() == before
+
+
+def test_a_single_trial_starts_no_helper(monkeypatch):
+    def no_helper(*args, **kwargs):
+        raise AssertionError("a one-trial run started a helper thread")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_helper)
+    one = dataclasses.replace(SMALL, frames_per_point=1)
+    sweep(one)
+    residual_trace(one)
+    with pytest.raises(AssertionError, match="helper"):  # two trials start one
+        sweep(dataclasses.replace(one, frames_per_point=2))
 
 
 def test_trace_writes_its_csv_to_out_path(tmp_path):
