@@ -278,14 +278,6 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
     )
 
 
-def _draw(
-    cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, ahead: Future | None = None
-) -> TrialDraw:
-    """The trial's draws: ahead's result when _map_cells drew them ahead on its
-    helper thread (waiting for it, and raising what it raised), else draw_trial's."""
-    return draw_trial(cfg, P, snr_db, trial_index) if ahead is None else ahead.result()
-
-
 def run_trial(
     cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, ahead: Future | None = None
 ) -> dict[str, ReceiverTrial]:
@@ -299,7 +291,7 @@ def run_trial(
     baseline decides from the same draws. A receiver that raised, or whose
     factorization raised, reports a failed frame.
     """
-    draw = _draw(cfg, P, snr_db, trial_index, ahead)
+    draw = ahead.result() if ahead is not None else draw_trial(cfg, P, snr_db, trial_index)
     decided: dict[str, tuple] = {}  # name -> (decided bits, sent bits, AM's fields)
     blind = tuple(r for r in cfg.receivers if r in MODES)
     if blind:
@@ -328,8 +320,9 @@ def run_trial(
 
 
 def _map_cells(cfg: SimulationConfig, fn, cells: list) -> list[list]:
-    """fn(cfg, P, snr_db, trial_index) for every trial of every (P, snr_db)
-    cell; returns one list per cell, in cell order, with its trials in order.
+    """fn(cfg, P, snr_db, trial_index[, ahead]) for every trial of every
+    (P, snr_db) cell; returns one list per cell, in cell order, with its
+    trials in order.
 
     The trials run largest P first, so on a pool the longest frames start
     early and the short ones fill the tail; the result order never depends
@@ -342,8 +335,7 @@ def _map_cells(cfg: SimulationConfig, fn, cells: list) -> list[list]:
     work that releases the GIL, go through the module's draw_trial while
     trial k decodes, and fn(cfg, P, snr_db, trial_index, ahead) waits for its
     draw inside its call. Pool workers draw no trial ahead: a second thread
-    each would oversubscribe the cores. A single trial runs alone, with no
-    helper.
+    each would oversubscribe the cores.
     """
     order = sorted(cells, key=lambda cell: -cell[0])
     n = cfg.frames_per_point
@@ -352,16 +344,14 @@ def _map_cells(cfg: SimulationConfig, fn, cells: list) -> list[list]:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, *zip(*tasks), chunksize=1))
-    elif len(tasks) == 1:
-        results = [fn(*tasks[0])]
     else:
         results = []
         # a raise leaves the with block, which joins the one draw in flight
         with ThreadPoolExecutor(max_workers=1) as helper:
-            ahead = helper.submit(_draw, *tasks[0])
+            ahead = helper.submit(draw_trial, *tasks[0])
             for k, task in enumerate(tasks):
                 current = ahead
-                ahead = helper.submit(_draw, *tasks[k + 1]) if k + 1 < len(tasks) else None
+                ahead = helper.submit(draw_trial, *tasks[k + 1]) if k + 1 < len(tasks) else None
                 results.append(fn(*task, current))
     by_cell = {cell: results[k * n : (k + 1) * n] for k, cell in enumerate(order)}
     return [by_cell[cell] for cell in cells]
@@ -488,7 +478,7 @@ def trace_trial(
 ) -> np.ndarray:
     """Residual trace of the blind factorization on one frame (the same
     draws, hence the same receive matrix, as run_trial; ahead as there)."""
-    draw = _draw(cfg, P, snr_db, trial_index, ahead)
+    draw = ahead.result() if ahead is not None else draw_trial(cfg, P, snr_db, trial_index)
     return alternating_minimization(draw.blind_received(), draw.blind_cfg).residual_trace
 
 

@@ -413,16 +413,25 @@ def test_a_draw_that_raises_surfaces_at_its_trial_and_leaves_no_thread(monkeypat
         assert threading.active_count() == before
 
 
-def test_a_single_trial_starts_no_helper(monkeypatch):
-    def no_helper(*args, **kwargs):
-        raise AssertionError("a one-trial run started a helper thread")
+def test_a_single_trial_run_equals_its_trial_alone(monkeypatch):
+    frame, calls = harness.run_trial, []
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_helper)
+    def recorded(cfg, P, snr_db, trial_index, *ahead):
+        outcome = frame(cfg, P, snr_db, trial_index, *ahead)
+        calls.append(((P, snr_db, trial_index), ahead, outcome))
+        return outcome
+
     one = dataclasses.replace(SMALL, frames_per_point=1)
+    (P,), (snr_db,) = one.seq_lengths, one.snr_db_list
+    before = threading.active_count()
+    monkeypatch.setattr(harness, "run_trial", recorded)
     sweep(one)
-    residual_trace(one)
-    with pytest.raises(AssertionError, match="helper"):  # two trials start one
-        sweep(dataclasses.replace(one, frames_per_point=2))
+    (trace,) = residual_trace(one)
+    assert threading.active_count() == before
+    ((key, (ahead,), outcome),) = calls  # drawn on the helper like any other
+    assert key == (P, snr_db, 0) and isinstance(ahead, Future)
+    assert outcome == run_trial(one, P, snr_db, 0)
+    np.testing.assert_array_equal(trace.errors, harness.trace_trial(one, P, snr_db, 0))
 
 
 def test_trace_writes_its_csv_to_out_path(tmp_path):
