@@ -39,6 +39,9 @@ class OfdmPilotConfig:
     L_trunc: int | None = None
 
     def __post_init__(self):
+        get_constellation(self.M)  # rejects unsupported orders
+        if not is_whole(self.P) or self.P < 1:
+            raise ValueError(f"subcarrier count must be a whole number >= 1, got {self.P}")
         if self.L_trunc is None:
             return
         if not is_whole(self.L_trunc) or self.L_trunc < 1:

@@ -115,9 +115,12 @@ class ReceiverEstimate:
 
     lambda_hat: np.ndarray = field(repr=False)
     H_t_hat: np.ndarray = field(repr=False)
-    iterations: int
     residual_trace: np.ndarray = field(repr=False)
     compression: Compression = field(repr=False)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_trace)
 
 
 def _am_step(
@@ -190,7 +193,6 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     return ReceiverEstimate(
         lambda_hat=lam,
         H_t_hat=H_t @ V_K.conj().T,
-        iterations=len(trace),
         residual_trace=np.asarray(trace),
         compression=c,
     )

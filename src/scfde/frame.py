@@ -35,6 +35,8 @@ class FrameConfig:
         get_constellation(self.M)  # rejects unsupported orders
         if not is_whole(self.L) or self.L < 1:
             raise ValueError(f"tap count must be a whole number >= 1, got {self.L}")
+        if not is_whole(self.P):
+            raise ValueError(f"frame length must be a whole number, got {self.P}")
         if self.N < 2:
             raise ValueError(
                 f"frame too short: P={self.P}, L={self.L} leaves N={self.N} < 2 "

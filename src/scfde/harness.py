@@ -59,12 +59,7 @@ RECEIVERS = (*MODES, *BASELINES)
 @dataclass(frozen=True)
 class SimulationConfig:
     """Full description of one experiment; the CSV is a function of this.
-    The decay channel._DECAY and AM's ridge weight blind_rx._MU are constants.
-
-    workers > 1 runs trials on a process pool, one frame per task. workers = 1
-    decodes in this process while one helper thread draws the next trial
-    (_map_cells); pool workers draw their own, as a second thread each would
-    oversubscribe the cores."""
+    The decay channel._DECAY and AM's ridge weight blind_rx._MU are constants."""
 
     seq_lengths: tuple = (256,)
     L: int = 4
@@ -81,7 +76,8 @@ class SimulationConfig:
     dump_path: str | None = None
 
     def __post_init__(self):
-        # its own lists and counts, one rule each; its plans own L, L_est, M and ofdm_taps
+        # its own lists and counts, one rule each; its plans own L, L_est, M, ofdm_taps
+        # and every rule on a length but the sweep's: a power of two, and distinct
         for name in ("seq_lengths", "snr_db_list", "receivers"):  # tuples, for equality and the echo
             value = getattr(self, name)
             items = () if isinstance(value, str) else tuple(value)  # a string is no list
@@ -92,9 +88,10 @@ class SimulationConfig:
             value = getattr(self, name)
             if not is_whole(value) or value < least:
                 raise ValueError(f"{name} must be a whole number >= {least}, got {value}")
-        for P in self.seq_lengths:
-            if not is_whole(P) or P < 2 or P & (P - 1):
-                raise ValueError(f"sequence length {P} is not a whole power of two")
+        for P in self.seq_lengths:  # builds, and so checks, every plan before any trial runs
+            _plan(P, self.L, self.L_est, self.M, self.ofdm_taps)
+            if P & (P - 1):
+                raise ValueError(f"sequence length {P} is not a power of two")
         if len(set(self.seq_lengths)) < len(self.seq_lengths):
             raise ValueError(f"sequence lengths {self.seq_lengths} repeat")
         bad = set(self.receivers) - set(RECEIVERS)
@@ -129,8 +126,6 @@ class SimulationConfig:
                 f"output and per-trial dump are the same file ({self.out_path}); "
                 "the dump would overwrite the sweep CSV"
             )
-        for P in self.seq_lengths:  # builds, and so checks, every plan before any trial runs
-            _plan(P, self.L, self.L_est, self.M, self.ofdm_taps)
 
 
 @lru_cache(maxsize=None, typed=True)

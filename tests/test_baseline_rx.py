@@ -128,6 +128,10 @@ def test_transmit_payload_length_validated():
 def test_pilot_count_must_resolve_taps():
     with pytest.raises(ValueError):
         OfdmPilotConfig(P=32, M=16, L_trunc=8)  # only 4 pilots
+    # refused when built, not at the first payload
+    for P, M in [(64.0, 16), (64, 5), (64, 16.0)]:
+        with pytest.raises(ValueError):
+            OfdmPilotConfig(P=P, M=M)
 
 
 def test_subcarrier_indices_built_once_per_plan():

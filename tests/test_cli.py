@@ -387,7 +387,10 @@ def test_exit_code_2_on_config_errors(capsys):
 
 def test_exit_code_2_on_invalid_combinations(tmp_path, capsys):
     # each is rejected while the configuration is built, before any trial
-    assert main(["sweep", "--seq-len", "16", "--taps", "9"]) == 2  # frame too short
+    for args in (["--seq-len", "16", "--taps", "9"], ["--seq-len", "1"]):  # 1 is 2**0
+        capsys.readouterr()
+        assert main(["sweep", *args]) == 2
+        assert "frame too short" in capsys.readouterr().err
     assert main(["sweep", "--seq-len", "64", "--taps-est", "40"]) == 2  # P <= 2 L_est
     for flag, rule in [
         ("--nr", "Nr must be a whole number >= 1"),

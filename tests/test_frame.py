@@ -96,3 +96,5 @@ def test_too_short_frame_rejected():
         FrameConfig(P=8, L=5, M=4)
     with pytest.raises(ValueError):
         FrameConfig(P=8, L=0, M=4)
+    with pytest.raises(ValueError, match="whole"):  # when built, not at the first payload
+        FrameConfig(P=64.0, L=3, M=16)

@@ -193,17 +193,6 @@ def test_split_runs_merge_to_single_run_totals():
         assert points_equal(by_rx[pt.receiver], pt)
 
 
-def test_csv_byte_identical_across_runs_and_workers():
-    # two lengths and two SNRs: the pool runs the larger P first
-    cfg = dataclasses.replace(
-        SMALL, seq_lengths=(32, 64), L_est=2, snr_db_list=(8.0, 14.0), frames_per_point=3
-    )
-    text1 = render_csv(cfg, sweep(cfg))
-    text2 = render_csv(cfg, sweep(cfg))
-    text3 = render_csv(cfg, sweep(dataclasses.replace(cfg, workers=2)))
-    assert text1 == text2 == text3
-
-
 def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     # a forking pool starts all max_workers processes at the first submit,
     # so the request is capped at the task count; the fake starts none
@@ -290,36 +279,6 @@ def test_dump_rows_of_failed_frames_and_of_the_baseline(tmp_path, monkeypatch):
     assert [pt.frames_failed for pt in points] == [1, 1, 1, 0]
 
 
-def test_dump_rows_in_cell_and_trial_order_at_any_worker_count(tmp_path):
-    cfg = dataclasses.replace(
-        SMALL, seq_lengths=(32, 64), L_est=2, snr_db_list=(8.0, 14.0), frames_per_point=2
-    )
-    dumps = []
-    for workers in (1, 2):
-        dump = tmp_path / f"trials{workers}.csv"
-        sweep(dataclasses.replace(cfg, workers=workers, dump_path=str(dump)))
-        dumps.append(dump.read_text())
-    assert dumps[0] == dumps[1]
-    keys = [tuple(row.split(",")[:3]) for row in dumps[0].splitlines()[1:]]
-    expected = [
-        (str(P), format(snr, ".12g"), str(i))
-        for P in (32, 64)
-        for snr in (8.0, 14.0)
-        for i in range(2)
-        for _ in cfg.receivers
-    ]
-    assert keys == expected
-
-
-def test_trace_csv_byte_identical_across_workers():
-    cfg = dataclasses.replace(
-        SMALL, seq_lengths=(32, 64), L_est=2, snr_db_list=(8.0, 14.0), frames_per_point=3
-    )
-    serial, pooled = (residual_trace(dataclasses.replace(cfg, workers=w)) for w in (1, 2))
-    assert render_trace_csv(cfg, serial) == render_trace_csv(cfg, pooled)
-    assert [(tr.snr_db, tr.P) for tr in pooled] == [(8.0, 32), (8.0, 64), (14.0, 32), (14.0, 64)]
-
-
 # two lengths x two SNRs x three frames: a serial run draws ahead across
 # trial, SNR and sequence-length boundaries
 MULTI = dataclasses.replace(
@@ -352,10 +311,20 @@ def test_a_serial_run_scores_each_trial_as_alone_and_writes_the_pool_bytes(
                 patch.setattr(harness, "run_trial", recorded)
             sweep(cfg)
         trace = tmp_path / f"trace{workers}.csv"
-        residual_trace(dataclasses.replace(cfg, dump_path=None, out_path=str(trace)))
+        traces = residual_trace(dataclasses.replace(cfg, dump_path=None, out_path=str(trace)))
+        assert [(tr.snr_db, tr.P) for tr in traces] == [(8.0, 32), (8.0, 64), (14.0, 32), (14.0, 64)]
         names = ("sweep", "dump", "trace")
         outputs.append([(tmp_path / f"{name}{workers}.csv").read_bytes() for name in names])
     assert outputs[0] == outputs[1]
+    # the dump's rows follow the cells, (P, snr), and each cell's trials in order
+    keys = [tuple(row.split(",")[:3]) for row in outputs[0][1].decode().splitlines()[1:]]
+    assert keys == [
+        (str(P), format(snr, ".12g"), str(i))
+        for P in (32, 64)
+        for snr in (8.0, 14.0)
+        for i in range(3)
+        for _ in MULTI.receivers
+    ]
     # one call per frame through the module global, each handed the draw the
     # helper made while the frame before it decoded
     assert [key for key, _, _ in calls] == MULTI_TASKS
