@@ -8,7 +8,10 @@ channel solve with a per-bin MRC update of the spectrum, until a step no
 longer lowers the reconstruction residual or an iteration cap is reached
 (the stop takes no tolerance). The channel has rank at most L_est, so the
 factorization runs on the P x K compression Yf V_K onto the dominant right
-singular subspace (K = min(Nr, L_est)). It is identifiable only up to one
+singular subspace (K = min(Nr, L_est)). Its steps run in single precision
+on a unit-energy complex64 copy of the compression, with each residual in
+double, and the run finishes in double (alternating_minimization); what it
+returns, and everything after it, is double. It is identifiable only up to one
 global complex scale alpha: the time-domain estimate x_hat =
 idft(lambda_hat) is the transmitted frame times alpha. Each correction
 mode is one (x_hat, frame) -> alpha estimator, taking alpha from the
@@ -46,6 +49,9 @@ from .matrixkit import (
 _DD_ROUNDS = 2
 # ridge weight of AM's channel solve (the decision-directed rounds use 0)
 _MU = 0.5
+# in single precision energy - fit rounds at about eps * energy, so a relative
+# residual below sqrt(eps) cannot be told from 0 there
+_SINGLE_FLOOR = math.sqrt(np.finfo(np.float32).eps)
 
 @dataclass(frozen=True)
 class BlindConfig:
@@ -83,7 +89,8 @@ class Compression:
     and every reduction of a step runs along the long P axis, not along the
     K- or L-long one. F_L holds the same columns P x L, C-contiguous, as
     matrixkit's O(P L) Toeplitz Gram takes them. energy is the full
-    ||Yf||_F^2. The decision-directed rounds step on the same problem.
+    ||Yf||_F^2. The decision-directed rounds step on the same problem, in
+    complex128; AM's single stage steps on its complex64 copy, single().
     """
 
     Y_rows: np.ndarray = field(repr=False)
@@ -98,6 +105,20 @@ class Compression:
         rows = np.ascontiguousarray(Yc.T)
         return cls(rows, float(energy), F_L, np.ascontiguousarray(F_L.conj().T))
 
+    def single(self) -> Compression:
+        """This problem in complex64, scaled to unit energy.
+
+        Squares of complex64 entries overflow past a modulus of ~1.8e19,
+        which a frame at -400 dB reaches; at unit energy they cannot. The
+        scale leaves a step's spectrum and relative residual as they are (the
+        MRC numerator and denominator both scale by its square) and divides
+        its taps by sqrt(energy).
+        """
+        rows = (self.Y_rows * (1.0 / math.sqrt(self.energy))).astype(np.complex64)
+        return Compression(
+            rows, 1.0, self.F_L.astype(np.complex64), self.F_rows.astype(np.complex64)
+        )
+
 
 @dataclass
 class ReceiverEstimate:
@@ -107,10 +128,15 @@ class ReceiverEstimate:
     H_t_hat: L_est x Nr tap estimate (per-bin channel F_{L_est} @ H_t_hat),
     the taps fitted to the compression Yf V_K mapped back to all Nr
     antennas.
+    Both are complex128: AM's last step is always a double one.
     residual_trace: relative residual ||Yf - diag(lambda) F H_t||_F / ||Yf||_F
-    after each iteration. iterations is its length: below max_iter, the
-    last step did not lower the residual (a stall); at max_iter, the cap.
-    compression: the compressed problem the iterations ran on.
+    after each iteration, computed in double. The entries of the single
+    stage's steps (all but the last on most noisy frames) carry the float32
+    rounding of their iterate, ~1e-7 of ||Yf||^2 in the squared residual; the
+    double steps' are exact to ~1e-15. iterations is its length: below
+    max_iter, the last step did not lower the residual (a stall); at
+    max_iter, the cap. compression: the compressed problem, complex128, that
+    the double steps and the decision-directed rounds step on.
     """
 
     lambda_hat: np.ndarray = field(repr=False)
@@ -143,6 +169,11 @@ def _am_step(
     optimality,
     ||Yf - diag(lam) F H_t||^2 = ||Yf||^2 - sum_p |num_p|^2 / den_p.
 
+    One function for both precisions: on a complex64 c (Compression.single)
+    with a complex64 lam every product, the Gram and the solve run in
+    single precision, and lam and H_t come back complex64. The fit
+    vdot(lam, num), and so the residual, is always taken in double.
+
     Returns (updated lam, H_t, relative residual). Raises
     DegenerateBinError where the per-bin channel vanishes.
     """
@@ -154,7 +185,8 @@ def _am_step(
     if den.min() <= 0.0:
         raise DegenerateBinError(int(np.flatnonzero(den <= 0.0)[0]))
     lam = num * (1.0 / den)  # the same quotient, without the complex-division loop
-    fit = np.vdot(lam, num).real
+    # the fit in double: in float32, energy - fit rounds at ~1e-7 relative
+    fit = np.vdot(lam.astype(complex, copy=False), num.astype(complex, copy=False)).real
     return lam, H_t, math.sqrt(max(c.energy - fit, 0.0) / c.energy)
 
 
@@ -170,10 +202,21 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     alternates (a) the ridge channel solve (weight _MU) given the spectrum
     with (b) the per-bin MRC spectrum update given the channel, stopping
     after the first step that does not lower the relative reconstruction
-    residual (that step stays in the trace) or at cfg.max_iter. A residual of
-    exactly 0 cannot fall, so such a frame stops at its second step. The
-    residual is that of the full Yf: each step gets ||Yf||^2 as its
-    energy, so the energy outside V_K counts as misfit.
+    residual (that step stays in the trace) or at cfg.max_iter. The residual
+    is that of the full Yf: each step gets ||Yf||^2 as its energy, so the
+    energy outside V_K counts as misfit.
+
+    The steps run in two stages that share the one cap. The single stage
+    steps on c.single(), the compression in complex64 at unit energy, with
+    each residual in double. It ends at its first step that does not lower
+    the residual, at a residual below _SINGLE_FLOOR (which float32 cannot
+    tell from 0), at a DegenerateBinError, or one step before the cap. The
+    double stage then goes on from that iterate, cast up, on c itself until
+    a double step does not lower the residual of the double step before it
+    or the cap is reached. So every run ends on a double step, the stop
+    rule never fires on float32 rounding, and a noiseless frame floors
+    where an all-double run does. A residual of exactly 0 cannot fall, so a
+    double stage that reaches it stops at its next step.
     """
     Yf = np.asarray(Yf, dtype=complex)
     P, Nr = Yf.shape
@@ -181,13 +224,23 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
 
     Yc, V_K = compress_columns(Yf, min(Nr, cfg.L_est))
     c = Compression.of(Yc, np.linalg.norm(Yf) ** 2, cfg.L_est)
-    lam = Yc[:, 0] / np.linalg.norm(Yc[:, 0])
+    lam = (Yc[:, 0] / np.linalg.norm(Yc[:, 0])).astype(np.complex64)
 
-    trace = []
-    for _ in range(cfg.max_iter):
+    trace: list[float] = []
+    single = c.single()
+    try:
+        while len(trace) < cfg.max_iter - 1:
+            lam, _, residual = _am_step(single, lam, _MU)
+            trace.append(residual)
+            if residual < _SINGLE_FLOOR or len(trace) > 1 and residual >= trace[-2]:
+                break
+    except DegenerateBinError:
+        pass  # the double step from the same iterate decides
+    lam, handover = lam.astype(complex), len(trace)
+    while len(trace) < cfg.max_iter:
         lam, H_t, residual = _am_step(c, lam, _MU)
         trace.append(residual)
-        if len(trace) > 1 and residual >= trace[-2]:
+        if len(trace) > handover + 1 and residual >= trace[-2]:
             break
 
     return ReceiverEstimate(

@@ -116,12 +116,14 @@ def dft_weighted_gram(w: np.ndarray, F_L: np.ndarray, mu: float = 0.0) -> np.nda
     columns, F_L^H diag(w) F_L is Hermitian Toeplitz with first column
     c_k = sum_p w_p exp(2j pi p k / P) / P = conj(w @ F_L)_k / sqrt(P), the
     conjugate because w is real. That product is one real gemv of w against
-    the float64 view of F_L (each row interleaves the real and imaginary
-    parts of its L entries), with no real-to-complex cast of w.
+    the real view of F_L (each row interleaves the real and imaginary parts
+    of its L entries), with no real-to-complex cast of w. The view takes
+    F_L's own precision, so a complex64 F_L with float32 weights gives a
+    complex64 Gram.
     """
     P, L = F_L.shape
     # math.sqrt: a numpy scalar sqrt per call would cost more than the conj
-    c = (w @ F_L.view(np.float64)).view(complex).conj() / math.sqrt(P)
+    c = (w @ F_L.view(F_L.real.dtype)).view(F_L.dtype).conj() / math.sqrt(P)
     c[0] += mu  # lag 0 is the diagonal
     return np.concatenate((c[:0:-1].conj(), c))[_toeplitz_gather(L)]
 

@@ -35,6 +35,9 @@ from scfde.matrixkit import (
 )
 
 
+EPS32 = float(np.finfo(np.float32).eps)
+
+
 def noiseless_setup(P, L, Nr, M, seed):
     rng = np.random.default_rng(seed)
     cfg = FrameConfig(P=P, L=L, M=M)
@@ -93,15 +96,75 @@ def test_mrc_update_never_increases_residual():
         assert after <= before + 1e-12
 
 
+def first_spectrum(c):
+    """The spectrum AM starts from: column 0 of its compression, normalized."""
+    return c.Y_rows[0] / np.linalg.norm(c.Y_rows[0])
+
+
+def stepped(c, lam, steps):
+    """steps AM steps by hand on c, from lam cast to c's precision: the last
+    step's spectrum and taps, and the residual of every step."""
+    lam, trace = lam.astype(c.F_L.dtype), []
+    for _ in range(steps):
+        lam, H_t, residual = _am_step(c, lam, _MU)
+        trace.append(residual)
+    return lam, H_t, np.asarray(trace)
+
+
 def test_am_stops_at_the_first_step_that_does_not_lower_the_residual():
-    # criterion 3's noiseless frame 3 (seed 160_003) floors before the cap;
-    # the step that did not lower the residual ends the run and stays in the trace
+    # criterion 3's noiseless frame 3 (seed 160_003) floors before the cap.
+    # Its single stage stalls at step 46, and AM goes on in double from there
+    # until step 49, the first double step that does not lower the residual;
+    # each step that did not lower the residual stays in the trace
     _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
     est = alternating_minimization(Yf, BlindConfig(L_est=4))
     trace = est.residual_trace
     assert est.iterations == len(trace) == 49
-    assert np.all(np.diff(trace[:-1]) < 0)
-    assert trace[-1] >= trace[-2]
+    assert (np.flatnonzero(np.diff(trace) >= 0) + 2).tolist() == [46, 49]
+
+
+def test_a_frame_whose_single_stage_stalls_finishes_in_double():
+    # the same frame, stepped by hand: 46 steps on the unit-energy complex64
+    # copy, then 3 in double from that iterate, give AM's trace and spectrum
+    # bit for bit. What AM returns, and the compression the decision-directed
+    # rounds step on, are complex128
+    _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
+    est = alternating_minimization(Yf, BlindConfig(L_est=4))
+    c, single = est.compression, est.compression.single()
+    assert est.lambda_hat.dtype == est.H_t_hat.dtype == complex
+    assert c.Y_rows.dtype == c.F_L.dtype == c.F_rows.dtype == complex
+    assert single.Y_rows.dtype == single.F_L.dtype == single.F_rows.dtype == np.complex64
+    assert single.energy == 1.0
+    handover, _, first = stepped(single, first_spectrum(c), 46)
+    lam, _, last = stepped(c, handover, 3)
+    assert np.array_equal(est.residual_trace, np.concatenate((first, last)))
+    assert np.array_equal(est.lambda_hat, lam)
+    assert est.residual_trace[-1] <= first.min()
+
+
+def test_a_degenerate_bin_in_single_precision_goes_on_in_double(monkeypatch):
+    # a single-precision step that raises DegenerateBinError does not fail the
+    # frame: AM takes the double step from the same iterate and goes on there
+    import scfde.blind_rx as blind_rx
+
+    step = _am_step
+    precisions = []
+
+    def degenerate_third_single_step(c, lam, mu):
+        if c.F_L.dtype == np.complex64 and len(precisions) == 2:
+            raise DegenerateBinError(0)
+        precisions.append(c.F_L.dtype)
+        return step(c, lam, mu)
+
+    monkeypatch.setattr(blind_rx, "_am_step", degenerate_third_single_step)
+    _, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=5)
+    est = alternating_minimization(Yf, BlindConfig(L_est=2))
+    assert precisions == [np.complex64] * 2 + [complex] * (est.iterations - 2)
+    c = est.compression
+    handover, _, single = stepped(c.single(), first_spectrum(c), 2)
+    lam, _, double = stepped(c, handover, est.iterations - 2)
+    assert np.array_equal(est.residual_trace, np.concatenate((single, double)))
+    assert np.array_equal(est.lambda_hat, lam)
 
 
 def test_mrc_degenerate_bin_identified():
@@ -158,20 +221,26 @@ def test_estimate_internal_consistency():
 
 def test_am_on_full_rank_compression_matches_full_width():
     # with K = Nr the compression Yf V_K only rotates the antennas, and an AM
-    # step commutes with that rotation: the same spectrum, taps rotated back
+    # step commutes with that rotation: the same spectrum, taps rotated back.
+    # This frame takes 99 single-precision steps and finishes with one double
+    # step. The single stage on the full width matches AM's to float32
+    # rounding; from AM's own hand-over iterate, the double step on the full
+    # width matches AM's exactly
     rng = np.random.default_rng(19)
     cfg, _, _, _, Yf = noiseless_setup(64, 4, 4, 16, seed=19)
     Yf = Yf + 0.1 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
     est = alternating_minimization(Yf, BlindConfig(L_est=4))
-    c = Compression.of(Yf, np.linalg.norm(Yf) ** 2, 4)
-    Yc = compress_columns(Yf, 4)[0]
-    lam, trace = Yc[:, 0] / np.linalg.norm(Yc[:, 0]), []
-    for _ in range(est.iterations):
-        lam, H_t, residual = _am_step(c, lam, _MU)
-        trace.append(residual)
+    assert est.iterations == BlindConfig.max_iter
+    full = Compression.of(Yf, np.linalg.norm(Yf) ** 2, 4)
+    start = first_spectrum(est.compression)
+    handover, _, single = stepped(est.compression.single(), start, 99)
+    assert np.array_equal(est.residual_trace[:99], single)
+    _, _, full_single = stepped(full.single(), start, 99)
+    assert np.max(np.abs(full_single - single)) <= 20 * EPS32
+    lam, H_t, trace = stepped(full, handover, 1)
     assert np.linalg.norm(est.lambda_hat - lam) <= 1e-12 * np.linalg.norm(lam)
     assert np.linalg.norm(est.H_t_hat - H_t) <= 1e-12 * np.linalg.norm(H_t)
-    assert np.max(np.abs(est.residual_trace - trace)) <= 1e-12
+    assert np.max(np.abs(est.residual_trace[99:] - trace)) <= 1e-12
 
 
 def dense_am_step(Yf, lam, F_L, mu, energy):
@@ -208,6 +277,14 @@ def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
     # compared squared: at a perfect fit (Nr = 1) both residuals are square
     # roots of a rounding-level difference of energies
     assert abs(residual**2 - residual_ref**2) <= 1e-12
+    # the same step on the complex64 copy at unit energy, whose taps are
+    # scaled by 1 / sqrt(energy), to float32 rounding (the fit is in double)
+    single = Compression.of(Yf, energy, L).single()
+    lam32, H32, residual32 = _am_step(single, lam.astype(np.complex64), mu)
+    assert lam32.dtype == H32.dtype == np.complex64
+    assert np.linalg.norm(lam32 - lam_ref) <= 200 * EPS32 * np.linalg.norm(lam_ref)
+    assert np.linalg.norm(H32 * np.sqrt(energy) - H_ref) <= 200 * EPS32 * np.linalg.norm(H_ref)
+    assert abs(residual32**2 - residual_ref**2) <= 10 * EPS32
 
 
 def dividing_am_step(c, lam, mu):

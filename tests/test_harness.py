@@ -77,6 +77,26 @@ def test_near_noiseless_trial_is_error_free():
     assert trial.bits > 0
 
 
+def test_extreme_snrs_decode_without_overflow():
+    # AM steps on a unit-energy complex64 copy of each frame: at -400 dB the
+    # receive entries reach ~1e20, and their squares would overflow complex64
+    # (the residual read nan). The noise-bound residual equals the all-double
+    # run's (0.800259812777) to float32 rounding; at +300 dB the frames decode
+    # error-free at a noiseless frame's floor
+    cfg = dataclasses.replace(
+        SMALL, L=2, L_est=2, snr_db_list=(-400.0, 300.0), receivers=("blind_pilot",), seed=0
+    )
+    with np.errstate(over="raise", invalid="raise"):
+        low, high = (
+            aggregate(cfg, 64, snr, [run_trial(cfg, 64, snr, i) for i in range(4)])[0]
+            for snr in cfg.snr_db_list
+        )
+    assert low.frames_failed == high.frames_failed == 0
+    assert low.mean_final_residual == pytest.approx(0.800259812777, rel=1e-6)
+    assert high.bit_errors == 0
+    assert high.mean_final_residual < 5e-3
+
+
 def test_draw_trial_matches_time_domain_reference():
     # the frequency-domain receive matrices equal the DFT of the time-domain
     # propagation of the same draws, taken in the documented order

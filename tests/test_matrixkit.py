@@ -306,3 +306,9 @@ def test_toeplitz_forms_match_dense_products(L, extra, mu, seed):
     dense_gram = A.conj().T @ A + mu * np.eye(L)
     gram = dft_weighted_gram(np.abs(lam) ** 2, F_L, mu)
     assert np.linalg.norm(gram - dense_gram) <= 1e-12 * np.linalg.norm(dense_gram)
+    # in F_L's own precision: complex64 columns and float32 weights, as AM's
+    # single-precision steps pass them, give the same Gram in complex64
+    gram32 = dft_weighted_gram((np.abs(lam) ** 2).astype(np.float32), F_L.astype(np.complex64), mu)
+    assert gram32.dtype == np.complex64
+    eps32 = float(np.finfo(np.float32).eps)
+    assert np.linalg.norm(gram32 - dense_gram) <= 20 * eps32 * np.linalg.norm(dense_gram)
