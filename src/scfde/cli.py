@@ -103,7 +103,8 @@ _FLAGS = {
     ),
     "seed": ("seed", int, "master seed"),
     "workers": (
-        "workers", int, "parallel trial workers (1: one decoding process plus one draw-ahead thread)"
+        "workers", int, "parallel trial workers, each task a block of up to 8 trials of one cell, "
+        "never more than blocks (1: one decoding process plus one draw-ahead thread)"
     ),
     "ofdm_taps": (
         "ofdm_taps", int, "taps kept by the baseline interpolator (default: all pilot taps)"

@@ -23,7 +23,7 @@ import os
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import astuple, dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -280,7 +280,7 @@ def run_trial(
 
     Deterministic in (cfg.seed, P, snr_db, trial_index); see draw_trial.
     ahead, when given, is this trial's draw_trial already submitted by
-    _map_cells, and the frame waits for it here. The selected blind variants
+    _score, and the frame waits for it here. The selected blind variants
     share one factorization of the same receive matrix, and each scores its
     own refined mode (decode_frame decodes only the selected modes); a
     baseline decides from the same draws. A receiver that raised, or whose
@@ -314,40 +314,52 @@ def run_trial(
     return results
 
 
+# a pool task scores at most this many consecutive trials of one cell
+_BLOCK = 8
+
+
+def _score(fn, tasks: list, submit=None) -> list:
+    """fn(*task, ahead) for each task in order: with submit, ahead is the
+    task's submit(draw_trial, *task), made while the task before it is scored,
+    and fn waits for it in its call; without, ahead is None and fn draws."""
+    aheads = (submit(draw_trial, *task) if submit else None for task in tasks)
+    results, ahead = [], next(aheads)
+    for task in tasks:
+        current, ahead = ahead, next(aheads, None)
+        results.append(fn(*task, current))
+    return results
+
+
 def _map_cells(cfg: SimulationConfig, fn, cells: list) -> list[list]:
-    """fn(cfg, P, snr_db, trial_index[, ahead]) for every trial of every
-    (P, snr_db) cell; returns one list per cell, in cell order, with its
-    trials in order.
+    """fn(cfg, P, snr_db, trial_index, ahead) for every trial of every
+    (P, snr_db) cell, through _score; returns one list per cell, in cell
+    order, with its trials in order.
 
     The trials run largest P first, so on a pool the longest frames start
-    early and the short ones fill the tail; the result order never depends
-    on the schedule. With cfg.workers > 1 they go through one pool map of at
-    most cfg.workers processes and never more than there are trials (a
-    forking pool starts all of its workers at the first submit), one frame
-    per task, each drawing its own trial. Otherwise this process scores them
-    in order while one helper thread draws them, in the same order and one
-    trial ahead: the payloads, channel and noise of trial k+1, mostly numpy
-    work that releases the GIL, go through the module's draw_trial while
-    trial k decodes, and fn(cfg, P, snr_db, trial_index, ahead) waits for its
-    draw inside its call. Pool workers draw no trial ahead: a second thread
-    each would oversubscribe the cores.
+    early. A pool (cfg.workers > 1) has min(workers, len(tasks)) processes
+    (a forking pool starts all of its workers at the first submit) and
+    scores one block per task: consecutive trials of one cell, at most
+    _BLOCK and len(tasks) // workers long, so there are never fewer blocks
+    than workers. Its workers draw inline: a draw-ahead thread in each, on
+    2 workers and 2 cores, cost 2-6% of fig7 trace frames/s in 10 of 12
+    paired runs. Otherwise one helper thread draws trial k+1, numpy work
+    that releases the GIL, while this process scores trial k, across cells.
     """
     order = sorted(cells, key=lambda cell: -cell[0])
     n = cfg.frames_per_point
     tasks = [(cfg, P, snr_db, i) for P, snr_db in order for i in range(n)]
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
+        b = min(_BLOCK, len(tasks) // workers)  # trials per block
+        blocks = [  # never spanning cells
+            tasks[k : k + n][s : s + b] for k in range(0, len(tasks), n) for s in range(0, n, b)
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, *zip(*tasks), chunksize=1))
+            results = [r for block in pool.map(partial(_score, fn), blocks) for r in block]
     else:
-        results = []
         # a raise leaves the with block, which joins the one draw in flight
         with ThreadPoolExecutor(max_workers=1) as helper:
-            ahead = helper.submit(draw_trial, *tasks[0])
-            for k, task in enumerate(tasks):
-                current = ahead
-                ahead = helper.submit(draw_trial, *tasks[k + 1]) if k + 1 < len(tasks) else None
-                results.append(fn(*task, current))
+            results = _score(fn, tasks, helper.submit)
     by_cell = {cell: results[k * n : (k + 1) * n] for k, cell in enumerate(order)}
     return [by_cell[cell] for cell in cells]
 

@@ -402,6 +402,89 @@ def test_a_draw_that_raises_surfaces_at_its_trial_and_leaves_no_thread(monkeypat
         assert threading.active_count() == before
 
 
+def test_a_pool_task_scores_a_block_of_one_cells_trials(tmp_path, monkeypatch):
+    # twenty frames a cell on two workers: each cell reaches the pool as
+    # blocks of 8, 8 and 4 consecutive trials, largest P first
+    requested, mapped, frames = [], [], []
+
+    class InlinePool:  # runs each task in this process, so frames can be recorded
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            mapped.append(list(zip(*iterables)))
+            return map(fn, *iterables)
+
+    def recorder(name):
+        frame = getattr(harness, name)
+
+        def recorded(cfg, P, snr_db, trial_index, ahead=None):
+            frames.append(("entered", (P, snr_db, trial_index), ahead))
+            outcome = frame(cfg, P, snr_db, trial_index, ahead)
+            frames.append(("scored", (P, snr_db, trial_index), ahead))
+            return outcome
+
+        return recorded
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    for name in ("run_trial", "trace_trial"):
+        monkeypatch.setattr(harness, name, recorder(name))
+    n = 20
+    outputs = []
+    for workers in (1, 2):
+        cfg = dataclasses.replace(
+            MULTI,
+            frames_per_point=n,
+            workers=workers,
+            out_path=str(tmp_path / f"sweep{workers}.csv"),
+            dump_path=str(tmp_path / f"dump{workers}.csv"),
+        )
+        frames.clear()
+        sweep(cfg)
+        trace = tmp_path / f"trace{workers}.csv"
+        residual_trace(dataclasses.replace(cfg, dump_path=None, out_path=str(trace)))
+        if workers == 2:
+            pooled = [ahead for event, _, ahead in frames if event == "scored"]
+            assert len(pooled) == 2 * 4 * n and all(ahead is None for ahead in pooled)
+        names = ("sweep", "dump", "trace")
+        outputs.append([(tmp_path / f"{name}{workers}.csv").read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+    assert requested == [2, 2]  # one pool for the sweep, one for the trace
+    trials = [(P, snr, i) for P in (64, 32) for snr in (8.0, 14.0) for i in range(n)]
+    for tasks in mapped:
+        blocks = [[task[1:] for task in block] for (block,) in tasks]
+        # at most _BLOCK long; 80 // 2 does not bind here
+        assert [len(block) for block in blocks] == [8, 8, 4] * 4
+        for block in blocks:
+            (P, snr_db, first), *_ = block
+            assert block == [(P, snr_db, first + k) for k in range(len(block))]
+        assert [key for block in blocks for key in block] == trials  # each once, largest P first
+
+    draw = harness.draw_trial
+
+    def third_draw_fails(cfg, P, snr_db, trial_index):
+        if trial_index == 2:
+            raise RuntimeError(f"no draw for trial {trial_index}")
+        return draw(cfg, P, snr_db, trial_index)
+
+    monkeypatch.setattr(harness, "draw_trial", third_draw_fails)
+    pooled = dataclasses.replace(MULTI, frames_per_point=n, workers=2)
+    for run in (sweep, residual_trace):
+        frames.clear()
+        with pytest.raises(RuntimeError, match="no draw for trial 2"):
+            run(pooled)
+        # the first block's third frame drew inside its own call, and raised there
+        assert [(event, key[2]) for event, key, _ in frames] == [
+            ("entered", 0), ("scored", 0), ("entered", 1), ("scored", 1), ("entered", 2)
+        ]
+
+
 def test_a_single_trial_run_equals_its_trial_alone(monkeypatch):
     frame, calls = harness.run_trial, []
 
