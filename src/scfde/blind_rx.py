@@ -8,17 +8,19 @@ channel solve with a per-bin MRC update of the spectrum, until a step no
 longer lowers the reconstruction residual or an iteration cap is reached
 (the stop takes no tolerance). The channel has rank at most L_est, so the
 factorization runs on the P x K compression Yf V_K onto the dominant right
-singular subspace (K = min(Nr, L_est)). Its steps run in single precision
-on a unit-energy complex64 copy of the compression, with each residual in
-double, and the run finishes in double (alternating_minimization); what it
-returns, and everything after it, is double. It is identifiable only up to one
-global complex scale alpha: the time-domain estimate x_hat =
-idft(lambda_hat) is the transmitted frame times alpha. Each correction
-mode is one (x_hat, frame) -> alpha estimator, taking alpha from the
-single pilot alone (pilot_alpha), from the corner-symbol cluster centroid
-with the pilot picking among the four quadrant rotations (ca_alpha), or
-from the pilot ratio times a quadrant-centroid average of the
-pilot-de-rotated estimate (qq_alpha). A mode's scale sets only its first
+singular subspace (K = min(Nr, L_est)). A caller builds that compression
+once per frame (Compression.of) and hands it to alternating_minimization or
+decode_frame, so it can be built on another thread than the one that decodes.
+AM's steps run in single precision on a unit-energy complex64 copy of the
+compression, with each residual in double, and the run finishes in double;
+what it returns, and everything after it, is double. The factorization is
+identifiable only up to one global complex scale alpha: the time-domain
+estimate x_hat = idft(lambda_hat) is the transmitted frame times alpha.
+Each correction mode is one (x_hat, frame) -> alpha estimator, taking alpha
+from the single pilot alone (pilot_alpha), from the corner-symbol cluster
+centroid with the pilot picking among the four quadrant rotations
+(ca_alpha), or from the pilot ratio times a quadrant-centroid average of
+the pilot-de-rotated estimate (qq_alpha). A mode's scale sets only its first
 decisions, the slice of x_hat / alpha; decode_frame then re-solves the taps
 given the frame rebuilt from the decisions and slices the MRC update at that
 frame's scale. A decoded frame is its payload bits.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -79,6 +82,17 @@ class BlindConfig:
             raise ValueError(f"need P > 2*L_est, got P={P}, L_est={self.L_est}")
 
 
+@lru_cache(maxsize=None)
+def _dft_rows(P: int, L: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """F_L = dft_first_columns(P, L) and F_L^H as L x P rows, both
+    C-contiguous in dtype (read-only cache, one pair per precision)."""
+    F_L = dft_first_columns(P, L)
+    F_rows = np.ascontiguousarray(F_L.conj().T).astype(dtype, copy=False)
+    F_L = F_L.astype(dtype, copy=False)
+    F_rows.flags.writeable = F_L.flags.writeable = False
+    return F_L, F_rows
+
+
 @dataclass(frozen=True)
 class Compression:
     """The problem AM solves for one frame, laid out for _am_step.
@@ -88,22 +102,31 @@ class Compression:
     rows: with P along the rows' contiguous axis, every elementwise product
     and every reduction of a step runs along the long P axis, not along the
     K- or L-long one. F_L holds the same columns P x L, C-contiguous, as
-    matrixkit's O(P L) Toeplitz Gram takes them. energy is the full
-    ||Yf||_F^2. The decision-directed rounds step on the same problem, in
-    complex128; AM's single stage steps on its complex64 copy, single().
+    matrixkit's O(P L) Toeplitz Gram takes them; both are shared, read-only,
+    by every frame of one (P, L). energy is the full ||Yf||_F^2, and the
+    Nr x K V_K maps taps fitted to the compression back to all Nr antennas.
+    The decision-directed rounds step on the same problem, in complex128;
+    AM's single stage steps on its complex64 copy, single().
     """
 
     Y_rows: np.ndarray = field(repr=False)
     energy: float
+    V_K: np.ndarray = field(repr=False)
     F_L: np.ndarray = field(repr=False)
     F_rows: np.ndarray = field(repr=False)
 
     @classmethod
-    def of(cls, Yc: np.ndarray, energy: float, L: int) -> Compression:
-        """Lay out the P x K matrix Yc and the first L DFT columns."""
-        F_L = dft_first_columns(Yc.shape[0], L)
+    def of(cls, Yf: np.ndarray, cfg: BlindConfig) -> Compression:
+        """AM's problem for the P x Nr receive matrix Yf: its compression onto
+        the top K = min(Nr, cfg.L_est) right singular vectors V_K
+        (compress_columns), and ||Yf||^2. Refuses a frame too short for
+        cfg.L_est (BlindConfig.check_length)."""
+        Yf = np.asarray(Yf, dtype=complex)
+        P, Nr = Yf.shape
+        cfg.check_length(P)
+        Yc, V_K = compress_columns(Yf, min(Nr, cfg.L_est))
         rows = np.ascontiguousarray(Yc.T)
-        return cls(rows, float(energy), F_L, np.ascontiguousarray(F_L.conj().T))
+        return cls(rows, float(np.linalg.norm(Yf) ** 2), V_K, *_dft_rows(P, cfg.L_est, complex))
 
     def single(self) -> Compression:
         """This problem in complex64, scaled to unit energy.
@@ -115,9 +138,7 @@ class Compression:
         its taps by sqrt(energy).
         """
         rows = (self.Y_rows * (1.0 / math.sqrt(self.energy))).astype(np.complex64)
-        return Compression(
-            rows, 1.0, self.F_L.astype(np.complex64), self.F_rows.astype(np.complex64)
-        )
+        return Compression(rows, 1.0, self.V_K, *_dft_rows(*self.F_L.shape, np.complex64))
 
 
 @dataclass
@@ -190,21 +211,21 @@ def _am_step(
     return lam, H_t, math.sqrt(max(c.energy - fit, 0.0) / c.energy)
 
 
-def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstimate:
-    """Jointly estimate the data spectrum and channel taps from Yf.
+def alternating_minimization(c: Compression, cfg: BlindConfig) -> ReceiverEstimate:
+    """Jointly estimate the data spectrum and channel taps from the receive
+    matrix Yf whose compression is c (Compression.of(Yf, cfg)).
 
     rank(F_L H_t) <= L_est, so the signal lies in the top K = min(Nr, L_est)
     right singular vectors V_K of Yf, and AM runs on the P x K compression
-    Yc = Yf V_K (compress_columns), laid out once per frame as K x P and
-    L x P rows (Compression) so that each step reduces along P, not along
-    the K- or L_est-long axis. The spectrum starts as Yc's first column, the
-    dominant left singular vector of Yf, normalized; then _am_step
-    alternates (a) the ridge channel solve (weight _MU) given the spectrum
-    with (b) the per-bin MRC spectrum update given the channel, stopping
-    after the first step that does not lower the relative reconstruction
-    residual (that step stays in the trace) or at cfg.max_iter. The residual
-    is that of the full Yf: each step gets ||Yf||^2 as its energy, so the
-    energy outside V_K counts as misfit.
+    Yc = Yf V_K, laid out as K x P and L x P rows (Compression) so that each
+    step reduces along P, not along the K- or L_est-long axis. The spectrum
+    starts as Yc's first column, the dominant left singular vector of Yf,
+    normalized; then _am_step alternates (a) the ridge channel solve (weight
+    _MU) given the spectrum with (b) the per-bin MRC spectrum update given
+    the channel, stopping after the first step that does not lower the
+    relative reconstruction residual (that step stays in the trace) or at
+    cfg.max_iter. The residual is that of the full Yf: each step gets
+    ||Yf||^2 as its energy, so the energy outside V_K counts as misfit.
 
     The steps run in two stages that share the one cap. The single stage
     steps on c.single(), the compression in complex64 at unit energy, with
@@ -218,13 +239,8 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
     where an all-double run does. A residual of exactly 0 cannot fall, so a
     double stage that reaches it stops at its next step.
     """
-    Yf = np.asarray(Yf, dtype=complex)
-    P, Nr = Yf.shape
-    cfg.check_length(P)
-
-    Yc, V_K = compress_columns(Yf, min(Nr, cfg.L_est))
-    c = Compression.of(Yc, np.linalg.norm(Yf) ** 2, cfg.L_est)
-    lam = (Yc[:, 0] / np.linalg.norm(Yc[:, 0])).astype(np.complex64)
+    first = c.Y_rows[0]
+    lam = (first / np.linalg.norm(first)).astype(np.complex64)
 
     trace: list[float] = []
     single = c.single()
@@ -245,7 +261,7 @@ def alternating_minimization(Yf: np.ndarray, cfg: BlindConfig) -> ReceiverEstima
 
     return ReceiverEstimate(
         lambda_hat=lam,
-        H_t_hat=H_t @ V_K.conj().T,
+        H_t_hat=H_t @ c.V_K.conj().T,
         residual_trace=np.asarray(trace),
         compression=c,
     )
@@ -360,13 +376,14 @@ class BlindDecodeResult:
 
 
 def decode_frame(
-    Yf: np.ndarray,
+    c: Compression,
     frame_cfg: FrameConfig,
     cfg: BlindConfig,
     modes: tuple = tuple(MODES),
 ) -> BlindDecodeResult:
-    """Run the blind factorization once, then decode each of the given
-    modes from AM's x_hat = idft(lambda_hat).
+    """Run the blind factorization once on the frame's compression c
+    (Compression.of), then decode each of the given modes from AM's
+    x_hat = idft(lambda_hat).
 
     A mode slices x_hat / alpha, alpha its scale estimate (MODES[mode]).
     Each of _DD_ROUNDS rounds then rebuilds the frame from the pilot, the
@@ -381,7 +398,7 @@ def decode_frame(
     unknown = [mode for mode in modes if mode not in MODES]
     if unknown:
         raise ValueError(f"unknown modes: {unknown}; valid: {tuple(MODES)}")
-    est = alternating_minimization(Yf, cfg)
+    est = alternating_minimization(c, cfg)
     x_hat = idft(est.lambda_hat)
     rounds: dict[bytes, ModeEstimate] = {}  # each round's outcome, by its input bits
     decoded: dict[str, ModeEstimate] = {}

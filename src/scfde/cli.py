@@ -18,11 +18,13 @@ file, is a configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
+import platform
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .harness import (
     PRESETS,
@@ -104,7 +106,8 @@ _FLAGS = {
     "seed": ("seed", int, "master seed"),
     "workers": (
         "workers", int, "parallel trial workers, each task a block of up to 8 trials of one cell, "
-        "never more than blocks (1: one decoding process plus one draw-ahead thread)"
+        "never more than blocks (1: one decoding process plus one thread that prepares "
+        "the next trial)"
     ),
     "ofdm_taps": (
         "ofdm_taps", int, "taps kept by the baseline interpolator (default: all pilot taps)"
@@ -203,7 +206,31 @@ def _join_negative_snr(argv: list) -> list:
     return joined
 
 
+# glibc's mallopt parameter for the most malloc arenas a process may have (malloc.h)
+_M_ARENA_MAX = -8
+
+
+@cache
+def _one_malloc_arena() -> None:
+    """Keep every thread of this process in glibc's main malloc arena.
+
+    A serial run prepares each next trial on a helper thread and frees what
+    it keeps on the decoding thread. glibc would give the helper an arena of
+    its own, which holds its peak apart from the main one's: in a
+    benchmarked run the peak resident set rose 8%. With one arena both
+    threads reuse the same free blocks, and pool workers inherit the
+    setting when forked. Nothing is done where the libc is not glibc or
+    has no mallopt.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_ARENA_MAX, 1)
+
+
 def main(argv=None) -> int:
+    _one_malloc_arena()  # before any thread allocates
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_negative_snr(argv))
     try:

@@ -10,6 +10,13 @@ one factorization on the same received samples, and each reference receiver
 (BASELINES) decides from the same channel and noise, the OFDM baseline on
 its own block.
 
+A trial is prepared, then decoded. prepare_trial draws it and, when a blind
+receiver is selected, forms AM's input (the blind receive matrix's
+blind_rx.Compression) and runs every selected baseline, so the decoding
+thread runs only AM, the decision rounds and the scoring. A serial run
+prepares each next trial on one helper thread while the current one decodes;
+a pool worker prepares its trials inline.
+
 Every row of RECEIVERS is scored alike: a frame on which its receiver raises
 (degenerate MRC bin, annihilated pilot) is excluded from the error counts
 and reported in the ``frames_failed`` column, and a reference row reports
@@ -29,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .baseline_rx import OfdmPilotConfig, ofdm_mrc_receive, ofdm_transmit
-from .blind_rx import MODES, BlindConfig, alternating_minimization, decode_frame
+from .blind_rx import MODES, BlindConfig, Compression, alternating_minimization, decode_frame
 from .channel import (
     complex_noise,
     draw_channel,
@@ -219,8 +226,8 @@ def _substream(seed: int, P: int, snr_db: float, trial_index: int) -> np.random.
 class TrialDraw:
     """The random draws of one trial: the payloads, the L x Nr taps and the
     P x Nr time-domain noise. Their frequency-domain forms Hf and Nf are
-    formed on first use, by the thread that decodes the trial: a trial drawn
-    ahead then holds one P x Nr array, in the drawing thread's malloc arena."""
+    formed on first use, by the thread that prepares the trial
+    (prepare_trial), which then drops them with the noise."""
 
     frame_cfg: FrameConfig
     payload: np.ndarray = field(repr=False)
@@ -250,7 +257,8 @@ class TrialDraw:
 
 
 def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -> TrialDraw:
-    """Deterministic draws of one trial, shared by run_trial and trace_trial.
+    """Deterministic draws of one trial, shared by run_trial and trace_trial
+    through prepare_trial.
 
     The order is fixed (blind payload, OFDM payload, channel, noise)
     independent of the receiver selection, so enabling extra receivers
@@ -273,37 +281,97 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
     )
 
 
+@dataclass(frozen=True)
+class PreparedTrial:
+    """A trial made ready to decode (prepare_trial): the blind frame's plans
+    and payload, and either AM's input with the baselines' outcomes or the
+    draws themselves.
+
+    When a blind receiver was prepared, compression is AM's input and
+    baselines maps each selected BASELINES row to its (decided bits, sent
+    bits), leaving out a row whose receiver raised ReceiverError; draw is
+    None, so the trial's P x Nr arrays (the noise, Hf and Nf) were freed by
+    the thread that made them. Otherwise compression is None, baselines is
+    empty, and draw holds the draws for run_trial's baselines.
+    """
+
+    frame_cfg: FrameConfig
+    blind_cfg: BlindConfig
+    payload: np.ndarray = field(repr=False)
+    compression: Compression | None = field(repr=False)
+    baselines: dict = field(repr=False)
+    draw: TrialDraw | None = field(repr=False)
+
+
+def _decide_baselines(draw: TrialDraw, receivers: tuple) -> dict[str, tuple]:
+    """(decided bits, sent bits) of each BASELINES row in receivers, on draw;
+    a row whose receiver raised ReceiverError is left out."""
+    decided = {}
+    for name in receivers:
+        if name in BASELINES:
+            with suppress(ReceiverError):
+                decided[name] = BASELINES[name](draw)
+    return decided
+
+
+def prepare_trial(
+    cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, receivers: tuple
+) -> PreparedTrial:
+    """draw_trial's trial, made ready to decode the receivers given.
+
+    With a blind receiver among them, this runs every given baseline,
+    forms the blind receive matrix and then its Compression, and keeps none
+    of the P x Nr arrays. The draws are freed before the compression
+    allocates, which lowered the peak resident set of fig7 trace workers
+    by ~1 MB. Without a blind receiver it only draws: run_trial then runs
+    the baselines, as on the helper thread they would leave the decoding
+    thread idle. An error other than ReceiverError propagates.
+    """
+    draw = draw_trial(cfg, P, snr_db, trial_index)
+    if not any(name in MODES for name in receivers):
+        return PreparedTrial(draw.frame_cfg, draw.blind_cfg, draw.payload, None, {}, draw)
+    baselines = _decide_baselines(draw, receivers)
+    received, blind_cfg = draw.blind_received(), draw.blind_cfg
+    kept = draw.frame_cfg, blind_cfg, draw.payload
+    del draw  # frees the noise, Hf and Nf before the compression allocates
+    return PreparedTrial(*kept, Compression.of(received, blind_cfg), baselines, None)
+
+
 def run_trial(
     cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, ahead: Future | None = None
 ) -> dict[str, ReceiverTrial]:
     """One frame end to end: the outcome of every selected receiver, by name.
 
     Deterministic in (cfg.seed, P, snr_db, trial_index); see draw_trial.
-    ahead, when given, is this trial's draw_trial already submitted by
-    _score, and the frame waits for it here. The selected blind variants
-    share one factorization of the same receive matrix, and each scores its
-    own refined mode (decode_frame decodes only the selected modes); a
-    baseline decides from the same draws. A receiver that raised, or whose
-    factorization raised, reports a failed frame.
+    ahead, when given, is this trial's prepare_trial for cfg.receivers,
+    already submitted by _score, and the frame waits for it here. The
+    selected blind variants share one factorization of the same receive
+    matrix, and each scores its own refined mode (decode_frame decodes only
+    the selected modes); a baseline decides from the same draws. A receiver
+    that raised, or whose factorization raised, reports a failed frame.
     """
-    draw = ahead.result() if ahead is not None else draw_trial(cfg, P, snr_db, trial_index)
-    decided: dict[str, tuple] = {}  # name -> (decided bits, sent bits, AM's fields)
+    if ahead is not None:
+        trial = ahead.result()
+    else:
+        trial = prepare_trial(cfg, P, snr_db, trial_index, cfg.receivers)
+    baselines = trial.baselines
+    if trial.draw is not None:  # prepared no further than its draws
+        baselines = _decide_baselines(trial.draw, cfg.receivers)
+    # name -> (decided bits, sent bits, AM's fields)
+    decided: dict[str, tuple] = {name: (*outcome, {}) for name, outcome in baselines.items()}
     blind = tuple(r for r in cfg.receivers if r in MODES)
     if blind:
         try:
-            decoded = decode_frame(draw.blind_received(), draw.frame_cfg, draw.blind_cfg, blind)
+            decoded = decode_frame(trial.compression, trial.frame_cfg, trial.blind_cfg, blind)
         except ReceiverError:
             pass  # a failed factorization fails every blind row
         else:
             est = decoded.estimate
             am = {"iterations": est.iterations, "final_residual": float(est.residual_trace[-1])}
             for name, mode in decoded.modes.items():
-                decided[name] = mode.bits, draw.payload, {**am, "dd_changed": mode.dd_changed}
+                decided[name] = mode.bits, trial.payload, {**am, "dd_changed": mode.dd_changed}
     results: dict[str, ReceiverTrial] = {}
     for name in cfg.receivers:
-        if name in BASELINES:
-            with suppress(ReceiverError):
-                decided[name] = (*BASELINES[name](draw), {})
         if name not in decided:  # its receiver raised
             results[name] = ReceiverTrial(failed=True)
             continue
@@ -318,11 +386,12 @@ def run_trial(
 _BLOCK = 8
 
 
-def _score(fn, tasks: list, submit=None) -> list:
+def _score(fn, tasks: list, submit=None, receivers: tuple = ()) -> list:
     """fn(*task, ahead) for each task in order: with submit, ahead is the
-    task's submit(draw_trial, *task), made while the task before it is scored,
-    and fn waits for it in its call; without, ahead is None and fn draws."""
-    aheads = (submit(draw_trial, *task) if submit else None for task in tasks)
+    task's submit(prepare_trial, *task, receivers), made while the task
+    before it is scored, and fn waits for it in its call; without, ahead is
+    None and fn prepares its own trial."""
+    aheads = (submit(prepare_trial, *task, receivers) if submit else None for task in tasks)
     results, ahead = [], next(aheads)
     for task in tasks:
         current, ahead = ahead, next(aheads, None)
@@ -330,20 +399,22 @@ def _score(fn, tasks: list, submit=None) -> list:
     return results
 
 
-def _map_cells(cfg: SimulationConfig, fn, cells: list) -> list[list]:
+def _map_cells(cfg: SimulationConfig, fn, cells: list, receivers: tuple) -> list[list]:
     """fn(cfg, P, snr_db, trial_index, ahead) for every trial of every
     (P, snr_db) cell, through _score; returns one list per cell, in cell
-    order, with its trials in order.
+    order, with its trials in order. receivers are those fn prepares its
+    trials for (prepare_trial).
 
     The trials run largest P first, so on a pool the longest frames start
     early. A pool (cfg.workers > 1) has min(workers, len(tasks)) processes
     (a forking pool starts all of its workers at the first submit) and
     scores one block per task: consecutive trials of one cell, at most
     _BLOCK and len(tasks) // workers long, so there are never fewer blocks
-    than workers. Its workers draw inline: a draw-ahead thread in each, on
-    2 workers and 2 cores, cost 2-6% of fig7 trace frames/s in 10 of 12
-    paired runs. Otherwise one helper thread draws trial k+1, numpy work
-    that releases the GIL, while this process scores trial k, across cells.
+    than workers. Its workers prepare each trial inline: a helper thread in
+    each, on 2 workers and 2 cores, cost 2-6% of fig7 trace frames/s in 10
+    of 12 paired runs. Otherwise one helper thread prepares trial k+1, numpy
+    work that releases the GIL, while this process scores trial k, across
+    cells (cli.main keeps both threads in one malloc arena).
     """
     order = sorted(cells, key=lambda cell: -cell[0])
     n = cfg.frames_per_point
@@ -357,9 +428,9 @@ def _map_cells(cfg: SimulationConfig, fn, cells: list) -> list[list]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [r for block in pool.map(partial(_score, fn), blocks) for r in block]
     else:
-        # a raise leaves the with block, which joins the one draw in flight
+        # a raise leaves the with block, which joins the one preparation in flight
         with ThreadPoolExecutor(max_workers=1) as helper:
-            results = _score(fn, tasks, helper.submit)
+            results = _score(fn, tasks, helper.submit, receivers)
     by_cell = {cell: results[k * n : (k + 1) * n] for k, cell in enumerate(order)}
     return [by_cell[cell] for cell in cells]
 
@@ -441,7 +512,7 @@ def sweep(cfg: SimulationConfig) -> list[BerPoint]:
     cells = [(P, snr_db) for P in cfg.seq_lengths for snr_db in cfg.snr_db_list]
     points: list[BerPoint] = []
     dump_rows: list[tuple] = []
-    for (P, snr_db), outcomes in zip(cells, _map_cells(cfg, run_trial, cells)):
+    for (P, snr_db), outcomes in zip(cells, _map_cells(cfg, run_trial, cells, cfg.receivers)):
         points.extend(aggregate(cfg, P, snr_db, outcomes))
         if cfg.dump_path is not None:
             # _map_cells returns each cell's trials in index order
@@ -480,13 +551,21 @@ class ResidualTrace:
     errors: np.ndarray = field(repr=False)
 
 
+# a trace prepares the blind receivers' factorization and no baseline
+_TRACED = tuple(MODES)
+
+
 def trace_trial(
     cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, ahead: Future | None = None
 ) -> np.ndarray:
     """Residual trace of the blind factorization on one frame (the same
-    draws, hence the same receive matrix, as run_trial; ahead as there)."""
-    draw = ahead.result() if ahead is not None else draw_trial(cfg, P, snr_db, trial_index)
-    return alternating_minimization(draw.blind_received(), draw.blind_cfg).residual_trace
+    draws, hence the same receive matrix, as run_trial; ahead as there, but
+    prepared for _TRACED)."""
+    if ahead is not None:
+        trial = ahead.result()
+    else:
+        trial = prepare_trial(cfg, P, snr_db, trial_index, _TRACED)
+    return alternating_minimization(trial.compression, trial.blind_cfg).residual_trace
 
 
 def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:
@@ -495,7 +574,7 @@ def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:
     Frames that stop early hold their final value in the average."""
     cells = [(P, snr_db) for snr_db in cfg.snr_db_list for P in cfg.seq_lengths]
     traces: list[ResidualTrace] = []
-    for (P, snr_db), runs in zip(cells, _map_cells(cfg, trace_trial, cells)):
+    for (P, snr_db), runs in zip(cells, _map_cells(cfg, trace_trial, cells, _TRACED)):
         depth = max(len(r) for r in runs)
         padded = np.vstack([
             np.concatenate([r, np.full(depth - len(r), r[-1])]) for r in runs

@@ -12,7 +12,7 @@ import numpy as np
 
 from scfde.blind_rx import (
     BlindConfig,
-    alternating_minimization,
+    Compression,
     ca_alpha,
     decode_frame,
     qq_alpha,
@@ -133,7 +133,7 @@ def test_criterion_3_noiseless_blind_recovery():
         frame = build_frame(cfg, payload)
         ch = draw_channel(geometric_profile(L), Nr, rng)
         Yf = dft(convolve_channel(frame, ch))
-        result = decode_frame(Yf, cfg, blind)
+        result = decode_frame(Compression.of(Yf, blind), cfg, blind)
         est = result.estimate
         if est.iterations < blind.max_iter:
             stopped.append((t, est.iterations, est.residual_trace[-1]))
@@ -217,7 +217,7 @@ def test_criterion_7_per_iteration_cost_scaling():
     # hundreds of samples is the standard microbenchmark estimator and is
     # immune to short co-tenant spikes; the two sizes take turns, sample by
     # sample, so a slow phase of the machine hits both of them alike
-    from scfde.blind_rx import Compression, _am_step
+    from scfde.blind_rx import _am_step
 
     Nr, L = 64, 9
     comps, lams, samples = {}, {}, {}
@@ -228,9 +228,8 @@ def test_criterion_7_per_iteration_cost_scaling():
         ch = draw_channel(geometric_profile(L), Nr, rng)
         Y = convolve_channel(frame, ch) + 0.3 * complex_randn(rng, P, Nr)
         Yf = dft(Y)
-        Yc, _ = compress_columns(Yf, min(Nr, L))
-        comps[P] = Compression.of(Yc, np.linalg.norm(Yf) ** 2, L)
-        lams[P] = Yc[:, 0] / np.linalg.norm(Yc[:, 0])
+        comps[P] = c = Compression.of(Yf, BlindConfig(L_est=L))
+        lams[P] = c.Y_rows[0] / np.linalg.norm(c.Y_rows[0])
         samples[P] = []
     for n in range(300):
         for P, c in comps.items():

@@ -14,6 +14,7 @@ from scfde.blind_rx import (
     ModeEstimate,
     _MU,
     _am_step,
+    _dft_rows,
     alternating_minimization,
     ca_alpha,
     decode_frame,
@@ -36,6 +37,24 @@ from scfde.matrixkit import (
 
 
 EPS32 = float(np.finfo(np.float32).eps)
+
+
+def am(Yf, L_est):
+    """AM on the receive matrix Yf, through its compression."""
+    cfg = BlindConfig(L_est=L_est)
+    return alternating_minimization(Compression.of(Yf, cfg), cfg)
+
+
+def decode(Yf, frame_cfg, cfg, *modes):
+    """decode_frame on the receive matrix Yf, through its compression."""
+    return decode_frame(Compression.of(Yf, cfg), frame_cfg, cfg, *modes)
+
+
+def laid_out(Y, energy, L):
+    """The P x K matrix Y itself laid out as AM's problem with the given
+    energy: a compression that keeps every column (V_K the identity)."""
+    rows = np.ascontiguousarray(Y.T)
+    return Compression(rows, float(energy), np.eye(Y.shape[1]), *_dft_rows(Y.shape[0], L, complex))
 
 
 def noiseless_setup(P, L, Nr, M, seed):
@@ -117,7 +136,7 @@ def test_am_stops_at_the_first_step_that_does_not_lower_the_residual():
     # until step 49, the first double step that does not lower the residual;
     # each step that did not lower the residual stays in the trace
     _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
-    est = alternating_minimization(Yf, BlindConfig(L_est=4))
+    est = am(Yf, 4)
     trace = est.residual_trace
     assert est.iterations == len(trace) == 49
     assert (np.flatnonzero(np.diff(trace) >= 0) + 2).tolist() == [46, 49]
@@ -129,7 +148,7 @@ def test_a_frame_whose_single_stage_stalls_finishes_in_double():
     # bit for bit. What AM returns, and the compression the decision-directed
     # rounds step on, are complex128
     _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
-    est = alternating_minimization(Yf, BlindConfig(L_est=4))
+    est = am(Yf, 4)
     c, single = est.compression, est.compression.single()
     assert est.lambda_hat.dtype == est.H_t_hat.dtype == complex
     assert c.Y_rows.dtype == c.F_L.dtype == c.F_rows.dtype == complex
@@ -158,7 +177,7 @@ def test_a_degenerate_bin_in_single_precision_goes_on_in_double(monkeypatch):
 
     monkeypatch.setattr(blind_rx, "_am_step", degenerate_third_single_step)
     _, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=5)
-    est = alternating_minimization(Yf, BlindConfig(L_est=2))
+    est = am(Yf, 2)
     assert precisions == [np.complex64] * 2 + [complex] * (est.iterations - 2)
     c = est.compression
     handover, _, single = stepped(c.single(), first_spectrum(c), 2)
@@ -182,7 +201,7 @@ def test_flat_channel_noiseless_recovery():
     frame = build_frame(cfg, random_payload(cfg, rng))
     ch = np.ones((1, 4), dtype=complex)
     Yf = dft(convolve_channel(frame, ch))
-    est = alternating_minimization(Yf, BlindConfig(L_est=1))
+    est = am(Yf, 1)
     assert est.iterations <= 3
     recon = est.lambda_hat[:, None] * (dft_first_columns(64, 1) @ est.H_t_hat)
     assert np.linalg.norm(Yf - recon) / np.linalg.norm(Yf) < 1e-6
@@ -196,17 +215,17 @@ def test_noiseless_two_tap_residual_frozen_instance():
     # verified draw: this channel/payload reaches 2.0e-4 at the cap of 100
     # (3.5e-4 by iteration 50); seeds 100-104 land between 2e-4 and 1.3e-3
     cfg, _, frame, ch, Yf = noiseless_setup(64, 2, 8, 64, seed=101)
-    est = alternating_minimization(Yf, BlindConfig(L_est=2))
+    est = am(Yf, 2)
     assert est.residual_trace[-1] < 1e-3
     for seed in range(100, 105):
         _, _, _, _, Yf_s = noiseless_setup(64, 2, 8, 64, seed=seed)
-        est_s = alternating_minimization(Yf_s, BlindConfig(L_est=2))
+        est_s = am(Yf_s, 2)
         assert est_s.residual_trace[-1] < 5e-3
 
 
 def test_estimate_internal_consistency():
     cfg, _, _, _, Yf = noiseless_setup(128, 3, 4, 16, seed=4)
-    est = alternating_minimization(Yf, BlindConfig(L_est=3))
+    est = am(Yf, 3)
     # the closed-form residual of the last step on the compression (K = 3 of
     # Nr = 4 columns) equals the direct one of the taps mapped back to Nr
     assert est.H_t_hat.shape == (3, 4)
@@ -229,9 +248,9 @@ def test_am_on_full_rank_compression_matches_full_width():
     rng = np.random.default_rng(19)
     cfg, _, _, _, Yf = noiseless_setup(64, 4, 4, 16, seed=19)
     Yf = Yf + 0.1 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
-    est = alternating_minimization(Yf, BlindConfig(L_est=4))
+    est = am(Yf, 4)
     assert est.iterations == BlindConfig.max_iter
-    full = Compression.of(Yf, np.linalg.norm(Yf) ** 2, 4)
+    full = laid_out(Yf, np.linalg.norm(Yf) ** 2, 4)
     start = first_spectrum(est.compression)
     handover, _, single = stepped(est.compression.single(), start, 99)
     assert np.array_equal(est.residual_trace[:99], single)
@@ -270,7 +289,7 @@ def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
     lam = rng.standard_normal(P) + 1j * rng.standard_normal(P)
     F_L = dft_first_columns(P, L)
     energy = float(np.linalg.norm(Yf) ** 2)
-    lam_new, H_t, residual = _am_step(Compression.of(Yf, energy, L), lam, mu)
+    lam_new, H_t, residual = _am_step(laid_out(Yf, energy, L), lam, mu)
     lam_ref, H_ref, residual_ref = dense_am_step(Yf, lam, F_L, mu, energy)
     assert np.linalg.norm(lam_new - lam_ref) <= 1e-12 * np.linalg.norm(lam_ref)
     assert np.linalg.norm(H_t - H_ref) <= 1e-12 * np.linalg.norm(H_ref)
@@ -279,7 +298,7 @@ def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
     assert abs(residual**2 - residual_ref**2) <= 1e-12
     # the same step on the complex64 copy at unit energy, whose taps are
     # scaled by 1 / sqrt(energy), to float32 rounding (the fit is in double)
-    single = Compression.of(Yf, energy, L).single()
+    single = laid_out(Yf, energy, L).single()
     lam32, H32, residual32 = _am_step(single, lam.astype(np.complex64), mu)
     assert lam32.dtype == H32.dtype == np.complex64
     assert np.linalg.norm(lam32 - lam_ref) <= 200 * EPS32 * np.linalg.norm(lam_ref)
@@ -305,9 +324,8 @@ def test_am_step_is_bit_equal_to_the_dividing_reference(P):
     rng = np.random.default_rng(P)
     _, _, _, _, Yf = noiseless_setup(P, 9, 64, 64, seed=P)
     Yf = Yf + 0.3 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
-    Yc = compress_columns(Yf, 9)[0]
-    c = Compression.of(Yc, np.linalg.norm(Yf) ** 2, 9)
-    lam = ref = Yc[:, 0] / np.linalg.norm(Yc[:, 0])
+    c = Compression.of(Yf, BlindConfig(L_est=9))
+    lam = ref = first_spectrum(c)
     for _ in range(20):
         lam, H_t, residual = _am_step(c, lam, 0.5)
         ref, H_ref, residual_ref = dividing_am_step(c, ref, 0.5)
@@ -318,7 +336,7 @@ def test_am_step_is_bit_equal_to_the_dividing_reference(P):
 
 def test_am_step_zero_spectrum_raises_at_bin_zero():
     P, L, Nr = 16, 3, 4
-    c = Compression.of(np.ones((P, Nr), dtype=complex), P * Nr, L)
+    c = laid_out(np.ones((P, Nr), dtype=complex), P * Nr, L)
     with pytest.raises(DegenerateBinError) as info:
         _am_step(c, np.zeros(P, dtype=complex), 0.5)
     assert info.value.bin_index == 0
@@ -326,7 +344,7 @@ def test_am_step_zero_spectrum_raises_at_bin_zero():
 
 def test_alternating_minimization_preconditions():
     with pytest.raises(ValueError):
-        alternating_minimization(np.ones((8, 2), dtype=complex), BlindConfig(L_est=4))
+        Compression.of(np.ones((8, 2), dtype=complex), BlindConfig(L_est=4))
     with pytest.raises(TypeError):  # AM's stop takes no tolerance
         BlindConfig(L_est=2, eps=1e-4)
     with pytest.raises(TypeError):  # nor a ridge weight: it is _MU
@@ -336,7 +354,7 @@ def test_alternating_minimization_preconditions():
     with pytest.raises(ValueError):
         BlindConfig(L_est=0)
     with pytest.raises(ValueError):  # no antenna column: compress_columns refuses K = 0
-        alternating_minimization(np.ones((64, 0), dtype=complex), BlindConfig(L_est=2))
+        Compression.of(np.ones((64, 0), dtype=complex), BlindConfig(L_est=2))
 
 
 def test_blind_config_is_frozen():
@@ -484,7 +502,7 @@ def test_decode_frame_shares_estimate_and_scales_exactly(monkeypatch):
 
     cfg, payload, frame, ch, Yf = noiseless_setup(64, 2, 8, 16, seed=11)
     monkeypatch.setattr(blind_rx, "_DD_ROUNDS", 0)
-    result = decode_frame(Yf, cfg, BlindConfig(L_est=2))
+    result = decode(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.modes) == {"blind_pilot", "blind_ca", "blind_qq"}
     x_hat = idft(result.estimate.lambda_hat)
     alphas = {
@@ -504,7 +522,7 @@ def test_decode_frame_rounds_are_a_fixed_point_on_a_noiseless_frame():
     # unregularized re-solve returns the exact taps and MRC the exact spectrum,
     # at the transmitted scale whatever scale estimate took the first decisions
     cfg, payload, frame, ch, Yf = noiseless_setup(128, 3, 8, 16, seed=18)
-    result = decode_frame(Yf, cfg, BlindConfig(L_est=3))
+    result = decode(Yf, cfg, BlindConfig(L_est=3))
     assert set(result.modes) == {"blind_pilot", "blind_ca", "blind_qq"}
     truth = dft(frame)
     for mode, decoded in result.modes.items():
@@ -531,11 +549,11 @@ def test_decode_frame_re_solves_each_decision_vector_once(monkeypatch):
         return step(c, lam, mu)
 
     monkeypatch.setattr(blind_rx, "_am_step", counted_step)
-    result = decode_frame(Yf, cfg, BlindConfig(L_est=3))
+    result = decode(Yf, cfg, BlindConfig(L_est=3))
     assert len(rounds) == 1
     assert len({id(decoded) for decoded in result.modes.values()}) == 1
     monkeypatch.setattr(blind_rx, "_DD_ROUNDS", 0)
-    first = decode_frame(Yf, cfg, BlindConfig(L_est=3)).modes
+    first = decode(Yf, cfg, BlindConfig(L_est=3)).modes
     assert all(np.array_equal(d.bits, payload) for d in first.values())
 
 
@@ -549,7 +567,7 @@ def test_dd_changed_counts_the_decisions_the_last_round_moved(monkeypatch):
     decoded = []
     for n in (0, 1, 2):
         monkeypatch.setattr(blind_rx, "_DD_ROUNDS", n)
-        decoded.append(decode_frame(Yf, cfg, BlindConfig(L_est=4)).modes)
+        decoded.append(decode(Yf, cfg, BlindConfig(L_est=4)).modes)
     moved = 0
     for n in (1, 2):
         for mode, last in decoded[n].items():
@@ -586,7 +604,7 @@ def test_decode_frame_fails_exactly_the_modes_reaching_a_failed_round(monkeypatc
     monkeypatch.setattr(blind_rx, "ca_alpha", rotated_ca)
     monkeypatch.setitem(blind_rx.MODES, "blind_ca", rotated_ca)
     monkeypatch.setattr(blind_rx, "_am_step", round_fails_on(False))
-    result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
+    result = decode(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.failures) == {"blind_ca"}
     assert result.failures["blind_ca"].bin_index == 7
     assert set(result.modes) == {"blind_pilot", "blind_qq"}
@@ -596,7 +614,7 @@ def test_decode_frame_fails_exactly_the_modes_reaching_a_failed_round(monkeypatc
     # the payload's round fails both modes that reach it, and CA, rotated
     # away from it, decodes
     monkeypatch.setattr(blind_rx, "_am_step", round_fails_on(True))
-    result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
+    result = decode(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.failures) == {"blind_pilot", "blind_qq"}
     assert set(result.modes) == {"blind_ca"}
     assert all(err.bin_index == 7 for err in result.failures.values())
@@ -607,7 +625,7 @@ def test_decode_frame_refines_only_the_given_modes(monkeypatch):
 
     cfg, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=13)
     blind = BlindConfig(L_est=2)
-    full = decode_frame(Yf, cfg, blind)
+    full = decode(Yf, cfg, blind)
     step, rounds = blind_rx._am_step, []
 
     def counted_step(c, lam, mu):
@@ -620,13 +638,13 @@ def test_decode_frame_refines_only_the_given_modes(monkeypatch):
     monkeypatch.setattr(blind_rx, "_am_step", counted_step)
     for mode in ("blind_pilot", "blind_qq", "blind_ca"):
         rounds.clear()
-        result = blind_rx.decode_frame(Yf, cfg, blind, (mode,))
+        result = decode(Yf, cfg, blind, (mode,))
         assert set(result.modes) == {mode} and not result.failures
         assert 1 <= len(rounds) <= blind_rx._DD_ROUNDS, mode
         assert same_decode(result.modes[mode], full.modes[mode]), mode
     # the order of the modes does not change any of them
     backwards = ("blind_ca", "blind_qq", "blind_pilot")
-    reversed_modes = blind_rx.decode_frame(Yf, cfg, blind, backwards)
+    reversed_modes = decode(Yf, cfg, blind, backwards)
     assert tuple(reversed_modes.modes) == backwards
     for mode, decoded in reversed_modes.modes.items():
         assert same_decode(decoded, full.modes[mode]), mode
@@ -636,7 +654,7 @@ def test_decode_frame_refines_only_the_given_modes(monkeypatch):
 
     monkeypatch.setattr(blind_rx, "pilot_alpha", broken_pilot)
     monkeypatch.setitem(blind_rx.MODES, "blind_pilot", broken_pilot)
-    result = blind_rx.decode_frame(Yf, cfg, blind, ("blind_ca",))
+    result = decode(Yf, cfg, blind, ("blind_ca",))
     assert set(result.modes) == {"blind_ca"} and not result.failures
 
 
@@ -652,7 +670,7 @@ def test_decode_frame_invariant_under_unitary_antenna_rotation():
         V = np.linalg.eigh(Yf.conj().T @ Yf)[1]
         decisions = []
         for received in (Yf, Yf @ V):
-            decisions.append(decode_frame(received, cfg, blind).modes["blind_pilot"].bits)
+            decisions.append(decode(received, cfg, blind).modes["blind_pilot"].bits)
         assert np.array_equal(decisions[0], decisions[1])
         assert np.count_nonzero(decisions[0] != payload) < payload.size // 100
 
@@ -667,7 +685,7 @@ def test_decode_frame_isolates_pilot_failure_from_ca(monkeypatch):
 
     monkeypatch.setattr(blind_rx, "pilot_alpha", broken_pilot)  # QQ's scale calls it
     monkeypatch.setitem(blind_rx.MODES, "blind_pilot", broken_pilot)
-    result = blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2))
+    result = decode(Yf, cfg, BlindConfig(L_est=2))
     assert set(result.failures) == {"blind_pilot", "blind_qq"}
     assert set(result.modes) == {"blind_ca"}
 
@@ -693,7 +711,7 @@ def test_decode_frame_rejects_unknown_modes(monkeypatch):
     # the short names the blind receivers once had are unknown too
     for modes in (("bogus", "PILOT"), ("blind_pilot", "pilot"), ("ca",), ("qq", "")):
         with pytest.raises(ValueError, match="unknown modes"):
-            blind_rx.decode_frame(Yf, cfg, BlindConfig(L_est=2), modes)
+            decode(Yf, cfg, BlindConfig(L_est=2), modes)
 
 
 def test_a_decoded_frame_is_its_bits_and_dd_changed():

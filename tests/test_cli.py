@@ -469,6 +469,37 @@ def test_exit_code_4_when_all_frames_fail(monkeypatch, capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("libc", ["glibc", "glibc without mallopt", "musl"])
+def test_main_keeps_one_malloc_arena_only_through_glibcs_mallopt(libc, tmp_path, monkeypatch):
+    # on glibc main caps the arenas at one before any helper thread starts;
+    # where the libc is another, or has no mallopt, it runs unchanged
+    import threading
+
+    expected = tmp_path / "expected.csv"
+    assert main(["sweep", *FAST, "--out", str(expected)]) == 0
+    calls, threads = [], threading.active_count()
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value, threading.active_count()))
+
+    class NoMallopt:
+        pass
+
+    glibc = libc.startswith("glibc")
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36") if glibc else ("", ""))
+    handle = NoMallopt() if libc == "glibc without mallopt" else Libc()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: handle)
+    cli._one_malloc_arena.cache_clear()
+    out = tmp_path / "out.csv"
+    try:
+        assert main(["sweep", *FAST, "--out", str(out)]) == 0
+    finally:
+        cli._one_malloc_arena.cache_clear()  # the next main sets the real libc
+    assert out.read_bytes() == expected.read_bytes()
+    assert calls == ([(-8, 1, threads)] if libc == "glibc" else [])  # -8: M_ARENA_MAX
+
+
 def test_cli_roundtrip_matches_library(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

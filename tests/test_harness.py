@@ -8,7 +8,7 @@ import pytest
 
 import scfde.harness as harness
 from scfde.baseline_rx import OfdmPilotConfig, estimate_channel, ofdm_transmit
-from scfde.blind_rx import MODES, BlindConfig, alternating_minimization
+from scfde.blind_rx import MODES, BlindConfig, Compression
 from scfde.channel import (
     complex_noise,
     convolve_channel,
@@ -345,8 +345,8 @@ def test_a_serial_run_scores_each_trial_as_alone_and_writes_the_pool_bytes(
         for i in range(3)
         for _ in MULTI.receivers
     ]
-    # one call per frame through the module global, each handed the draw the
-    # helper made while the frame before it decoded
+    # one call per frame through the module global, each handed the trial the
+    # helper prepared while the frame before it decoded
     assert [key for key, _, _ in calls] == MULTI_TASKS
     assert all(isinstance(ahead, Future) for _, (ahead,), _ in calls)
     for (P, snr_db, i), _, outcome in calls:
@@ -504,6 +504,167 @@ def test_a_single_trial_run_equals_its_trial_alone(monkeypatch):
     assert key == (P, snr_db, 0) and isinstance(ahead, Future)
     assert outcome == run_trial(one, P, snr_db, 0)
     np.testing.assert_array_equal(trace.errors, harness.trace_trial(one, P, snr_db, 0))
+
+
+def test_the_helper_prepares_the_compression_and_every_baseline(monkeypatch):
+    # with a blind receiver selected, the helper compresses each trial and
+    # runs every baseline on it, and the decoding thread does neither; with
+    # the baseline alone the helper only draws, and the baseline decodes here
+    import scfde.blind_rx as blind_rx
+
+    compress, baseline, threads = blind_rx.compress_columns, BASELINES["mrc_ofdm"], {}
+
+    def recorded(name, fn):
+        def called(*args):
+            threads.setdefault(name, []).append(threading.current_thread())
+            return fn(*args)
+
+        return called
+
+    monkeypatch.setattr(blind_rx, "compress_columns", recorded("compress", compress))
+    monkeypatch.setitem(BASELINES, "mrc_ofdm", recorded("mrc_ofdm", baseline))
+    main, n = threading.main_thread(), len(MULTI_TASKS)
+    sweep(MULTI)
+    for name in ("compress", "mrc_ofdm"):
+        assert len(threads[name]) == n and main not in threads[name], name
+    threads.clear()
+    sweep(dataclasses.replace(MULTI, receivers=("mrc_ofdm",)))
+    assert threads == {"mrc_ofdm": [main] * n}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_trace_runs_no_baseline(workers, monkeypatch):
+    mapped = []
+
+    class InlinePool:  # runs each task in this process, where the baseline is patched
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            mapped.append(fn)
+            return map(fn, *iterables)
+
+    def no_baseline(draw):
+        raise AssertionError("a trace ran a baseline")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setitem(BASELINES, "mrc_ofdm", no_baseline)
+    cfg = dataclasses.replace(MULTI, workers=workers)
+    assert [(tr.P, tr.snr_db) for tr in residual_trace(cfg)] == [
+        (32, 8.0), (64, 8.0), (32, 14.0), (64, 14.0)
+    ]
+    assert len(mapped) == (workers > 1)
+
+
+def _arrays(value):
+    """Every numpy array value holds, through dataclass fields, dicts and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, (dict, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
+def test_a_prepared_trial_holds_no_receive_sized_array(monkeypatch):
+    # the helper hands over AM's K x P input, not the P x Nr draws: no array
+    # it hands a sweep or a trace frame is as large as one P x Nr matrix
+    cfg, handed = dataclasses.replace(MULTI, Nr=16), []
+
+    def recorder(frame):
+        def recorded(cfg, P, snr_db, trial_index, ahead=None):
+            handed.append((P, ahead.result()))
+            return frame(cfg, P, snr_db, trial_index, ahead)
+
+        return recorded
+
+    for name in ("run_trial", "trace_trial"):
+        monkeypatch.setattr(harness, name, recorder(getattr(harness, name)))
+    sweep(cfg)
+    residual_trace(cfg)
+    assert len(handed) == 2 * len(MULTI_TASKS)
+    for P, trial in handed:
+        assert trial.draw is None and trial.compression is not None
+        assert all(a.size < P * cfg.Nr for a in _arrays(trial)), P
+
+
+@pytest.mark.parametrize("stage", ["compression", "baseline"])
+def test_an_error_while_preparing_surfaces_at_its_trial_and_leaves_no_thread(
+    stage, monkeypatch
+):
+    # an error other than ReceiverError, raised on the helper while it
+    # prepares the third trial, is raised by that trial's own call
+    import scfde.blind_rx as blind_rx
+
+    before, calls, scored = threading.active_count(), [], []
+    frames = {"run_trial": harness.run_trial, "trace_trial": harness.trace_trial}
+
+    def third_fails(fn):
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError(f"no {stage} for trial 2")
+            return fn(*args)
+
+        return failing
+
+    def counted(name):
+        def scored_frame(cfg, P, snr_db, trial_index, *ahead):
+            result = frames[name](cfg, P, snr_db, trial_index, *ahead)
+            scored.append(trial_index)
+            return result
+
+        return scored_frame
+
+    if stage == "compression":
+        monkeypatch.setattr(blind_rx, "compress_columns", third_fails(blind_rx.compress_columns))
+        runs = (sweep, residual_trace)
+    else:  # a trace prepares no baseline
+        monkeypatch.setitem(BASELINES, "mrc_ofdm", third_fails(BASELINES["mrc_ofdm"]))
+        runs = (sweep,)
+    for name in frames:
+        monkeypatch.setattr(harness, name, counted(name))
+    for run in runs:
+        calls.clear()
+        scored.clear()
+        with pytest.raises(RuntimeError, match=f"no {stage} for trial 2"):
+            run(MULTI)
+        assert scored == [0, 1]
+        assert threading.active_count() == before
+
+
+def test_a_baseline_that_raises_on_the_helper_fails_its_row_alone(tmp_path, monkeypatch):
+    # a ReceiverError raised by a baseline while the helper prepares a trial is
+    # that row's failed frame; the blind rows of the trial still score
+    def run(tag):
+        out, dump = tmp_path / f"{tag}.csv", tmp_path / f"{tag}_dump.csv"
+        sweep(dataclasses.replace(MULTI, out_path=str(out), dump_path=str(dump)))
+        return out.read_text().splitlines(), dump.read_text().splitlines()
+
+    rows, dump = run("before")
+    baseline, threads = BASELINES["mrc_ofdm"], []
+
+    def second_fails(draw):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:  # the second trial prepared: P = 64, 8 dB, trial 1
+            raise DegenerateBinError(0)
+        return baseline(draw)
+
+    monkeypatch.setitem(BASELINES, "mrc_ofdm", second_fails)
+    failed_rows, failed_dump = run("after")
+    assert threading.main_thread() not in threads
+    changed = [(a.split(",")[:4], b) for a, b in zip(dump, failed_dump) if a != b]
+    assert changed == [(["64", "8", "1", "mrc_ofdm"], "64,8,1,mrc_ofdm,1,0,0,nan,nan,nan")]
+    changed = [b.split(",")[:3] + b.split(",")[8:9] for a, b in zip(rows, failed_rows) if a != b]
+    assert changed == [["8", "mrc_ofdm", "64", "1"]]  # frames_failed 1
 
 
 def test_trace_writes_its_csv_to_out_path(tmp_path):
@@ -769,8 +930,8 @@ def test_trials_read_the_plans_the_config_built(monkeypatch, tmp_path):
 
 
 def test_the_identifiability_bound_has_one_owner(monkeypatch):
-    # the config check and AM both ask BlindConfig.check_length, so a stricter
-    # bound refuses in both a length that P > 2*L_est allows
+    # the config check and AM's compression both ask BlindConfig.check_length,
+    # so a stricter bound refuses in both a length that P > 2*L_est allows
     def stricter(self, P):
         if P <= 4 * self.L_est:
             raise ValueError(f"need P > 4*L_est, got P={P}, L_est={self.L_est}")
@@ -783,4 +944,4 @@ def test_the_identifiability_bound_has_one_owner(monkeypatch):
         SimulationConfig(**fields)
     Yf = np.random.default_rng(29).standard_normal((64, 2)) + 0j
     with pytest.raises(ValueError, match=r"4\*L_est"):
-        alternating_minimization(Yf, BlindConfig(L_est=20))
+        Compression.of(Yf, BlindConfig(L_est=20))
