@@ -10,12 +10,14 @@ longer lowers the reconstruction residual or an iteration cap is reached
 factorization runs on the P x K compression Yf V_K onto the dominant right
 singular subspace (K = min(Nr, L_est)). A caller builds that compression
 once per frame (Compression.of) and hands it to alternating_minimization or
-decode_frame, so it can be built on another thread than the one that decodes.
-AM's steps run in single precision on a unit-energy complex64 copy of the
-compression, with each residual in double, and the run finishes in double;
-what it returns, and everything after it, is double. The factorization is
-identifiable only up to one global complex scale alpha: the time-domain
-estimate x_hat = idft(lambda_hat) is the transmitted frame times alpha.
+decode_frame, so it can be built on another thread than the one that decodes;
+it carries the compression's 2 x 2 real-block form, against which a step's
+two products run as real GEMMs. AM's steps run in single precision on a
+unit-energy complex64 copy of the compression, with each residual in double,
+and the run finishes in double; what it returns, and everything after it, is
+double. The factorization is identifiable only up to one global complex
+scale alpha: the time-domain estimate x_hat = idft(lambda_hat) is the
+transmitted frame times alpha.
 Each correction mode is one (x_hat, frame) -> alpha estimator, taking alpha
 from the single pilot alone (pilot_alpha), from the corner-symbol cluster
 centroid with the pilot picking among the four quadrant rotations
@@ -45,6 +47,7 @@ from .matrixkit import (
     dft_first_columns,
     dft_weighted_gram,
     idft,
+    real_blocks,
 )
 
 
@@ -83,14 +86,15 @@ class BlindConfig:
 
 
 @lru_cache(maxsize=None)
-def _dft_rows(P: int, L: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """F_L = dft_first_columns(P, L) and F_L^H as L x P rows, both
-    C-contiguous in dtype (read-only cache, one pair per precision)."""
+def _dft_rows(P: int, L: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F_L = dft_first_columns(P, L), F_L^H as L x P rows and those rows'
+    2L x 2P real form (real_blocks), all C-contiguous in dtype's precision
+    (read-only cache, one triple per precision)."""
     F_L = dft_first_columns(P, L)
     F_rows = np.ascontiguousarray(F_L.conj().T).astype(dtype, copy=False)
     F_L = F_L.astype(dtype, copy=False)
     F_rows.flags.writeable = F_L.flags.writeable = False
-    return F_L, F_rows
+    return F_L, F_rows, real_blocks(F_rows)
 
 
 @dataclass(frozen=True)
@@ -102,18 +106,31 @@ class Compression:
     rows: with P along the rows' contiguous axis, every elementwise product
     and every reduction of a step runs along the long P axis, not along the
     K- or L-long one. F_L holds the same columns P x L, C-contiguous, as
-    matrixkit's O(P L) Toeplitz Gram takes them; both are shared, read-only,
-    by every frame of one (P, L). energy is the full ||Yf||_F^2, and the
-    Nr x K V_K maps taps fitted to the compression back to all Nr antennas.
-    The decision-directed rounds step on the same problem, in complex128;
-    AM's single stage steps on its complex64 copy, single().
+    matrixkit's O(P L) Toeplitz Gram takes them. Y_blocks (2P x 2K) and
+    F_blocks (2L x 2P) are the real forms of Yc and F_rows (real_blocks), the
+    right-hand operands of the step's two products, which run as real GEMMs.
+    The F operands are shared, read-only, by every frame of one (P, L) and
+    precision (_dft_rows); Y_blocks is built per frame, with Y_rows, by
+    laid_out, the one place a Compression's blocks are made. energy is the
+    full ||Yf||_F^2, and the Nr x K V_K maps taps fitted to the compression
+    back to all Nr antennas. The decision-directed rounds step on the same
+    problem, in complex128; AM's single stage steps on its complex64 copy,
+    single().
     """
 
     Y_rows: np.ndarray = field(repr=False)
+    Y_blocks: np.ndarray = field(repr=False)
     energy: float
     V_K: np.ndarray = field(repr=False)
     F_L: np.ndarray = field(repr=False)
     F_rows: np.ndarray = field(repr=False)
+    F_blocks: np.ndarray = field(repr=False)
+
+    @classmethod
+    def laid_out(cls, rows: np.ndarray, energy: float, V_K: np.ndarray, L: int) -> Compression:
+        """The problem whose K x P C-contiguous rows are rows, for L taps: the
+        rows' real form and the cached DFT operands, in the rows' precision."""
+        return cls(rows, real_blocks(rows.T), energy, V_K, *_dft_rows(rows.shape[1], L, rows.dtype))
 
     @classmethod
     def of(cls, Yf: np.ndarray, cfg: BlindConfig) -> Compression:
@@ -126,7 +143,7 @@ class Compression:
         cfg.check_length(P)
         Yc, V_K = compress_columns(Yf, min(Nr, cfg.L_est))
         rows = np.ascontiguousarray(Yc.T)
-        return cls(rows, float(np.linalg.norm(Yf) ** 2), V_K, *_dft_rows(P, cfg.L_est, complex))
+        return cls.laid_out(rows, float(np.linalg.norm(Yf) ** 2), V_K, cfg.L_est)
 
     def single(self) -> Compression:
         """This problem in complex64, scaled to unit energy.
@@ -135,10 +152,11 @@ class Compression:
         which a frame at -400 dB reaches; at unit energy they cannot. The
         scale leaves a step's spectrum and relative residual as they are (the
         MRC numerator and denominator both scale by its square) and divides
-        its taps by sqrt(energy).
+        its taps by sqrt(energy). The blocks are laid out from the scaled
+        complex64 rows, so they are exactly those rows' real form.
         """
         rows = (self.Y_rows * (1.0 / math.sqrt(self.energy))).astype(np.complex64)
-        return Compression(rows, 1.0, self.V_K, *_dft_rows(*self.F_L.shape, np.complex64))
+        return Compression.laid_out(rows, 1.0, self.V_K, self.F_L.shape[1])
 
 
 @dataclass
@@ -180,11 +198,18 @@ def _am_step(
     Only two products are P x L x K in size (A = diag(lam) F_L): the ridge
     right-hand side A^H Yc = (F_L^H diag(conj lam)) Yc, F_rows scaled along
     P, and G = H_t^H F_L^H, the K x P conjugate transpose of the per-bin
-    channel F_L H_t. Both MRC terms are read off G: the numerator is the
-    column sum of G times Y_rows elementwise, and the denominator
-    ||(F_L H_t)_p||^2 is the exact sum of squares of G's column p. With the
-    operands row-major (Compression) these run along P, so at K and L of 5
-    to 9 a step costs little more than its two products. The ridge Gram
+    channel F_L H_t. Each runs as one real GEMM of the left operand's real
+    view against the right operand's real form (c.Y_blocks, c.F_blocks;
+    matrixkit.real_blocks), which is four real products per complex one, so
+    it rounds as complex arithmetic does; at inner dimensions of P and L
+    (fig5: 1024 and 9) a real GEMM ran 1.5-2x faster than the complex one
+    in either precision. Both MRC terms are read off G: the numerator is
+    the column sum of G times Y_rows elementwise, and the denominator
+    ||(F_L H_t)_p||^2 is the exact sum of squares of G's column p, taken in
+    one pass over G's real view (its even and odd columns are the real and
+    imaginary parts). With the operands row-major (Compression) these run
+    along P, so at K and L of 5 to 9 a step costs little more than its two
+    products. The ridge Gram
     A^H A + mu I is O(P L) because F_L holds DFT columns: it is Hermitian
     Toeplitz (dft_weighted_gram). The post-update residual follows from MRC
     optimality,
@@ -198,11 +223,14 @@ def _am_step(
     Returns (updated lam, H_t, relative residual). Raises
     DegenerateBinError where the per-bin channel vanishes.
     """
+    real, cplx = c.Y_blocks.dtype, c.Y_rows.dtype
     gram = dft_weighted_gram(lam.real**2 + lam.imag**2, c.F_L, mu)
-    H_t = np.linalg.solve(gram, (c.F_rows * lam.conj()) @ c.Y_rows.T)
-    G = H_t.conj().T @ c.F_rows
-    num = (G * c.Y_rows).sum(0)
-    den = (G.real**2 + G.imag**2).sum(0)
+    rhs = ((c.F_rows * lam.conj()).view(real) @ c.Y_blocks).view(cplx)
+    H_t = np.linalg.solve(gram, rhs)
+    G = np.conjugate(H_t.T, order="C").view(real) @ c.F_blocks  # K x 2P, parts interleaved
+    squares = np.square(G).sum(0)
+    den = squares[0::2] + squares[1::2]
+    num = (G.view(cplx) * c.Y_rows).sum(0)
     if den.min() <= 0.0:
         raise DegenerateBinError(int(np.flatnonzero(den <= 0.0)[0]))
     lam = num * (1.0 / den)  # the same quotient, without the complex-division loop

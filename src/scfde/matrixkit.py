@@ -1,8 +1,10 @@
 """Numerical kernel: the unitary DFT pair, circulant eigenvalues, the rank-K
 compression of a matrix onto its dominant right singular subspace (one Gram
 eigendecomposition; its column 0 is sigma_1 u_1, the dominant left singular
-vector scaled by its singular value), ridge-regularized least squares, and
-the O(P L) Hermitian Toeplitz form of the weighted Gram F_L^H diag(w) F_L.
+vector scaled by its singular value), ridge-regularized least squares, the
+2 x 2 real-block form of a complex matrix (a complex product as one real
+GEMM), and the O(P L) Hermitian Toeplitz form of the weighted Gram
+F_L^H diag(w) F_L.
 
 DFT convention. The unitary matrix F[k, n] = exp(-2j*pi*k*n/P) / sqrt(P)
 is used for all forward/inverse transforms (dft/idft), while the
@@ -95,6 +97,26 @@ def regularized_ls(A: np.ndarray, Yf: np.ndarray, mu: float) -> np.ndarray:
     gram = A_h @ A
     gram.flat[:: gram.shape[0] + 1] += mu
     return np.linalg.solve(gram, A_h @ Yf)
+
+
+def real_blocks(B: np.ndarray) -> np.ndarray:
+    """The 2n x 2k real form of the complex n x k matrix B (read-only).
+
+    Each entry b = c + jd becomes the 2 x 2 block [[c, d], [-d, c]], so for
+    any C-contiguous complex m x n Z, Z.view(real) @ real_blocks(B) equals
+    (Z @ B).view(real) to rounding: the real views interleave the real and
+    imaginary parts of each entry along a row. It is four real products per
+    complex product, the rounding of plain complex arithmetic, and one real
+    GEMM, which runs faster than a complex GEMM of a small inner dimension.
+    The result takes B's precision (float32 for a complex64 B).
+    """
+    n, k = B.shape
+    R = np.empty((2 * n, 2 * k), dtype=B.real.dtype)
+    R[0::2, 0::2] = R[1::2, 1::2] = B.real
+    R[0::2, 1::2] = B.imag
+    R[1::2, 0::2] = -B.imag
+    R.flags.writeable = False
+    return R
 
 
 @lru_cache(maxsize=None)

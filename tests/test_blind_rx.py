@@ -14,7 +14,6 @@ from scfde.blind_rx import (
     ModeEstimate,
     _MU,
     _am_step,
-    _dft_rows,
     alternating_minimization,
     ca_alpha,
     decode_frame,
@@ -53,8 +52,7 @@ def decode(Yf, frame_cfg, cfg, *modes):
 def laid_out(Y, energy, L):
     """The P x K matrix Y itself laid out as AM's problem with the given
     energy: a compression that keeps every column (V_K the identity)."""
-    rows = np.ascontiguousarray(Y.T)
-    return Compression(rows, float(energy), np.eye(Y.shape[1]), *_dft_rows(Y.shape[0], L, complex))
+    return Compression.laid_out(np.ascontiguousarray(Y.T), float(energy), np.eye(Y.shape[1]), L)
 
 
 def noiseless_setup(P, L, Nr, M, seed):
@@ -132,19 +130,22 @@ def stepped(c, lam, steps):
 
 def test_am_stops_at_the_first_step_that_does_not_lower_the_residual():
     # criterion 3's noiseless frame 3 (seed 160_003) floors before the cap.
-    # Its single stage stalls at step 46, and AM goes on in double from there
-    # until step 49, the first double step that does not lower the residual;
-    # each step that did not lower the residual stays in the trace
+    # Its single stage stalls at a step that float32 rounding places (49),
+    # and AM goes on in double from there until the first double step that
+    # does not lower the residual of the double step before it (51), which
+    # ends the run; each step that did not lower the residual stays in the
+    # trace, and every other step lowered it
     _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
     est = am(Yf, 4)
     trace = est.residual_trace
-    assert est.iterations == len(trace) == 49
-    assert (np.flatnonzero(np.diff(trace) >= 0) + 2).tolist() == [46, 49]
+    assert est.iterations == len(trace) < BlindConfig.max_iter
+    handover, last = (np.flatnonzero(np.diff(trace) >= 0) + 2).tolist()
+    assert last == len(trace) >= handover + 2
 
 
 def test_a_frame_whose_single_stage_stalls_finishes_in_double():
-    # the same frame, stepped by hand: 46 steps on the unit-energy complex64
-    # copy, then 3 in double from that iterate, give AM's trace and spectrum
+    # the same frame, stepped by hand: 49 steps on the unit-energy complex64
+    # copy, then 2 in double from that iterate, give AM's trace and spectrum
     # bit for bit. What AM returns, and the compression the decision-directed
     # rounds step on, are complex128
     _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
@@ -153,12 +154,17 @@ def test_a_frame_whose_single_stage_stalls_finishes_in_double():
     assert est.lambda_hat.dtype == est.H_t_hat.dtype == complex
     assert c.Y_rows.dtype == c.F_L.dtype == c.F_rows.dtype == complex
     assert single.Y_rows.dtype == single.F_L.dtype == single.F_rows.dtype == np.complex64
+    assert c.Y_blocks.dtype == c.F_blocks.dtype == np.float64
+    assert single.Y_blocks.dtype == single.F_blocks.dtype == np.float32
     assert single.energy == 1.0
-    handover, _, first = stepped(single, first_spectrum(c), 46)
-    lam, _, last = stepped(c, handover, 3)
+    handover, _, first = stepped(single, first_spectrum(c), 49)
+    lam, _, last = stepped(c, handover, 2)
     assert np.array_equal(est.residual_trace, np.concatenate((first, last)))
     assert np.array_equal(est.lambda_hat, lam)
-    assert est.residual_trace[-1] <= first.min()
+    # the single stage's entries carry the float32 rounding of their iterate,
+    # ~1e-7 in the squared relative residual (ReceiverEstimate): the double
+    # finish ends no higher than the single stage's best, to that rounding
+    assert est.residual_trace[-1] ** 2 <= first.min() ** 2 + EPS32
 
 
 def test_a_degenerate_bin_in_single_precision_goes_on_in_double(monkeypatch):
@@ -308,12 +314,15 @@ def test_am_step_matches_dense_reference_step(L, extra, Nr, mu, seed):
 
 def dividing_am_step(c, lam, mu):
     """_am_step with the spectrum update written as numpy's complex division
-    num / den and the residual taken with np.sqrt."""
+    num / den and the residual taken with np.sqrt; its products are the same
+    real GEMMs on the same block operands."""
     gram = dft_weighted_gram(lam.real**2 + lam.imag**2, c.F_L, mu)
-    H_t = np.linalg.solve(gram, (c.F_rows * lam.conj()) @ c.Y_rows.T)
-    G = H_t.conj().T @ c.F_rows
-    num = (G * c.Y_rows).sum(0)
-    den = (G.real**2 + G.imag**2).sum(0)
+    rhs = ((c.F_rows * lam.conj()).view(np.float64) @ c.Y_blocks).view(complex)
+    H_t = np.linalg.solve(gram, rhs)
+    G = np.ascontiguousarray(H_t.conj().T).view(np.float64) @ c.F_blocks
+    squares = np.square(G).sum(0)
+    den = squares[0::2] + squares[1::2]
+    num = (G.view(complex) * c.Y_rows).sum(0)
     lam = num / den
     fit = np.vdot(lam, num).real
     return lam, H_t, np.sqrt(max(c.energy - fit, 0.0) / c.energy)
@@ -332,6 +341,29 @@ def test_am_step_is_bit_equal_to_the_dividing_reference(P):
         assert np.array_equal(lam.view(np.float64), ref.view(np.float64))
         assert np.array_equal(H_t.view(np.float64), H_ref.view(np.float64))
         assert residual == residual_ref
+
+
+def assert_real_form(blocks, Z):
+    """blocks is the real form of the complex Z, entry for entry: each z =
+    c + jd is the 2 x 2 block [[c, d], [-d, c]], in Z's precision."""
+    assert blocks.shape == (2 * Z.shape[0], 2 * Z.shape[1])
+    assert blocks.dtype == Z.real.dtype and not blocks.flags.writeable
+    for rows, cols, part in ((0, 0, Z.real), (0, 1, Z.imag), (1, 0, -Z.imag), (1, 1, Z.real)):
+        assert np.array_equal(blocks[rows::2, cols::2], part)
+
+
+def test_each_compression_carries_the_real_form_of_its_own_rows():
+    # of() lays out the double rows' blocks, and single() the blocks of its
+    # own unit-energy complex64 rows, not a cast of the double blocks; both
+    # share the cached real form of F_L^H in their precision
+    rng = np.random.default_rng(7)
+    _, _, _, _, Yf = noiseless_setup(128, 3, 8, 16, seed=7)
+    Yf = 1e3 * (Yf + 0.1 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape)))
+    c = Compression.of(Yf, BlindConfig(L_est=3))
+    for comp in (c, c.single()):
+        assert_real_form(comp.Y_blocks, comp.Y_rows.T)
+        assert_real_form(comp.F_blocks, comp.F_rows)
+    assert c.single().F_blocks is c.single().F_blocks  # one cached copy
 
 
 def test_am_step_zero_spectrum_raises_at_bin_zero():

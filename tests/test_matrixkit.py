@@ -11,6 +11,7 @@ from scfde.matrixkit import (
     dft_first_columns,
     dft_weighted_gram,
     idft,
+    real_blocks,
     regularized_ls,
 )
 
@@ -312,3 +313,37 @@ def test_toeplitz_forms_match_dense_products(L, extra, mu, seed):
     assert gram32.dtype == np.complex64
     eps32 = float(np.finfo(np.float32).eps)
     assert np.linalg.norm(gram32 - dense_gram) <= 20 * eps32 * np.linalg.norm(dense_gram)
+
+
+def test_real_blocks_of_one_entry():
+    # c + jd becomes [[c, d], [-d, c]]: the row [a, b] of a + jb times it is
+    # [ac - bd, ad + bc], the product's real and imaginary parts
+    assert np.array_equal(real_blocks(np.array([[1.0 + 2.0j]])), [[1.0, 2.0], [-2.0, 1.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 300),
+    k=st.integers(1, 12),
+    single=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_blocks_turn_a_complex_product_into_a_real_one(m, n, k, single, seed):
+    # Z.view(real) @ real_blocks(B) == (Z @ B).view(real) to rounding, in B's
+    # precision, and the blocks are 2n x 2k, C-contiguous and read-only
+    rng = np.random.default_rng(seed)
+    cplx, real = (np.complex64, np.float32) if single else (complex, np.float64)
+    Z, B = random_complex(rng, m, n).astype(cplx), random_complex(rng, n, k).astype(cplx)
+    R = real_blocks(B)
+    assert R.shape == (2 * n, 2 * k) and R.dtype == real
+    assert R.flags.c_contiguous and not R.flags.writeable
+    with pytest.raises(ValueError):
+        R[0, 0] = 0.0
+    product = Z.view(real) @ R
+    assert product.dtype == real
+    exact = Z.astype(complex) @ B.astype(complex)
+    eps = float(np.finfo(real).eps)
+    bound = 4 * n * eps * np.linalg.norm(Z.astype(complex)) * np.linalg.norm(B.astype(complex))
+    assert np.linalg.norm(product.view(cplx) - exact) <= bound
+    assert np.linalg.norm(product.view(cplx) - Z @ B) <= bound
