@@ -262,21 +262,32 @@ def alternating_minimization(c: Compression, cfg: BlindConfig) -> ReceiverEstima
     tell from 0), at a DegenerateBinError, or one step before the cap. The
     double stage then goes on from that iterate, cast up, on c itself until
     a double step does not lower the residual of the double step before it
-    or the cap is reached. So every run ends on a double step, the stop
-    rule never fires on float32 rounding, and a noiseless frame floors
-    where an all-double run does. A residual of exactly 0 cannot fall, so a
-    double stage that reaches it stops at its next step.
+    or the cap is reached. A stall seen in float32 may be its rounding (the
+    single stage's residuals carry ~1e-7 of ||Yf||^2), so at a stall the
+    single stage drops its last two steps and hands over the iterate it had
+    before them: the double stage takes both steps again, and its first
+    comparison is already of two double residuals. So every run ends on a
+    double step, the stop rule never fires on float32 rounding, and a
+    noiseless frame floors where an all-double run does, not past it. A
+    residual of exactly 0 cannot fall, so a double stage that reaches it
+    stops at its next step.
     """
     first = c.Y_rows[0]
     lam = (first / np.linalg.norm(first)).astype(np.complex64)
 
     trace: list[float] = []
     single = c.single()
+    older = newer = lam  # the iterates two steps and one step back
     try:
         while len(trace) < cfg.max_iter - 1:
+            older, newer = newer, lam
             lam, _, residual = _am_step(single, lam, _MU)
             trace.append(residual)
-            if residual < _SINGLE_FLOOR or len(trace) > 1 and residual >= trace[-2]:
+            if residual < _SINGLE_FLOOR:
+                break
+            if len(trace) > 1 and residual >= trace[-2]:
+                lam = older
+                del trace[-2:]
                 break
     except DegenerateBinError:
         pass  # the double step from the same iterate decides

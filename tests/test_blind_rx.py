@@ -129,25 +129,28 @@ def stepped(c, lam, steps):
 
 
 def test_am_stops_at_the_first_step_that_does_not_lower_the_residual():
-    # criterion 3's noiseless frame 3 (seed 160_003) floors before the cap.
-    # Its single stage stalls at a step that float32 rounding places (49),
-    # and AM goes on in double from there until the first double step that
-    # does not lower the residual of the double step before it (51), which
-    # ends the run; each step that did not lower the residual stays in the
-    # trace, and every other step lowered it
+    # criterion 3's noiseless frame 3 (seed 160_003) floors before the cap,
+    # at step 49: every step before it lowered the residual, step 49 did
+    # not, and it stays in the trace. An all-double run of the same frame
+    # floors at the same step
     _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
     est = am(Yf, 4)
     trace = est.residual_trace
-    assert est.iterations == len(trace) < BlindConfig.max_iter
-    handover, last = (np.flatnonzero(np.diff(trace) >= 0) + 2).tolist()
-    assert last == len(trace) >= handover + 2
+    assert est.iterations == len(trace) == 49
+    assert (np.flatnonzero(np.diff(trace) >= 0) + 2).tolist() == [49]
+    c = est.compression
+    _, _, double = stepped(c, first_spectrum(c), 49)
+    assert (np.flatnonzero(np.diff(double) >= 0) + 2).tolist() == [49]
 
 
 def test_a_frame_whose_single_stage_stalls_finishes_in_double():
-    # the same frame, stepped by hand: 49 steps on the unit-energy complex64
-    # copy, then 2 in double from that iterate, give AM's trace and spectrum
-    # bit for bit. What AM returns, and the compression the decision-directed
-    # rounds step on, are complex128
+    # the same frame, stepped by hand: its single stage stalls at step 49
+    # (float32 residuals), so AM keeps the 47 steps before the last two on
+    # the unit-energy complex64 copy and takes steps 48 and 49 again in
+    # double from the iterate of step 47; that gives AM's trace and spectrum
+    # bit for bit, and the double finish ends below the single stage's best.
+    # What AM returns, and the compression the decision-directed rounds step
+    # on, are complex128
     _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
     est = am(Yf, 4)
     c, single = est.compression, est.compression.single()
@@ -157,14 +160,43 @@ def test_a_frame_whose_single_stage_stalls_finishes_in_double():
     assert c.Y_blocks.dtype == c.F_blocks.dtype == np.float64
     assert single.Y_blocks.dtype == single.F_blocks.dtype == np.float32
     assert single.energy == 1.0
-    handover, _, first = stepped(single, first_spectrum(c), 49)
+    _, _, stalled = stepped(single, first_spectrum(c), 49)
+    assert (np.flatnonzero(np.diff(stalled) >= 0) + 2).tolist() == [49]
+    handover, _, first = stepped(single, first_spectrum(c), 47)
+    assert np.array_equal(first, stalled[:47])
     lam, _, last = stepped(c, handover, 2)
     assert np.array_equal(est.residual_trace, np.concatenate((first, last)))
     assert np.array_equal(est.lambda_hat, lam)
-    # the single stage's entries carry the float32 rounding of their iterate,
-    # ~1e-7 in the squared relative residual (ReceiverEstimate): the double
-    # finish ends no higher than the single stage's best, to that rounding
-    assert est.residual_trace[-1] ** 2 <= first.min() ** 2 + EPS32
+    assert est.residual_trace[-1] <= first.min()
+
+
+def test_a_stall_in_single_precision_is_stepped_again_in_double(monkeypatch):
+    # a single-precision step whose residual does not fall hands over the
+    # iterate from before the last two steps: the double stage takes both
+    # again and judges the stall on double residuals, so a noisy frame whose
+    # float32 residual bumps at step 4 still runs to the cap
+    import scfde.blind_rx as blind_rx
+
+    step = _am_step
+    precisions = []
+
+    def bumped_fourth_single_step(c, lam, mu):
+        precisions.append(c.F_L.dtype)
+        lam, H_t, residual = step(c, lam, mu)
+        return lam, H_t, 1.0 if len(precisions) == 4 else residual
+
+    monkeypatch.setattr(blind_rx, "_am_step", bumped_fourth_single_step)
+    rng = np.random.default_rng(5)
+    _, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=5)
+    Yf = Yf + 0.3 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
+    est = am(Yf, 2)
+    assert est.iterations == BlindConfig.max_iter
+    assert precisions == [np.complex64] * 4 + [complex] * (BlindConfig.max_iter - 2)
+    c = est.compression
+    handover, _, single = stepped(c.single(), first_spectrum(c), 2)
+    lam, _, double = stepped(c, handover, BlindConfig.max_iter - 2)
+    assert np.array_equal(est.residual_trace, np.concatenate((single, double)))
+    assert np.array_equal(est.lambda_hat, lam)
 
 
 def test_a_degenerate_bin_in_single_precision_goes_on_in_double(monkeypatch):
