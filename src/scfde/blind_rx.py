@@ -174,14 +174,14 @@ class ReceiverEstimate:
     rounding of their iterate, ~1e-7 of ||Yf||^2 in the squared residual; the
     double steps' are exact to ~1e-15. iterations is its length: below
     max_iter, the last step did not lower the residual (a stall); at
-    max_iter, the cap. compression: the compressed problem, complex128, that
-    the double steps and the decision-directed rounds step on.
+    max_iter, the cap. The compressed problem it was fitted to is the
+    caller's own argument (decode_frame's rounds step on the c they were
+    given), so the estimate does not carry it.
     """
 
     lambda_hat: np.ndarray = field(repr=False)
     H_t_hat: np.ndarray = field(repr=False)
     residual_trace: np.ndarray = field(repr=False)
-    compression: Compression = field(repr=False)
 
     @property
     def iterations(self) -> int:
@@ -302,7 +302,6 @@ def alternating_minimization(c: Compression, cfg: BlindConfig) -> ReceiverEstima
         lambda_hat=lam,
         H_t_hat=H_t @ c.V_K.conj().T,
         residual_trace=np.asarray(trace),
-        compression=c,
     )
 
 
@@ -427,7 +426,7 @@ def decode_frame(
     A mode slices x_hat / alpha, alpha its scale estimate (MODES[mode]).
     Each of _DD_ROUNDS rounds then rebuilds the frame from the pilot, the
     guard zeros and the decided bits, re-solves the taps given that frame by
-    one unregularized _am_step on AM's compression, and slices the updated
+    one unregularized _am_step on c, AM's own input, and slices the updated
     spectrum's idft at that frame's scale against the round's input bits. A
     round depends on those bits alone, so the modes that reach one bit vector
     share one run of its round (a round that raises is not kept, and fails
@@ -449,7 +448,7 @@ def decode_frame(
                 key = decided.bits.tobytes()
                 if key not in rounds:
                     frame = build_frame(frame_cfg, decided.bits)
-                    lam, _, _ = _am_step(est.compression, dft(frame), 0.0)
+                    lam, _, _ = _am_step(c, dft(frame), 0.0)
                     rounds[key] = _slice(idft(lam), frame_cfg, decided.bits)
                 decided = rounds[key]
         except ReceiverError as err:

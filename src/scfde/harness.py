@@ -10,17 +10,20 @@ one factorization on the same received samples, and each reference receiver
 (BASELINES) decides from the same channel and noise, the OFDM baseline on
 its own block.
 
-A trial is prepared, then decoded. prepare_trial draws it and, when a blind
-receiver is selected, forms AM's input (the blind receive matrix's
-blind_rx.Compression) and runs every selected baseline, so the decoding
-thread runs only AM, the decision rounds and the scoring. A serial run
-prepares each next trial on one helper thread while the current one decodes;
-a pool worker prepares its trials inline.
+A trial is prepared, then decoded, for the receivers of the run's config: a
+sweep's cfg.receivers, and for a trace the blind ones (residual_trace).
+prepare_trial draws it and, when a blind receiver is selected, forms AM's
+input (the blind receive matrix's blind_rx.Compression) and scores every
+selected baseline, so the decoding thread runs only AM, the decision rounds
+and the blind rows' scoring. A serial run prepares each next trial on one
+helper thread while the current one decodes; a pool worker prepares its
+trials inline.
 
-Every row of RECEIVERS is scored alike: a frame on which its receiver raises
-(degenerate MRC bin, annihilated pilot) is excluded from the error counts
-and reported in the ``frames_failed`` column, and a reference row reports
-AM's iterations and residual as NaN.
+Every row of RECEIVERS is scored alike, where its bits are decided
+(_scored): a frame on which its receiver raises (degenerate MRC bin,
+annihilated pilot) is excluded from the error counts and reported in the
+``frames_failed`` column, and a reference row reports AM's iterations and
+residual as NaN.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 import os
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import suppress
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -284,15 +287,15 @@ def draw_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -
 @dataclass(frozen=True)
 class PreparedTrial:
     """A trial made ready to decode (prepare_trial): the blind frame's plans
-    and payload, and either AM's input with the baselines' outcomes or the
-    draws themselves.
+    and payload, and either AM's input with the baselines' rows or the draws
+    themselves.
 
     When a blind receiver was prepared, compression is AM's input and
-    baselines maps each selected BASELINES row to its (decided bits, sent
-    bits), leaving out a row whose receiver raised ReceiverError; draw is
-    None, so the trial's P x Nr arrays (the noise, Hf and Nf) were freed by
-    the thread that made them. Otherwise compression is None, baselines is
-    empty, and draw holds the draws for run_trial's baselines.
+    baselines maps each selected BASELINES row to its scored ReceiverTrial
+    (_decide_baselines); draw is None, so the trial's P x Nr arrays (the
+    noise, Hf and Nf) were freed by the thread that made them. Otherwise
+    compression is None, baselines is empty, and draw holds the draws for
+    run_trial's baselines.
     """
 
     frame_cfg: FrameConfig
@@ -303,23 +306,27 @@ class PreparedTrial:
     draw: TrialDraw | None = field(repr=False)
 
 
-def _decide_baselines(draw: TrialDraw, receivers: tuple) -> dict[str, tuple]:
-    """(decided bits, sent bits) of each BASELINES row in receivers, on draw;
-    a row whose receiver raised ReceiverError is left out."""
-    decided = {}
+def _scored(bits: np.ndarray, sent: np.ndarray, **am) -> ReceiverTrial:
+    """The row of a receiver that decided bits for the sent bits; am holds
+    AM's fields, which a BASELINES row leaves NaN."""
+    return ReceiverTrial(bits=sent.size, bit_errors=int(np.count_nonzero(bits != sent)), **am)
+
+
+def _decide_baselines(draw: TrialDraw, receivers: tuple) -> dict[str, ReceiverTrial]:
+    """The scored row of each BASELINES row in receivers, on draw; a row
+    whose receiver raised ReceiverError is left out."""
+    rows = {}
     for name in receivers:
         if name in BASELINES:
             with suppress(ReceiverError):
-                decided[name] = BASELINES[name](draw)
-    return decided
+                rows[name] = _scored(*BASELINES[name](draw))
+    return rows
 
 
-def prepare_trial(
-    cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, receivers: tuple
-) -> PreparedTrial:
-    """draw_trial's trial, made ready to decode the receivers given.
+def prepare_trial(cfg: SimulationConfig, P: int, snr_db: float, trial_index: int) -> PreparedTrial:
+    """draw_trial's trial, made ready to decode cfg.receivers.
 
-    With a blind receiver among them, this runs every given baseline,
+    With a blind receiver among them, this scores every selected baseline,
     forms the blind receive matrix and then its Compression, and keeps none
     of the P x Nr arrays. The draws are freed before the compression
     allocates, which lowered the peak resident set of fig7 trace workers
@@ -328,9 +335,9 @@ def prepare_trial(
     thread idle. An error other than ReceiverError propagates.
     """
     draw = draw_trial(cfg, P, snr_db, trial_index)
-    if not any(name in MODES for name in receivers):
+    if not any(name in MODES for name in cfg.receivers):
         return PreparedTrial(draw.frame_cfg, draw.blind_cfg, draw.payload, None, {}, draw)
-    baselines = _decide_baselines(draw, receivers)
+    baselines = _decide_baselines(draw, cfg.receivers)
     received, blind_cfg = draw.blind_received(), draw.blind_cfg
     kept = draw.frame_cfg, blind_cfg, draw.payload
     del draw  # frees the noise, Hf and Nf before the compression allocates
@@ -343,55 +350,39 @@ def run_trial(
     """One frame end to end: the outcome of every selected receiver, by name.
 
     Deterministic in (cfg.seed, P, snr_db, trial_index); see draw_trial.
-    ahead, when given, is this trial's prepare_trial for cfg.receivers,
-    already submitted by _score, and the frame waits for it here. The
-    selected blind variants share one factorization of the same receive
-    matrix, and each scores its own refined mode (decode_frame decodes only
-    the selected modes); a baseline decides from the same draws. A receiver
-    that raised, or whose factorization raised, reports a failed frame.
+    ahead, when given, is this trial's prepare_trial, already submitted by
+    _score, and the frame waits for it here. The selected blind variants
+    share one factorization of the same receive matrix, and each scores its
+    own refined mode (decode_frame decodes only the selected modes); a
+    baseline decides from the same draws. A receiver that raised, or whose
+    factorization raised, reports a failed frame.
     """
-    if ahead is not None:
-        trial = ahead.result()
-    else:
-        trial = prepare_trial(cfg, P, snr_db, trial_index, cfg.receivers)
-    baselines = trial.baselines
+    trial = ahead.result() if ahead is not None else prepare_trial(cfg, P, snr_db, trial_index)
+    rows = dict(trial.baselines)
     if trial.draw is not None:  # prepared no further than its draws
-        baselines = _decide_baselines(trial.draw, cfg.receivers)
-    # name -> (decided bits, sent bits, AM's fields)
-    decided: dict[str, tuple] = {name: (*outcome, {}) for name, outcome in baselines.items()}
+        rows = _decide_baselines(trial.draw, cfg.receivers)
     blind = tuple(r for r in cfg.receivers if r in MODES)
     if blind:
-        try:
+        with suppress(ReceiverError):  # a failed factorization fails every blind row
             decoded = decode_frame(trial.compression, trial.frame_cfg, trial.blind_cfg, blind)
-        except ReceiverError:
-            pass  # a failed factorization fails every blind row
-        else:
             est = decoded.estimate
             am = {"iterations": est.iterations, "final_residual": float(est.residual_trace[-1])}
             for name, mode in decoded.modes.items():
-                decided[name] = mode.bits, trial.payload, {**am, "dd_changed": mode.dd_changed}
-    results: dict[str, ReceiverTrial] = {}
-    for name in cfg.receivers:
-        if name not in decided:  # its receiver raised
-            results[name] = ReceiverTrial(failed=True)
-            continue
-        bits, sent, am = decided[name]
-        results[name] = ReceiverTrial(
-            bits=sent.size, bit_errors=int(np.count_nonzero(bits != sent)), **am
-        )
-    return results
+                rows[name] = _scored(mode.bits, trial.payload, **am, dd_changed=mode.dd_changed)
+    # a row left out: its receiver raised, or its factorization did
+    return {name: rows.get(name, ReceiverTrial(failed=True)) for name in cfg.receivers}
 
 
 # a pool task scores at most this many consecutive trials of one cell
 _BLOCK = 8
 
 
-def _score(fn, tasks: list, submit=None, receivers: tuple = ()) -> list:
+def _score(fn, tasks: list, submit=None) -> list:
     """fn(*task, ahead) for each task in order: with submit, ahead is the
-    task's submit(prepare_trial, *task, receivers), made while the task
-    before it is scored, and fn waits for it in its call; without, ahead is
-    None and fn prepares its own trial."""
-    aheads = (submit(prepare_trial, *task, receivers) if submit else None for task in tasks)
+    task's submit(prepare_trial, *task), made while the task before it is
+    scored, and fn waits for it in its call; without, ahead is None and fn
+    prepares its own trial."""
+    aheads = (submit(prepare_trial, *task) if submit else None for task in tasks)
     results, ahead = [], next(aheads)
     for task in tasks:
         current, ahead = ahead, next(aheads, None)
@@ -399,11 +390,11 @@ def _score(fn, tasks: list, submit=None, receivers: tuple = ()) -> list:
     return results
 
 
-def _map_cells(cfg: SimulationConfig, fn, cells: list, receivers: tuple) -> list[list]:
+def _map_cells(cfg: SimulationConfig, fn, cells: list) -> list[list]:
     """fn(cfg, P, snr_db, trial_index, ahead) for every trial of every
     (P, snr_db) cell, through _score; returns one list per cell, in cell
-    order, with its trials in order. receivers are those fn prepares its
-    trials for (prepare_trial).
+    order, with its trials in order. Each trial is prepared (prepare_trial)
+    for cfg.receivers.
 
     The trials run largest P first, so on a pool the longest frames start
     early. A pool (cfg.workers > 1) has min(workers, len(tasks)) processes
@@ -430,7 +421,7 @@ def _map_cells(cfg: SimulationConfig, fn, cells: list, receivers: tuple) -> list
     else:
         # a raise leaves the with block, which joins the one preparation in flight
         with ThreadPoolExecutor(max_workers=1) as helper:
-            results = _score(fn, tasks, helper.submit, receivers)
+            results = _score(fn, tasks, helper.submit)
     by_cell = {cell: results[k * n : (k + 1) * n] for k, cell in enumerate(order)}
     return [by_cell[cell] for cell in cells]
 
@@ -512,7 +503,7 @@ def sweep(cfg: SimulationConfig) -> list[BerPoint]:
     cells = [(P, snr_db) for P in cfg.seq_lengths for snr_db in cfg.snr_db_list]
     points: list[BerPoint] = []
     dump_rows: list[tuple] = []
-    for (P, snr_db), outcomes in zip(cells, _map_cells(cfg, run_trial, cells, cfg.receivers)):
+    for (P, snr_db), outcomes in zip(cells, _map_cells(cfg, run_trial, cells)):
         points.extend(aggregate(cfg, P, snr_db, outcomes))
         if cfg.dump_path is not None:
             # _map_cells returns each cell's trials in index order
@@ -551,30 +542,27 @@ class ResidualTrace:
     errors: np.ndarray = field(repr=False)
 
 
-# a trace prepares the blind receivers' factorization and no baseline
-_TRACED = tuple(MODES)
-
-
 def trace_trial(
     cfg: SimulationConfig, P: int, snr_db: float, trial_index: int, ahead: Future | None = None
 ) -> np.ndarray:
     """Residual trace of the blind factorization on one frame (the same
-    draws, hence the same receive matrix, as run_trial; ahead as there, but
-    prepared for _TRACED)."""
-    if ahead is not None:
-        trial = ahead.result()
-    else:
-        trial = prepare_trial(cfg, P, snr_db, trial_index, _TRACED)
+    draws, hence the same receive matrix, as run_trial; ahead as there).
+    cfg is residual_trace's, whose receivers are the blind ones, so its
+    trial is prepared up to AM's input and runs no baseline."""
+    trial = ahead.result() if ahead is not None else prepare_trial(cfg, P, snr_db, trial_index)
     return alternating_minimization(trial.compression, trial.blind_cfg).residual_trace
 
 
 def residual_trace(cfg: SimulationConfig) -> list[ResidualTrace]:
     """Mean per-iteration normalized error for each configured SNR and, within
     it, each sequence length; writes the trace CSV when cfg.out_path is set.
-    Frames that stop early hold their final value in the average."""
+    Frames that stop early hold their final value in the average. Its trials
+    are prepared for the blind receivers alone, so a trace runs no baseline
+    whatever cfg.receivers holds (a SWEEP_ONLY field, which it does not echo)."""
     cells = [(P, snr_db) for snr_db in cfg.snr_db_list for P in cfg.seq_lengths]
+    traced = replace(cfg, receivers=tuple(MODES))
     traces: list[ResidualTrace] = []
-    for (P, snr_db), runs in zip(cells, _map_cells(cfg, trace_trial, cells, _TRACED)):
+    for (P, snr_db), runs in zip(cells, _map_cells(traced, trace_trial, cells)):
         depth = max(len(r) for r in runs)
         padded = np.vstack([
             np.concatenate([r, np.full(depth - len(r), r[-1])]) for r in runs

@@ -38,10 +38,15 @@ from scfde.matrixkit import (
 EPS32 = float(np.finfo(np.float32).eps)
 
 
+def compressed(Yf, L_est):
+    """The receive matrix Yf's compression for AM at L_est, and AM's config."""
+    cfg = BlindConfig(L_est=L_est)
+    return Compression.of(Yf, cfg), cfg
+
+
 def am(Yf, L_est):
     """AM on the receive matrix Yf, through its compression."""
-    cfg = BlindConfig(L_est=L_est)
-    return alternating_minimization(Compression.of(Yf, cfg), cfg)
+    return alternating_minimization(*compressed(Yf, L_est))
 
 
 def decode(Yf, frame_cfg, cfg, *modes):
@@ -134,11 +139,11 @@ def test_am_stops_at_the_first_step_that_does_not_lower_the_residual():
     # not, and it stays in the trace. An all-double run of the same frame
     # floors at the same step
     _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
-    est = am(Yf, 4)
+    c, cfg = compressed(Yf, 4)
+    est = alternating_minimization(c, cfg)
     trace = est.residual_trace
     assert est.iterations == len(trace) == 49
     assert (np.flatnonzero(np.diff(trace) >= 0) + 2).tolist() == [49]
-    c = est.compression
     _, _, double = stepped(c, first_spectrum(c), 49)
     assert (np.flatnonzero(np.diff(double) >= 0) + 2).tolist() == [49]
 
@@ -152,8 +157,8 @@ def test_a_frame_whose_single_stage_stalls_finishes_in_double():
     # What AM returns, and the compression the decision-directed rounds step
     # on, are complex128
     _, _, _, _, Yf = noiseless_setup(256, 4, 16, 64, seed=160_003)
-    est = am(Yf, 4)
-    c, single = est.compression, est.compression.single()
+    c, cfg = compressed(Yf, 4)
+    est, single = alternating_minimization(c, cfg), c.single()
     assert est.lambda_hat.dtype == est.H_t_hat.dtype == complex
     assert c.Y_rows.dtype == c.F_L.dtype == c.F_rows.dtype == complex
     assert single.Y_rows.dtype == single.F_L.dtype == single.F_rows.dtype == np.complex64
@@ -189,10 +194,10 @@ def test_a_stall_in_single_precision_is_stepped_again_in_double(monkeypatch):
     rng = np.random.default_rng(5)
     _, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=5)
     Yf = Yf + 0.3 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
-    est = am(Yf, 2)
+    c, cfg = compressed(Yf, 2)
+    est = alternating_minimization(c, cfg)
     assert est.iterations == BlindConfig.max_iter
     assert precisions == [np.complex64] * 4 + [complex] * (BlindConfig.max_iter - 2)
-    c = est.compression
     handover, _, single = stepped(c.single(), first_spectrum(c), 2)
     lam, _, double = stepped(c, handover, BlindConfig.max_iter - 2)
     assert np.array_equal(est.residual_trace, np.concatenate((single, double)))
@@ -215,9 +220,9 @@ def test_a_degenerate_bin_in_single_precision_goes_on_in_double(monkeypatch):
 
     monkeypatch.setattr(blind_rx, "_am_step", degenerate_third_single_step)
     _, _, _, _, Yf = noiseless_setup(64, 2, 4, 16, seed=5)
-    est = am(Yf, 2)
+    c, cfg = compressed(Yf, 2)
+    est = alternating_minimization(c, cfg)
     assert precisions == [np.complex64] * 2 + [complex] * (est.iterations - 2)
-    c = est.compression
     handover, _, single = stepped(c.single(), first_spectrum(c), 2)
     lam, _, double = stepped(c, handover, est.iterations - 2)
     assert np.array_equal(est.residual_trace, np.concatenate((single, double)))
@@ -286,11 +291,12 @@ def test_am_on_full_rank_compression_matches_full_width():
     rng = np.random.default_rng(19)
     cfg, _, _, _, Yf = noiseless_setup(64, 4, 4, 16, seed=19)
     Yf = Yf + 0.1 * (rng.standard_normal(Yf.shape) + 1j * rng.standard_normal(Yf.shape))
-    est = am(Yf, 4)
+    c, blind_cfg = compressed(Yf, 4)
+    est = alternating_minimization(c, blind_cfg)
     assert est.iterations == BlindConfig.max_iter
     full = laid_out(Yf, np.linalg.norm(Yf) ** 2, 4)
-    start = first_spectrum(est.compression)
-    handover, _, single = stepped(est.compression.single(), start, 99)
+    start = first_spectrum(c)
+    handover, _, single = stepped(c.single(), start, 99)
     assert np.array_equal(est.residual_trace[:99], single)
     _, _, full_single = stepped(full.single(), start, 99)
     assert np.max(np.abs(full_single - single)) <= 20 * EPS32
@@ -586,14 +592,15 @@ def test_decode_frame_rounds_are_a_fixed_point_on_a_noiseless_frame():
     # unregularized re-solve returns the exact taps and MRC the exact spectrum,
     # at the transmitted scale whatever scale estimate took the first decisions
     cfg, payload, frame, ch, Yf = noiseless_setup(128, 3, 8, 16, seed=18)
-    result = decode(Yf, cfg, BlindConfig(L_est=3))
+    c, blind_cfg = compressed(Yf, 3)
+    result = decode_frame(c, cfg, blind_cfg)
     assert set(result.modes) == {"blind_pilot", "blind_ca", "blind_qq"}
     truth = dft(frame)
     for mode, decoded in result.modes.items():
         assert decoded.dd_changed == 0, mode
         assert np.array_equal(decoded.bits, payload), mode
         rebuilt = dft(build_frame(cfg, decoded.bits))
-        lam, _, _ = _am_step(result.estimate.compression, rebuilt, 0.0)
+        lam, _, _ = _am_step(c, rebuilt, 0.0)
         scale = np.vdot(truth, lam) / np.vdot(truth, truth)
         assert abs(scale - 1) <= 1e-10, mode
         assert np.linalg.norm(lam - truth) <= 1e-10 * np.linalg.norm(lam), mode

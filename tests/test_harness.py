@@ -24,6 +24,7 @@ from scfde.harness import (
     DUMP_HEADER,
     PRESETS,
     RECEIVERS,
+    ReceiverTrial,
     SimulationConfig,
     _substream,
     aggregate,
@@ -533,7 +534,9 @@ def test_the_helper_prepares_the_compression_and_every_baseline(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_trace_runs_no_baseline(workers, monkeypatch):
+def test_a_trace_runs_no_baseline(workers, tmp_path, monkeypatch):
+    # a trace prepares its trials for the blind receivers, whatever its config
+    # selects: with the baseline alone it writes the default roster's bytes
     mapped = []
 
     class InlinePool:  # runs each task in this process, where the baseline is patched
@@ -555,11 +558,16 @@ def test_a_trace_runs_no_baseline(workers, monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setitem(BASELINES, "mrc_ofdm", no_baseline)
-    cfg = dataclasses.replace(MULTI, workers=workers)
-    assert [(tr.P, tr.snr_db) for tr in residual_trace(cfg)] == [
-        (32, 8.0), (64, 8.0), (32, 14.0), (64, 14.0)
-    ]
-    assert len(mapped) == (workers > 1)
+    texts = []
+    for receivers in (RECEIVERS, ("mrc_ofdm",)):
+        out = tmp_path / f"{len(receivers)}.csv"
+        cfg = dataclasses.replace(MULTI, workers=workers, receivers=receivers, out_path=str(out))
+        assert [(tr.P, tr.snr_db) for tr in residual_trace(cfg)] == [
+            (32, 8.0), (64, 8.0), (32, 14.0), (64, 14.0)
+        ]
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert len(mapped) == 2 * (workers > 1)
 
 
 def _arrays(value):
@@ -576,7 +584,8 @@ def _arrays(value):
 
 def test_a_prepared_trial_holds_no_receive_sized_array(monkeypatch):
     # the helper hands over AM's K x P input, not the P x Nr draws: no array
-    # it hands a sweep or a trace frame is as large as one P x Nr matrix
+    # it hands a sweep or a trace frame is as large as one P x Nr matrix, and
+    # each baseline arrives as its scored row, not as decided and sent bits
     cfg, handed = dataclasses.replace(MULTI, Nr=16), []
 
     def recorder(frame):
@@ -594,6 +603,8 @@ def test_a_prepared_trial_holds_no_receive_sized_array(monkeypatch):
     for P, trial in handed:
         assert trial.draw is None and trial.compression is not None
         assert all(a.size < P * cfg.Nr for a in _arrays(trial)), P
+        assert all(isinstance(row, ReceiverTrial) for row in trial.baselines.values()), P
+    assert sum(len(trial.baselines) for _, trial in handed) == len(MULTI_TASKS)
 
 
 @pytest.mark.parametrize("stage", ["compression", "baseline"])

@@ -54,6 +54,7 @@ REMOVED = (
     "ofdm_config",
     "_PDP_RATIO",
     "_plans",
+    "_TRACED",
 )
 
 
